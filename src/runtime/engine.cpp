@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <exception>
 #include <limits>
@@ -43,6 +44,21 @@ constexpr int kCancelledByUser = 1;
 constexpr int kDeadlineExpired = 2;
 constexpr int kFailedByBoundary = 3;      // Engine::fail_session
 constexpr int kQuarantinedByWatchdog = 4; // stall-watchdog escalation
+
+// Declared token bytes an edge may buffer (EngineOptions::channel_capacity).
+constexpr double kChannelByteBudget = 256.0 * 1024.0;
+
+// Slots of one edge's channel: `channel_capacity`, cut to the byte budget
+// for large tokens but never below double buffering. bytes == 0 means the
+// graph declared no size.
+std::size_t edge_capacity(const mpsoc::Edge& edge,
+                          std::size_t channel_capacity) {
+  if (!(edge.bytes > 0.0)) return channel_capacity;
+  const auto min_slots = std::min<std::size_t>(2, channel_capacity);
+  return static_cast<std::size_t>(std::clamp(
+      std::floor(kChannelByteBudget / edge.bytes),
+      static_cast<double>(min_slots), static_cast<double>(channel_capacity)));
+}
 
 }  // namespace
 
@@ -1359,9 +1375,10 @@ struct Engine::Impl {
     // on for this engine (16 bytes per slot; read only on sampled units).
     const bool ledgers = kTelemetryCompiled && options.telemetry != nullptr &&
                          options.telemetry->options().unit_sample_period != 0;
-    for (std::size_t e = 0; e < graph.edges().size(); ++e) {
+    for (const auto& edge : graph.edges()) {
       sess->channels.push_back(std::make_unique<SpscQueue<mpsoc::Payload>>(
-          options.channel_capacity, options.recycle_payloads, ledgers));
+          edge_capacity(edge, options.channel_capacity),
+          options.recycle_payloads, ledgers));
     }
     sess->outstanding.store(iterations * graph.task_count(),
                             std::memory_order_relaxed);

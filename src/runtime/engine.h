@@ -106,11 +106,18 @@ struct EngineOptions {
   /// when the engine starts empty to serve dynamic submits — one worker
   /// per hardware thread.
   std::size_t workers = 0;
-  /// Tokens buffered per edge — the software-pipelining depth. 1 degrades
-  /// to lock-step execution; larger values decouple stage jitter. Sized
-  /// to the default firing_quantum: a firing batch stops early at a
-  /// full/empty channel, so a capacity below the quantum silently caps
-  /// interior-stage batches at the capacity.
+  /// Most tokens buffered per edge — the software-pipelining depth. 1
+  /// degrades to lock-step execution; larger values decouple stage
+  /// jitter. Sized to the default firing_quantum: a firing batch stops
+  /// early at a full/empty channel, so a capacity below the quantum
+  /// silently caps interior-stage batches at the capacity.
+  /// Each edge also gets a byte budget of 256 KiB of declared tokens
+  /// (mpsoc::Edge::bytes): it holds clamp(256 KiB / bytes,
+  /// min(2, channel_capacity), channel_capacity) tokens. Frame-sized
+  /// tokens (a CIF frame is ~150 KB) are therefore double-buffered, the
+  /// way frame-pipelined platforms size buffers between processors, so
+  /// a fast producer cannot queue many frames of latency ahead of a
+  /// slow stage. Edges declaring bytes == 0 get channel_capacity.
   std::size_t channel_capacity = 8;
   /// Dispatch granularity: when a worker pops a task it fires up to this
   /// many consecutive iterations (stopping early on empty input, full
@@ -317,8 +324,12 @@ struct SessionReport {
   std::uint64_t iterations = 0;
   double wall_s = 0.0;                    ///< first firing ready -> last firing done
   std::vector<TaskStats> tasks;           ///< indexed by TaskId
+  /// EngineOptions::channel_capacity: the deepest any edge may be. An
+  /// edge with large declared tokens holds fewer (see channel_capacity).
   std::size_t channel_capacity = 0;
-  std::size_t max_channel_occupancy = 0;  ///< max over all edges; <= capacity
+  /// Max over all edges of the tokens buffered at once; each edge stays
+  /// within its own capacity, so this is <= channel_capacity.
+  std::size_t max_channel_occupancy = 0;
   /// Total task migrations across the session (sum of tasks[].migrations);
   /// 0 when work_stealing is off or the load never skewed.
   std::uint64_t task_migrations = 0;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "audio/allocation.h"
@@ -126,6 +127,14 @@ video::StageOps analytic_video_ops(int w, int h) {
 VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   const int w = config.width;
   const int h = config.height;
+  // The stage bodies count whole blocks (w / 8, w / 16); a partial
+  // macroblock would be dropped and misalign the motion-field stride.
+  if (w <= 0 || h <= 0 || w % video::kMacroblockSize != 0 ||
+      h % video::kMacroblockSize != 0) {
+    throw std::invalid_argument(
+        "video encoder pipeline: frame " + std::to_string(w) + "x" +
+        std::to_string(h) + " is not a positive multiple of 16");
+  }
   const int bx = w / 8;
   const int by = h / 8;
   const std::size_t blocks = static_cast<std::size_t>(bx) * by;
@@ -135,15 +144,19 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   TaskGraph& g = pipe.graph;
   auto sink = pipe.sink;
 
-  // CAPTURE: deterministic synthetic scene, one luma frame per iteration,
-  // broadcast to the motion estimator and the MC predictor.
-  const auto scene = video::scene_high_motion(config.seed);
-  g.set_body(find_task(g, "capture"), [w, h, scene](TaskFiring& f) {
-    const video::Frame frame =
-        video::SyntheticVideo::render(w, h, scene, static_cast<int>(f.iteration));
-    store_plane_packed(f, 0, frame.y());  // -> motion estimator
-    store_plane_packed(f, 1, frame.y());  // -> MC predictor
-  });
+  // CAPTURE: deterministic synthetic scene, one luma frame per iteration
+  // rendered into a session-owned plane, broadcast to the motion
+  // estimator and the MC predictor.
+  {
+    const auto scene = video::scene_high_motion(config.seed);
+    auto luma = std::make_shared<video::Plane>(w, h);
+    g.set_body(find_task(g, "capture"), [scene, luma](TaskFiring& f) {
+      video::SyntheticVideo::render_luma(scene, static_cast<int>(f.iteration),
+                                         *luma);
+      store_plane_packed(f, 0, *luma);  // -> motion estimator
+      store_plane_packed(f, 1, *luma);  // -> MC predictor
+    });
+  }
 
   // MOTION ESTIMATOR: real block search against the previous source frame
   // (open-loop reference, kept task-local for determinism).

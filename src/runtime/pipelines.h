@@ -64,7 +64,9 @@ struct VideoPipeline {
 
 /// Build a fully executable Fig. 1 encoder graph. Each call returns an
 /// independent pipeline instance (bodies carry per-instance state), so a
-/// multi-session engine needs one per session.
+/// multi-session engine needs one per session. Throws
+/// std::invalid_argument unless width and height are positive multiples
+/// of 16 (whole macroblocks).
 [[nodiscard]] VideoPipeline make_video_encoder_pipeline(
     const VideoPipelineConfig& config);
 

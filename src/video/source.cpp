@@ -7,9 +7,7 @@
 namespace mmsoc::video {
 namespace {
 
-// Hash-based value noise: deterministic pseudo-random value per lattice
-// point, bilinearly interpolated. Two octaves give the texture both bulk
-// structure (for ME to latch onto) and fine detail (for the DCT to code).
+// Deterministic pseudo-random value of lattice point (xi, yi).
 double lattice_value(std::uint64_t seed, int xi, int yi) noexcept {
   std::uint64_t h = seed;
   h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(xi)) * 0x9E3779B97F4A7C15ull;
@@ -20,24 +18,72 @@ double lattice_value(std::uint64_t seed, int xi, int yi) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
 }
 
-double value_noise(std::uint64_t seed, double x, double y, double cell) noexcept {
-  const double gx = x / cell;
-  const double gy = y / cell;
-  const int x0 = static_cast<int>(std::floor(gx));
-  const int y0 = static_cast<int>(std::floor(gy));
-  const double fx = gx - x0;
-  const double fy = gy - y0;
-  // Smoothstep interpolation weights.
-  const double sx = fx * fx * (3.0 - 2.0 * fx);
-  const double sy = fy * fy * (3.0 - 2.0 * fy);
-  const double v00 = lattice_value(seed, x0, y0);
-  const double v10 = lattice_value(seed, x0 + 1, y0);
-  const double v01 = lattice_value(seed, x0, y0 + 1);
-  const double v11 = lattice_value(seed, x0 + 1, y0 + 1);
-  const double a = common::lerp(v00, v10, sx);
-  const double b = common::lerp(v01, v11, sx);
-  return common::lerp(a, b, sy);  // [0, 1)
-}
+// One value-noise octave sampled on a pixel raster whose world position
+// is (step * x + ox, step * y + oy). Hash-based value noise: a
+// deterministic pseudo-random value per lattice point, bilinearly
+// interpolated with smoothstep weights. The per-column cell index and
+// weight are tabulated once per frame, and the two lattice rows around a
+// raster row, already interpolated along x, are rebuilt only when the
+// row enters a new cell row. Every sample keeps the expressions and
+// evaluation order of a direct per-pixel evaluation, so it is bit-exact.
+class NoiseOctave {
+ public:
+  NoiseOctave(std::uint64_t seed, double cell, int width, double step,
+              double ox)
+      : seed_(seed), cell_(cell), x0_(static_cast<std::size_t>(width)),
+        sx_(x0_.size()), a_(x0_.size()), b_(x0_.size()) {
+    for (std::size_t x = 0; x < x0_.size(); ++x) {
+      const double gx = (step * static_cast<int>(x) + ox) / cell_;
+      x0_[x] = static_cast<int>(std::floor(gx));
+      const double fx = gx - x0_[x];
+      sx_[x] = fx * fx * (3.0 - 2.0 * fx);
+    }
+    // gx grows with x, so the cells span [x0_.front(), x0_.back() + 1].
+    if (!x0_.empty()) {
+      const auto cells = static_cast<std::size_t>(x0_.back() - x0_.front()) + 2;
+      top_.resize(cells);
+      bottom_.resize(cells);
+    }
+  }
+
+  /// Position on the raster row at world y `wy`.
+  void seek_row(double wy) {
+    const double gy = wy / cell_;
+    const int y0 = static_cast<int>(std::floor(gy));
+    const double fy = gy - y0;
+    sy_ = fy * fy * (3.0 - 2.0 * fy);
+    if (primed_ && y0 == y0_) return;
+    primed_ = true;
+    y0_ = y0;
+    const int base = x0_.empty() ? 0 : x0_.front();
+    for (std::size_t i = 0; i < top_.size(); ++i) {
+      top_[i] = lattice_value(seed_, base + static_cast<int>(i), y0);
+      bottom_[i] = lattice_value(seed_, base + static_cast<int>(i), y0 + 1);
+    }
+    for (std::size_t x = 0; x < x0_.size(); ++x) {
+      const auto i = static_cast<std::size_t>(x0_[x] - base);
+      a_[x] = common::lerp(top_[i], top_[i + 1], sx_[x]);
+      b_[x] = common::lerp(bottom_[i], bottom_[i + 1], sx_[x]);
+    }
+  }
+
+  /// Noise value in [0, 1) at column `x` of the current row.
+  [[nodiscard]] double at(std::size_t x) const noexcept {
+    return common::lerp(a_[x], b_[x], sy_);
+  }
+
+ private:
+  std::uint64_t seed_;
+  double cell_;
+  std::vector<int> x0_;        // cell index per column
+  std::vector<double> sx_;     // smoothstep weight per column
+  std::vector<double> top_;    // lattice values of cell row y0_
+  std::vector<double> bottom_; // lattice values of cell row y0_ + 1
+  std::vector<double> a_, b_;  // top_/bottom_ interpolated per column
+  double sy_ = 0.0;
+  int y0_ = 0;
+  bool primed_ = false;
+};
 
 struct ObjectSpec {
   double x0, y0;      // initial position
@@ -106,48 +152,81 @@ SceneParams scene_flat(std::uint64_t seed) {
   return p;
 }
 
+void SyntheticVideo::render_luma(const SceneParams& scene, int frame_index,
+                                 Plane& luma) {
+  const int width = luma.width();
+  const int height = luma.height();
+  const double ox = scene.pan_x * frame_index;
+  const double oy = scene.pan_y * frame_index;
+  common::Rng noise_rng(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame_index) * 0x10001ull));
+
+  // Objects move independently of the background pan; their wrapped
+  // positions are resolved once per frame.
+  struct Placed {
+    double left, top;
+    const ObjectSpec* spec;
+  };
+  const auto objects = make_objects(scene, width, height);
+  std::vector<Placed> placed;
+  placed.reserve(objects.size());
+  for (const auto& o : objects) {
+    const double px = std::fmod(o.x0 + o.vx * frame_index, static_cast<double>(width));
+    const double py = std::fmod(o.y0 + o.vy * frame_index, static_cast<double>(height));
+    placed.push_back({px < 0 ? px + width : px, py < 0 ? py + height : py, &o});
+  }
+
+  // Two noise octaves panned by (ox, oy) give the texture both bulk
+  // structure (for ME to latch onto) and fine detail (for the DCT to
+  // code); then objects, then sensor noise in raster order.
+  NoiseOctave coarse(scene.seed, 24.0, width, 1.0, ox);
+  NoiseOctave fine(scene.seed + 1, 5.0, width, 1.0, ox);
+  std::vector<double> v(static_cast<std::size_t>(width));
+  for (int y = 0; y < height; ++y) {
+    const double wy = y + oy;
+    coarse.seek_row(wy);
+    fine.seek_row(wy);
+    for (std::size_t x = 0; x < v.size(); ++x) {
+      v[x] = scene.brightness +
+             scene.detail * (90.0 * (coarse.at(x) - 0.5) + 40.0 * (fine.at(x) - 0.5));
+    }
+    for (const auto& p : placed) {
+      const double dy = y - p.top;
+      if (!(dy >= 0 && dy < p.spec->h)) continue;
+      for (int x = 0; x < width; ++x) {
+        const double dx = x - p.left;
+        if (dx >= 0 && dx < p.spec->w) v[x] += p.spec->luma_delta;
+      }
+    }
+    std::uint8_t* out = luma.row(y);
+    for (std::size_t x = 0; x < v.size(); ++x) {
+      const double noisy = v[x] + scene.noise_sigma * noise_rng.next_gaussian();
+      out[x] = common::clamp_u8(static_cast<int>(noisy + 0.5));
+    }
+  }
+}
+
 Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
                              int frame_index) {
   Frame f(width, height);
-  const double ox = scene.pan_x * frame_index;
-  const double oy = scene.pan_y * frame_index;
-  const auto objects = make_objects(scene, width, height);
-  common::Rng noise_rng(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame_index) * 0x10001ull));
-
-  // Luma: two noise octaves panned by (ox, oy), plus objects, plus noise.
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      const double wx = x + ox;
-      const double wy = y + oy;
-      const double coarse = value_noise(scene.seed, wx, wy, 24.0);
-      const double fine = value_noise(scene.seed + 1, wx, wy, 5.0);
-      double v = scene.brightness +
-                 scene.detail * (90.0 * (coarse - 0.5) + 40.0 * (fine - 0.5));
-      // Objects move independently of the background pan.
-      for (const auto& o : objects) {
-        const double px = std::fmod(o.x0 + o.vx * frame_index, static_cast<double>(width));
-        const double py = std::fmod(o.y0 + o.vy * frame_index, static_cast<double>(height));
-        const double dx = x - (px < 0 ? px + width : px);
-        const double dy = y - (py < 0 ? py + height : py);
-        if (dx >= 0 && dx < o.w && dy >= 0 && dy < o.h) {
-          v += o.luma_delta;
-        }
-      }
-      v += scene.noise_sigma * noise_rng.next_gaussian();
-      f.y().set(x, y, common::clamp_u8(static_cast<int>(v + 0.5)));
-    }
-  }
+  render_luma(scene, frame_index, f.y());
 
   // Chroma at half resolution: slow noise field scaled by saturation.
+  const double ox = scene.pan_x * frame_index;
+  const double oy = scene.pan_y * frame_index;
   const int cw = width / 2, ch = height / 2;
+  NoiseOctave cb_noise(scene.seed + 2, 40.0, cw, 2.0, ox);
+  NoiseOctave cr_noise(scene.seed + 3, 40.0, cw, 2.0, ox);
   for (int y = 0; y < ch; ++y) {
+    const double wy = 2.0 * y + oy;
+    cb_noise.seek_row(wy);
+    cr_noise.seek_row(wy);
+    std::uint8_t* cb = f.cb().row(y);
+    std::uint8_t* cr = f.cr().row(y);
     for (int x = 0; x < cw; ++x) {
-      const double wx = 2.0 * x + ox;
-      const double wy = 2.0 * y + oy;
-      const double ncb = value_noise(scene.seed + 2, wx, wy, 40.0) - 0.5;
-      const double ncr = value_noise(scene.seed + 3, wx, wy, 40.0) - 0.5;
-      f.cb().set(x, y, common::clamp_u8(static_cast<int>(128.0 + 2.0 * scene.saturation * ncb + 0.5)));
-      f.cr().set(x, y, common::clamp_u8(static_cast<int>(128.0 + 2.0 * scene.saturation * ncr + 0.5)));
+      const double ncb = cb_noise.at(static_cast<std::size_t>(x)) - 0.5;
+      const double ncr = cr_noise.at(static_cast<std::size_t>(x)) - 0.5;
+      cb[x] = common::clamp_u8(static_cast<int>(128.0 + 2.0 * scene.saturation * ncb + 0.5));
+      cr[x] = common::clamp_u8(static_cast<int>(128.0 + 2.0 * scene.saturation * ncr + 0.5));
     }
   }
   return f;

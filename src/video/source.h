@@ -58,9 +58,23 @@ class SyntheticVideo {
   [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] int height() const noexcept { return height_; }
 
-  /// Render one frame of a scene directly (stateless utility).
+  /// Render one frame of a scene directly (stateless utility): the luma
+  /// of render_luma() plus half-resolution chroma.
   static Frame render(int width, int height, const SceneParams& scene,
                       int frame_index);
+
+  /// Render only the luma of frame `frame_index` into `luma`, at the
+  /// plane's size, overwriting every visible pixel. Lets a caller that
+  /// has no use for chroma reuse one plane across frames.
+  ///
+  /// Rendering is bit-exact: noise lattices are tabulated per frame and
+  /// per cell row, but every pixel keeps the arithmetic and evaluation
+  /// order of the per-pixel definition, so output bytes depend only on
+  /// (size, scene, frame_index). The per-pixel sensor noise is one
+  /// sequential Gaussian stream drawn in raster order, which is why rows
+  /// are rendered in order on one thread.
+  static void render_luma(const SceneParams& scene, int frame_index,
+                          Plane& luma);
 
  private:
   int width_;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -157,9 +158,10 @@ TEST(Engine, DeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(Engine, BackPressureNeverExceedsCapacity) {
-  // Fast producer into slow consumer: the bounded channel must cap
-  // in-flight tokens at its capacity.
+// A fast producer into a slow consumer over one edge declaring
+// `edge_bytes` per token; returns the deepest the channel ever got.
+std::size_t producer_consumer_occupancy(double edge_bytes,
+                                        const EngineOptions& opts) {
   mpsoc::TaskGraph g("producer-consumer");
   mpsoc::Task prod;
   prod.name = "producer";
@@ -168,23 +170,41 @@ TEST(Engine, BackPressureNeverExceedsCapacity) {
   };
   mpsoc::Task cons;
   cons.name = "consumer";
-  cons.body = [](mpsoc::TaskFiring& f) {
+  cons.body = [](mpsoc::TaskFiring&) {
     // ~50us of work per token so the producer runs far ahead.
     volatile double x = 1.0;
     for (int i = 0; i < 20000; ++i) x = x * 1.0000001 + 0.5;
-    (void)f;
   };
   const auto p = g.add_task(prod);
   const auto c = g.add_task(cons);
-  (void)g.add_edge(p, c, 1);
+  (void)g.add_edge(p, c, edge_bytes);
+  auto report = run_pipeline(g, {0, 1}, 200, opts);
+  EXPECT_TRUE(report.is_ok()) << report.status().to_text();
+  return report.is_ok() ? report.value().max_channel_occupancy : 0;
+}
 
+TEST(Engine, BackPressureNeverExceedsCapacity) {
+  // The bounded channel must cap in-flight tokens at its capacity.
   EngineOptions opts;
   opts.workers = 2;
   opts.channel_capacity = 3;
-  auto report = run_pipeline(g, {0, 1}, 200, opts);
-  ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-  EXPECT_LE(report.value().max_channel_occupancy, 3u);
-  EXPECT_GE(report.value().max_channel_occupancy, 1u);
+  const std::size_t occupancy = producer_consumer_occupancy(1, opts);
+  EXPECT_LE(occupancy, 3u);
+  EXPECT_GE(occupancy, 1u);
+}
+
+TEST(Engine, ChannelDepthFollowsDeclaredTokenBytes) {
+  EngineOptions opts;
+  opts.workers = 2;
+  // Frame-sized tokens (over the 256 KiB edge budget) are double-buffered;
+  // small tokens get the full channel_capacity.
+  EXPECT_LE(producer_consumer_occupancy(300e3, opts), 2u);
+  EXPECT_GT(producer_consumer_occupancy(8, opts), 2u);
+  EXPECT_GT(producer_consumer_occupancy(0, opts), 2u)
+      << "bytes == 0 declares no size and keeps channel_capacity";
+  opts.channel_capacity = 1;
+  EXPECT_EQ(producer_consumer_occupancy(300e3, opts), 1u)
+      << "the double-buffer floor never raises channel_capacity";
 }
 
 TEST(Engine, MultiSessionStress) {
@@ -1045,6 +1065,40 @@ TEST(VideoPipeline, BitIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(pipe.sink->bitstream_bytes, ref_bytes);
     }
   }
+}
+
+TEST(VideoPipeline, CifStreamMatchesRecordedGolden) {
+  // Recorded from the original per-pixel scene renderer: the capture
+  // stage's luma-only render must leave the encoded stream unchanged.
+  VideoPipelineConfig cfg;
+  cfg.width = 352;
+  cfg.height = 288;
+  auto pipe = make_video_encoder_pipeline(cfg);
+  mpsoc::Mapping mapping(pipe.graph.task_count(), 0);
+  for (std::size_t i = 0; i < mapping.size(); ++i) mapping[i] = i % 2;
+  EngineOptions opts;
+  opts.workers = 2;
+  auto report = run_pipeline(pipe.graph, mapping, 8, opts);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_text();
+  EXPECT_EQ(pipe.sink->frames_coded, 8u);
+  EXPECT_EQ(pipe.sink->bitstream_crc, 0x6C26C690u);
+  EXPECT_EQ(pipe.sink->recon_crc, 0x35DDE574u);
+  EXPECT_EQ(pipe.sink->bitstream_bytes, 13478u);
+  EXPECT_LE(report.value().max_channel_occupancy, 2u)
+      << "CIF frame edges are double-buffered";
+}
+
+TEST(VideoPipeline, RejectsFramesThatAreNotWholeMacroblocks) {
+  VideoPipelineConfig cfg;
+  cfg.width = 72;
+  cfg.height = 40;
+  EXPECT_THROW((void)make_video_encoder_pipeline(cfg), std::invalid_argument);
+  cfg.width = 0;
+  cfg.height = 64;
+  EXPECT_THROW((void)make_video_encoder_pipeline(cfg), std::invalid_argument);
+  cfg.width = 64;
+  cfg.height = 48;
+  EXPECT_TRUE(make_video_encoder_pipeline(cfg).graph.fully_executable());
 }
 
 TEST(AudioPipeline, BitIdenticalAcrossWorkerCounts) {

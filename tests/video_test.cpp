@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "video/codec.h"
@@ -90,6 +91,129 @@ TEST(SyntheticVideo, FramesDifferOverTime) {
   const Frame b = SyntheticVideo::render(64, 64, scene, 10);
   EXPECT_NE(a, b);
   EXPECT_LT(psnr_luma(a, b), 40.0);  // genuinely different content
+}
+
+// Golden CRC-32s of every plane, recorded from the original per-pixel
+// renderer: the tabulated one must reproduce it byte for byte. Kinds are
+// low motion, high motion, high detail, flat (seed 7), and high motion
+// with a negative pan (seed 3, pan (-3.5, -1.25)); sizes include ones
+// that are not multiples of 16, and odd ones whose chroma rounds down.
+struct RenderGolden {
+  int kind, width, height, frame;
+  std::uint32_t y, cb, cr;
+};
+
+SceneParams golden_scene(int kind) {
+  switch (kind) {
+    case 0: return scene_low_motion(7);
+    case 1: return scene_high_motion(7);
+    case 2: return scene_high_detail(7);
+    case 3: return scene_flat(7);
+    default: {
+      SceneParams p = scene_high_motion(3);
+      p.pan_x = -3.5;
+      p.pan_y = -1.25;
+      return p;
+    }
+  }
+}
+
+std::uint32_t plane_crc(const Plane& p) {
+  common::Crc32 crc;
+  for (int y = 0; y < p.height(); ++y) crc.update(p.row_span(y));
+  return crc.value();
+}
+
+TEST(SyntheticVideo, RenderMatchesRecordedGoldenCrcs) {
+  constexpr RenderGolden kGolden[] = {
+    {0, 352, 288, 0, 0xB8A971F1u, 0x4DD6198Bu, 0x791CE77Du},
+    {0, 352, 288, 1, 0x87AB2A2Cu, 0x9560035Fu, 0x4890983Eu},
+    {0, 352, 288, 119, 0x37B20A9Cu, 0x45ACF65Du, 0x05D07A25u},
+    {0, 352, 288, 500, 0xE19AB973u, 0xF546B935u, 0x7F566524u},
+    {0, 176, 144, 0, 0x710AC173u, 0xA4E026C0u, 0x0A4BD579u},
+    {0, 176, 144, 1, 0x4E1E0B0Cu, 0xCD75C5F0u, 0x14390B0Du},
+    {0, 176, 144, 119, 0x9AC24F02u, 0xAEDF78D2u, 0x5E4465CEu},
+    {0, 176, 144, 500, 0x37DB7DC4u, 0x9DE0F170u, 0x54F60A55u},
+    {0, 72, 40, 0, 0x3C40CFFDu, 0x4D2D9E2Du, 0x4C7120CBu},
+    {0, 72, 40, 1, 0x49208889u, 0xA4261913u, 0x2F8E5663u},
+    {0, 72, 40, 119, 0x928A7574u, 0x31D76559u, 0x8FC56E2Cu},
+    {0, 72, 40, 500, 0x6359C7E6u, 0xB0BA885Au, 0x8B49DDE6u},
+    {0, 33, 17, 0, 0xDD429A34u, 0x597070BDu, 0x78B15B2Cu},
+    {0, 33, 17, 1, 0xA97A0540u, 0xB194F95Bu, 0x68B56955u},
+    {0, 33, 17, 119, 0xAAB51B41u, 0x1191FFBDu, 0x801896CEu},
+    {0, 33, 17, 500, 0xE0492FE0u, 0xDBC0DCEBu, 0x98CA37FCu},
+    {1, 352, 288, 0, 0x68A70DE7u, 0x4DD6198Bu, 0x791CE77Du},
+    {1, 352, 288, 1, 0xA43ADCE3u, 0x2BFFF5C6u, 0xCA5257A7u},
+    {1, 352, 288, 119, 0x5E345C39u, 0xA6C77A7Bu, 0xCEAAC46Eu},
+    {1, 352, 288, 500, 0xF262C673u, 0xD0807FCBu, 0xA7D258DEu},
+    {1, 176, 144, 0, 0xB0778130u, 0xA4E026C0u, 0x0A4BD579u},
+    {1, 176, 144, 1, 0xDDE67D63u, 0xEC98728Bu, 0xF0F2306Eu},
+    {1, 176, 144, 119, 0x01782051u, 0x8A678332u, 0x5E5BC959u},
+    {1, 176, 144, 500, 0x42C0D987u, 0x6815DB17u, 0x5C105C1Eu},
+    {1, 72, 40, 0, 0xE575D4A3u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {1, 72, 40, 1, 0x78A0A3CFu, 0x0AC160CEu, 0xA5D10E9Fu},
+    {1, 72, 40, 119, 0x288F742Bu, 0xBB487078u, 0x42A00378u},
+    {1, 72, 40, 500, 0x31D28A9Bu, 0xD42065A7u, 0xA76015C2u},
+    {1, 33, 17, 0, 0x85E61256u, 0x597070BDu, 0x78B15B2Cu},
+    {1, 33, 17, 1, 0xDA7C53DFu, 0x553D23B1u, 0x426A5407u},
+    {1, 33, 17, 119, 0xC8EBA68Au, 0x6F08A68Cu, 0xA49C8764u},
+    {1, 33, 17, 500, 0x9A7DC2B1u, 0x486CC560u, 0xEFC673D5u},
+    {2, 352, 288, 0, 0x3277DF6Bu, 0x4DD6198Bu, 0x791CE77Du},
+    {2, 352, 288, 1, 0x716C0384u, 0x8DC5A8F6u, 0xE314363Fu},
+    {2, 352, 288, 119, 0x31D4908Du, 0xCAA108EEu, 0x68F7E2ADu},
+    {2, 352, 288, 500, 0x80DC80DBu, 0xD6CB81ABu, 0x7C84F30Au},
+    {2, 176, 144, 0, 0x285106E2u, 0xA4E026C0u, 0x0A4BD579u},
+    {2, 176, 144, 1, 0x72092002u, 0xECA41C01u, 0xC957127Bu},
+    {2, 176, 144, 119, 0x7B299858u, 0x3A99620Fu, 0x788E10C6u},
+    {2, 176, 144, 500, 0x82CF256Bu, 0x61462AD4u, 0x85328BE2u},
+    {2, 72, 40, 0, 0x559A3EFFu, 0x4D2D9E2Du, 0x4C7120CBu},
+    {2, 72, 40, 1, 0x2E47CC42u, 0xDF19F265u, 0x04610D61u},
+    {2, 72, 40, 119, 0x946E938Eu, 0x0663E7BBu, 0x2C9F8BA8u},
+    {2, 72, 40, 500, 0x52898AFAu, 0x54251ECFu, 0x4E9A922Du},
+    {2, 33, 17, 0, 0xFA671315u, 0x597070BDu, 0x78B15B2Cu},
+    {2, 33, 17, 1, 0xD0B45380u, 0x5DE5E3F5u, 0xAB82C7CAu},
+    {2, 33, 17, 119, 0x2E9B0F8Bu, 0x4E2FF57Eu, 0x8CA4045Cu},
+    {2, 33, 17, 500, 0x270381D2u, 0xE041444Cu, 0x0EF6AA27u},
+    {3, 352, 288, 0, 0x4A908C6Fu, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 352, 288, 1, 0x17BAA607u, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 352, 288, 119, 0x694AF2FCu, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 352, 288, 500, 0x4E59306Fu, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 176, 144, 0, 0x8E9B47D1u, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 176, 144, 1, 0x29A8CA4Cu, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 176, 144, 119, 0x33C86A93u, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 176, 144, 500, 0x44F7F3F1u, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 72, 40, 0, 0x93EF749Cu, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 72, 40, 1, 0x191EF36Fu, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 72, 40, 119, 0xC17BDF4Eu, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 72, 40, 500, 0x16FDEE92u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 33, 17, 0, 0x82E9B973u, 0x597070BDu, 0x78B15B2Cu},
+    {3, 33, 17, 1, 0x1D900EA0u, 0x597070BDu, 0x78B15B2Cu},
+    {3, 33, 17, 119, 0x3DF898E9u, 0x597070BDu, 0x78B15B2Cu},
+    {3, 33, 17, 500, 0x0417F169u, 0x597070BDu, 0x78B15B2Cu},
+    {4, 72, 40, 0, 0x334A0174u, 0xDC3633B5u, 0x20DAA366u},
+    {4, 72, 40, 1, 0x8335C545u, 0x4A3561E6u, 0x9BA44DA7u},
+    {4, 72, 40, 119, 0x39431A99u, 0x146AB8E3u, 0x9A918DA8u},
+    {4, 72, 40, 500, 0x695BE38Du, 0x31FE70C9u, 0x5C349644u},
+  };
+  for (const auto& g : kGolden) {
+    const Frame f = SyntheticVideo::render(g.width, g.height,
+                                           golden_scene(g.kind), g.frame);
+    SCOPED_TRACE(testing::Message() << "kind " << g.kind << " " << g.width
+                                    << "x" << g.height << " frame " << g.frame);
+    EXPECT_EQ(plane_crc(f.y()), g.y);
+    EXPECT_EQ(plane_crc(f.cb()), g.cb);
+    EXPECT_EQ(plane_crc(f.cr()), g.cr);
+  }
+}
+
+TEST(SyntheticVideo, RenderLumaIntoReusedPlaneMatchesRender) {
+  const SceneParams scene = golden_scene(1);
+  Plane luma(72, 40, 200);
+  for (const int frame : {3, 0, 119}) {
+    SyntheticVideo::render_luma(scene, frame, luma);
+    EXPECT_EQ(luma, SyntheticVideo::render(72, 40, scene, frame).y())
+        << "frame " << frame;
+  }
 }
 
 TEST(SyntheticVideo, ScriptLengthAndSeparators) {
