@@ -69,9 +69,9 @@ int main() {
   for (std::size_t t = 0; t < vmap.size(); ++t) vmap[t] = t % 4;
   mpsoc::Mapping amap(audio.graph.task_count());
   for (std::size_t t = 0; t < amap.size(); ++t) amap[t] = t % 4;
-  (void)engine.add_session(video_a.graph, vmap, 15);
-  (void)engine.add_session(video_b.graph, vmap, 15);
-  (void)engine.add_session(audio.graph, amap, 40);
+  (void)engine.submit(video_a.graph, vmap, 15);
+  (void)engine.submit(video_b.graph, vmap, 15);
+  (void)engine.submit(audio.graph, amap, 40);
   const auto status = engine.run();
   if (!status.is_ok()) {
     std::printf("engine failed: %s\n", status.to_text().c_str());
@@ -98,8 +98,8 @@ int main() {
   runtime::SessionOptions budget;
   budget.timeout = std::chrono::milliseconds(50);
   const auto s_runaway =
-      guard.add_session(runaway.graph, {0, 1, 2}, 200'000'000, budget);
-  const auto s_behaved = guard.add_session(behaved.graph, vmap, 10);
+      guard.submit(runaway.graph, {0, 1, 2}, 200'000'000, budget);
+  const auto s_behaved = guard.submit(behaved.graph, vmap, 10);
   if (s_runaway.is_ok() && s_behaved.is_ok() && guard.run().is_ok()) {
     const auto& rr = guard.report(s_runaway.value());
     const auto& br = guard.report(s_behaved.value());
@@ -118,13 +118,12 @@ int main() {
   // the slack — and the output stays bit-identical.
   runtime::EngineOptions steal_opts;
   steal_opts.workers = 4;
-  steal_opts.work_stealing = true;
   runtime::Engine skewed(steal_opts);
   std::vector<runtime::SyntheticPipeline> skew_jobs;
   skew_jobs.reserve(8);
   for (int i = 0; i < 8; ++i) {
     skew_jobs.push_back(runtime::make_skewed_chain(4, 2000.0, 1));
-    (void)skewed.add_session(skew_jobs.back().graph, {0, 0, 0, 0}, 48);
+    (void)skewed.submit(skew_jobs.back().graph, {0, 0, 0, 0}, 48);
   }
   if (skewed.run().is_ok()) {
     std::uint64_t migrations = 0;

@@ -90,10 +90,6 @@ const KernelTable* registered_table(SimdLevel level) noexcept {
     case SimdLevel::kAvx2:
       return &detail::kKernelsAvx2;
 #endif
-#if defined(MMSOC_SIMD_NEON)
-    case SimdLevel::kNeon:
-      return &detail::kKernelsNeon;
-#endif
     default:
       return nullptr;
   }
@@ -109,10 +105,6 @@ bool cpu_supports_impl(SimdLevel level) noexcept {
     case SimdLevel::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
 #endif
-#if defined(__ARM_NEON)
-    case SimdLevel::kNeon:
-      return true;
-#endif
     default:
       return false;
   }
@@ -127,8 +119,7 @@ const KernelTable* select_initial() noexcept {
       if (const KernelTable* t = registered_table(lv)) return t;
     }
   }
-  for (const SimdLevel lv :
-       {SimdLevel::kAvx2, SimdLevel::kNeon, SimdLevel::kSse2}) {
+  for (const SimdLevel lv : {SimdLevel::kAvx2, SimdLevel::kSse2}) {
     if (!cpu_supports_impl(lv)) continue;
     if (const KernelTable* t = registered_table(lv)) return t;
   }
@@ -150,15 +141,13 @@ std::string_view simd_level_name(SimdLevel level) noexcept {
       return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
 
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
-  for (const SimdLevel lv : {SimdLevel::kScalar, SimdLevel::kSse2,
-                             SimdLevel::kAvx2, SimdLevel::kNeon}) {
+  for (const SimdLevel lv :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
     if (name == simd_level_name(lv)) {
       out = lv;
       return true;
@@ -177,8 +166,8 @@ const KernelTable* kernel_table(SimdLevel level) noexcept {
 
 std::vector<SimdLevel> compiled_levels() {
   std::vector<SimdLevel> out;
-  for (const SimdLevel lv : {SimdLevel::kScalar, SimdLevel::kSse2,
-                             SimdLevel::kAvx2, SimdLevel::kNeon}) {
+  for (const SimdLevel lv :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
     if (registered_table(lv) != nullptr) out.push_back(lv);
   }
   return out;

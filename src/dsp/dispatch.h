@@ -6,10 +6,10 @@
 // 16x16 SAD, 8x8 float and Q15 DCT/IDCT, the 64-coefficient quantizer
 // loops, and the 32-band filterbank MACs — is a slot in a per-ISA
 // function-pointer table. The table is chosen once at startup from CPUID
-// (best available of scalar/SSE2/AVX2, NEON reserved), can be forced via
-// the MMSOC_SIMD environment variable (scalar|sse2|avx2), and can be
-// switched at runtime with set_simd_level() so tests and benches compare
-// levels inside one process.
+// (best available of scalar/SSE2/AVX2; non-x86 hosts run scalar), can be
+// forced via the MMSOC_SIMD environment variable (scalar|sse2|avx2), and
+// can be switched at runtime with set_simd_level() so tests and benches
+// compare levels inside one process.
 //
 // Bit-exactness contract: every variant of every kernel produces output
 // byte-identical to the scalar reference for in-contract inputs.
@@ -31,7 +31,7 @@
 
 namespace mmsoc::dsp {
 
-enum class SimdLevel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
+enum class SimdLevel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
 [[nodiscard]] std::string_view simd_level_name(SimdLevel level) noexcept;
 
@@ -88,7 +88,7 @@ struct KernelTable {
 /// the level is not compiled in or the CPU lacks it.
 bool set_simd_level(SimdLevel level) noexcept;
 
-/// Parse "scalar" | "sse2" | "avx2" | "neon"; returns false on anything else.
+/// Parse "scalar" | "sse2" | "avx2"; returns false on anything else.
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept;
 
 }  // namespace mmsoc::dsp

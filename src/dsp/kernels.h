@@ -74,8 +74,5 @@ void fb_synth_scalar(const double* bands32, double* y64);
 extern const KernelTable kKernelsSse2;
 extern const KernelTable kKernelsAvx2;
 #endif
-#if defined(MMSOC_SIMD_NEON)
-extern const KernelTable kKernelsNeon;
-#endif
 
 }  // namespace mmsoc::dsp::detail

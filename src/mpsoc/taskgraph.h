@@ -45,12 +45,11 @@ using Payload = std::vector<std::uint8_t>;
 ///
 /// Output buffer contract: each outputs[k] arrives *empty* (size 0) but
 /// may carry warmed-up capacity — the runtime recycles consumed channel
-/// buffers back to producers (see runtime EngineOptions::
-/// recycle_payloads). A body that fills outputs in place (store(),
-/// resize+write, assign) therefore allocates nothing in steady state; a
-/// body that assigns a freshly built vector stays correct but forgoes
-/// the reuse. Stale bytes never leak: the runtime clears every buffer
-/// before handing it over.
+/// buffers back to producers (see runtime/engine.h). A body that fills
+/// outputs in place (store(), resize+write, assign) therefore allocates
+/// nothing in steady state; a body that assigns a freshly built vector
+/// stays correct but forgoes the reuse. Stale bytes never leak: the
+/// runtime clears every buffer before handing it over.
 struct TaskFiring {
   std::uint64_t iteration = 0;
   std::vector<const Payload*> inputs;  ///< one per in-edge, never null

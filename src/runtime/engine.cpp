@@ -45,6 +45,14 @@ constexpr int kDeadlineExpired = 2;
 constexpr int kFailedByBoundary = 3;      // Engine::fail_session
 constexpr int kQuarantinedByWatchdog = 4; // stall-watchdog escalation
 
+// Dispatch granularity: a worker that pops a task fires up to this many
+// consecutive iterations (stopping early on empty input, full output,
+// closed gate, cancel, or engine stop) before re-queueing it. Amortizes
+// the runqueue mutex, the eventcount notifies and the per-firing clock
+// reads, which cap throughput when bodies are small. Migration and
+// cancellation still act at iteration boundaries only.
+constexpr std::size_t kFiringQuantum = 8;
+
 // Declared token bytes an edge may buffer (EngineOptions::channel_capacity).
 constexpr double kChannelByteBudget = 256.0 * 1024.0;
 
@@ -143,8 +151,6 @@ struct Engine::Impl {
     // measured
     std::uint64_t firings = 0;
     double busy_s = 0.0;
-    double min_firing_s = std::numeric_limits<double>::infinity();
-    double max_firing_s = 0.0;
     // Frame-journey accounting over sampled units (owner-only, handed off
     // with the task on migration like the other non-atomic fields).
     // ut_next_sample strength-reduces the per-firing `iter % period`
@@ -264,17 +270,15 @@ struct Engine::Impl {
 
   // ---- telemetry (all null when disabled) -----------------------------
   // Resolved once in start() under sessions_mu; workers only read. The
-  // hot path pays one `ring_of(w) == nullptr` check per *batch*; with
-  // MMSOC_TELEMETRY=OFF (kTelemetryCompiled == false) the branches fold
-  // to nothing at compile time.
+  // hot path pays one `ring_of(w) == nullptr` check per *batch*.
   //
-  // Split of labour (the 3% E-RT/OBS budget is why): workers write the
-  // ring event plus exactly one counter add per batch (m_firings — the
-  // value the media server checks against SessionReport totals, so it
-  // must be exact). Everything derivable from the event stream —
-  // batch/park/steal counters, latency histograms — is fed by the
-  // collector through the tracks' drain callbacks, off the worker
-  // threads entirely. Drain-fed values undercount by dropped() when a
+  // Split of labour (what keeps the benchmark's trace.overhead_share
+  // small): workers write the ring event plus exactly one counter add per
+  // batch (m_firings — the value the media server checks against
+  // SessionReport totals, so it must be exact). Everything derivable
+  // from the event stream — batch/park/steal counters, latency
+  // histograms — is fed by the collector through the tracks' drain
+  // callbacks, off the worker threads entirely. Drain-fed values undercount by dropped() when a
   // ring overflows; that trade is documented at the metric names.
   Telemetry* tel = nullptr;
   std::vector<EventRing*> rings;  // parallel to workers_
@@ -308,14 +312,14 @@ struct Engine::Impl {
   std::vector<Engine::StallRecovery> stall_recoveries_;
 
   EventRing* ring_of(std::size_t w) const {
-    if (!kTelemetryCompiled || rings.empty()) return nullptr;
+    if (rings.empty()) return nullptr;
     return rings[w];
   }
 
   /// Caller holds sessions_mu; workers_ is built. Registers one track per
   /// worker and resolves the metric handles under the engine's prefix.
   void init_telemetry_locked() {
-    if (!kTelemetryCompiled || options.telemetry == nullptr) return;
+    if (options.telemetry == nullptr) return;
     tel = options.telemetry;
     const std::string& p = options.telemetry_prefix;
     auto& m = tel->metrics();
@@ -394,13 +398,13 @@ struct Engine::Impl {
   ~Impl() {
     // The watchdog callback captures this Impl; unregister first —
     // remove_watchdog blocks until any in-flight poll returns.
-    if (kTelemetryCompiled && tel != nullptr && watchdog_id != 0) {
+    if (tel != nullptr && watchdog_id != 0) {
       tel->remove_watchdog(watchdog_id);
     }
     // The drain callbacks capture this Impl; unhook them (each unhook
     // drains the ring through the callback one final time) before the
     // metric handles they feed go away. Workers are already joined.
-    if (kTelemetryCompiled && tel != nullptr) {
+    if (tel != nullptr) {
       for (EventRing* r : rings) tel->reset_drain_callback(r);
     }
     std::lock_guard lock(hub->mu);
@@ -557,7 +561,7 @@ struct Engine::Impl {
     }
   }
 
-  /// Fire up to `quantum` consecutive iterations of a task the calling
+  /// Fire up to kFiringQuantum consecutive iterations of a task the calling
   /// worker popped from its runqueue (while popped the task is invisible
   /// to thieves, so the batch needs no lock; the channels' producer/
   /// consumer sides belong to this worker for the duration). Stops early
@@ -566,13 +570,13 @@ struct Engine::Impl {
   /// per batch, and the clock is read twice per batch, so busy_s
   /// measures the batch wall — body time plus the wait-free intra-batch
   /// channel hand-off (front/push/pop/acquire; no locks or waits inside
-  /// the window). min/max_firing_s become batch means. Peer wakeups are
-  /// coalesced to the batch end PLUS an immediate notify whenever a
-  /// firing unblocked a parked peer (empty->non-empty push or
-  /// full->non-full pop), so slow bodies keep the pipeline overlapped
-  /// while fast bodies still amortize; the eventcount protocol is safe
-  /// at any coalescing granularity. Returns the number of firings.
-  std::uint64_t fire_batch(TaskRun& r, std::size_t self, std::size_t quantum,
+  /// the window). Peer wakeups are coalesced to the batch end PLUS an
+  /// immediate notify whenever a firing unblocked a parked peer
+  /// (empty->non-empty push or full->non-full pop), so slow bodies keep
+  /// the pipeline overlapped while fast bodies still amortize; the
+  /// eventcount protocol is safe at any coalescing granularity. Returns
+  /// the number of firings.
+  std::uint64_t fire_batch(TaskRun& r, std::size_t self,
                            std::vector<std::size_t>& completed, bool& fatal) {
     auto& sess = *r.sess;
     auto& firing = r.scratch;
@@ -645,7 +649,7 @@ struct Engine::Impl {
     // bool test per firing.
     const std::size_t period = unit_period;
     const bool tracing = period != 0 && ring != nullptr;
-    while (fired < quantum && ready(r) && gate_open(r)) {
+    while (fired < kFiringQuantum && ready(r) && gate_open(r)) {
       if (unblocked_peer) {
         notify_peers(r, self);
         unblocked_peer = false;
@@ -685,11 +689,11 @@ struct Engine::Impl {
         }
       }
       for (std::size_t k = 0; k < n_out; ++k) {
-        // Recycled buffer (or a fresh empty vector when recycling is
-        // off / the free ring is still cold), handed to the body
-        // cleared: no stale bytes can leak across iterations, and the
-        // warmed capacity makes an in-place fill allocation-free.
-        if (options.recycle_payloads) firing.outputs[k] = r.out[k]->acquire();
+        // Recycled buffer (or a fresh empty vector while the free ring
+        // is still cold), handed to the body cleared: no stale bytes can
+        // leak across iterations, and the warmed capacity makes an
+        // in-place fill allocation-free.
+        firing.outputs[k] = r.out[k]->acquire();
         firing.outputs[k].clear();
       }
       try {
@@ -797,10 +801,7 @@ struct Engine::Impl {
 
     if (fired > 0) {
       const double dt = seconds_between(t0, t1);
-      const double per_firing = dt / static_cast<double>(fired);
       r.busy_s += dt;
-      r.min_firing_s = std::min(r.min_firing_s, per_firing);
-      r.max_firing_s = std::max(r.max_firing_s, per_firing);
       r.firings += fired;
       if (ring != nullptr) {
         // Batch granularity: reuses the t0/t1 clock reads the hot loop
@@ -988,7 +989,6 @@ struct Engine::Impl {
     released.wait(false, std::memory_order_acquire);
     auto& me = workers_[w];
     std::vector<std::size_t> completed;
-    const std::size_t quantum = std::max<std::size_t>(1, options.firing_quantum);
     std::size_t hint_rr = w;  // rotating target for come-steal hints
     unsigned depth_tick = 0;  // queue-depth histogram sampling (1 in 16)
     while (!stop.load(std::memory_order_acquire)) {
@@ -1018,7 +1018,7 @@ struct Engine::Impl {
         if ((++depth_tick & 15u) == 0 && ring_of(w) != nullptr) {
           h_queue_depth->record(depth);
         }
-        if (surplus && options.work_stealing && workers_.size() > 1) {
+        if (surplus && workers_.size() > 1) {
           // Come-steal hint, sent BEFORE the batch: wake one (rotating)
           // peer so a parked idle worker can migrate the queued surplus
           // while this batch runs — crucial when the popped body blocks
@@ -1038,7 +1038,7 @@ struct Engine::Impl {
           progressed = true;
         } else {
           const std::uint64_t fired =
-              fire_batch(*r, w, quantum, completed, fatal);
+              fire_batch(*r, w, completed, fatal);
           progressed = progressed || fired > 0;
           finished =
               r->next_iteration.load(std::memory_order_relaxed) >= r->limit;
@@ -1064,7 +1064,7 @@ struct Engine::Impl {
       }
       if (drained_dry()) return;
       if (progressed) continue;  // rescan before parking: state moved
-      if (options.work_stealing && try_steal(w)) continue;
+      if (try_steal(w)) continue;
       if (stop.load(std::memory_order_acquire) || drained_dry()) return;
       // Nothing ready, nothing stealable, version unchanged since the
       // scan started: park indefinitely (zero CPU) until a peer bumps
@@ -1141,7 +1141,7 @@ struct Engine::Impl {
   /// cross-thread snapshots, approximate by design: good enough to see
   /// WHICH task is wedged and whether its gate is closed.
   void watchdog_poll() {
-    if (!kTelemetryCompiled || tel == nullptr) return;
+    if (tel == nullptr) return;
     const int threshold = tel->options().watchdog_periods;
     if (threshold <= 0) return;
     const int quarantine = tel->options().watchdog_quarantine_periods;
@@ -1292,7 +1292,7 @@ struct Engine::Impl {
       run->origin =
           graph.task(t).has_origin() ? &graph.task(t).origin : nullptr;
       run->limit = sess.iterations;
-      if (kTelemetryCompiled && tel != nullptr) {
+      if (tel != nullptr) {
         run->name_id = tel->intern(graph.task(t).name);
       }
       for (const std::size_t e : graph.in_edges(t)) {
@@ -1305,7 +1305,7 @@ struct Engine::Impl {
       run->is_sink = run->out.empty();
       sess.runs.push_back(std::move(run));
     }
-    if (kTelemetryCompiled && tel != nullptr && unit_period != 0) {
+    if (tel != nullptr && unit_period != 0) {
       sess.h_latency = tel->metrics().histogram(
           options.telemetry_prefix + ".session" + std::to_string(index) +
           ".frame_latency_ns");
@@ -1373,12 +1373,12 @@ struct Engine::Impl {
     sess->options = session_options;
     // Per-slot unit ledgers ride along when frame-journey tracing can be
     // on for this engine (16 bytes per slot; read only on sampled units).
-    const bool ledgers = kTelemetryCompiled && options.telemetry != nullptr &&
+    const bool ledgers = options.telemetry != nullptr &&
                          options.telemetry->options().unit_sample_period != 0;
     for (const auto& edge : graph.edges()) {
       sess->channels.push_back(std::make_unique<SpscQueue<mpsoc::Payload>>(
           edge_capacity(edge, options.channel_capacity),
-          options.recycle_payloads, ledgers));
+          /*recycle=*/true, ledgers));
     }
     sess->outstanding.store(iterations * graph.task_count(),
                             std::memory_order_relaxed);
@@ -1541,8 +1541,7 @@ struct Engine::Impl {
     // registered only while a pool exists to be watched. Removed in
     // ~Impl, where remove_watchdog's fence guarantees no in-flight poll
     // outlives this Impl.
-    if (kTelemetryCompiled && tel != nullptr &&
-        tel->options().watchdog_periods > 0) {
+    if (tel != nullptr && tel->options().watchdog_periods > 0) {
       watchdog_id = tel->add_watchdog([this] { watchdog_poll(); });
     }
     state.store(RunState::kRunning, std::memory_order_release);
@@ -1638,12 +1637,6 @@ struct Engine::Impl {
         stats.migrations = run->migrations;
         stats.firings = run->firings;
         stats.busy_s = run->busy_s;
-        // Unset stays NaN for never-fired tasks: 0.0 would read as an
-        // impossibly fast firing downstream (format_comparison shows '-').
-        if (run->firings > 0) {
-          stats.min_firing_s = run->min_firing_s;
-          stats.max_firing_s = run->max_firing_s;
-        }
         stats.io_stalls = run->io_stalls;
         stats.io_stall_s = run->io_stall_s;
         rep.completed_firings += run->firings;
@@ -1651,8 +1644,7 @@ struct Engine::Impl {
         rep.io_stall_s += run->io_stall_s;
       }
       auto& ut = rep.unit_trace;
-      ut.sample_period =
-          kTelemetryCompiled && tel != nullptr ? unit_period : 0;
+      ut.sample_period = tel != nullptr ? unit_period : 0;
       if (ut.sample_period != 0) {
         ut.stages.assign(sess.graph->task_count(), StageUnitTrace{});
         double jitter_sum = 0.0;
@@ -1757,13 +1749,6 @@ Result<std::size_t> Engine::submit(const mpsoc::TaskGraph& graph,
   return impl_->submit(graph, std::move(mapping), iterations, session_options);
 }
 
-Result<std::size_t> Engine::add_session(const mpsoc::TaskGraph& graph,
-                                        mpsoc::Mapping mapping,
-                                        std::uint64_t iterations,
-                                        SessionOptions session_options) {
-  return impl_->submit(graph, std::move(mapping), iterations, session_options);
-}
-
 Result<std::function<void()>> Engine::task_waker(std::size_t session,
                                                  mpsoc::TaskId task) {
   return impl_->task_waker(session, task);
@@ -1838,7 +1823,7 @@ Result<SessionReport> run_pipeline(const mpsoc::TaskGraph& graph,
                                    std::uint64_t iterations,
                                    const EngineOptions& options) {
   Engine engine(options);
-  auto added = engine.add_session(graph, mapping, iterations);
+  auto added = engine.submit(graph, mapping, iterations);
   if (!added.is_ok()) return Result<SessionReport>(added.status());
   const Status status = engine.run();
   if (!status.is_ok()) return Result<SessionReport>(status);

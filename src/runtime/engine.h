@@ -25,20 +25,20 @@
 //
 // Hot-loop dispatch (batched firing + payload recycling): a worker pops
 // one runnable task from its queue, releases the queue mutex, fires up
-// to EngineOptions::firing_quantum consecutive iterations, re-queues the
-// task at the tail, and coalesces channel-peer notifies to the batch
-// end (plus an immediate wakeup when a firing unblocks a parked peer)
-// — so the mutex, the eventcount notifies, and the clock reads are paid
-// per batch, not per firing. Because bodies run with no engine lock
-// held, a body that blocks (a modeled accelerator, an inline device op)
-// stalls only its own task; admission and thieves proceed. Channel
-// payload buffers circulate through per-edge free-list rings
-// (EngineOptions::recycle_payloads): bodies receive consumed buffers
-// back as cleared, capacity-warm TaskFiring::outputs, so the
-// steady-state data plane performs zero heap allocations.
+// to 8 consecutive iterations (the firing quantum), re-queues the task
+// at the tail, and coalesces channel-peer notifies to the batch end
+// (plus an immediate wakeup when a firing unblocks a parked peer) — so
+// the mutex, the eventcount notifies, and the clock reads are paid per
+// batch, not per firing. Because bodies run with no engine lock held, a
+// body that blocks (a modeled accelerator, an inline device op) stalls
+// only its own task; admission and thieves proceed. Channel payload
+// buffers circulate through per-edge free-list rings: bodies receive
+// consumed buffers back as cleared, capacity-warm TaskFiring::outputs,
+// so the steady-state data plane performs zero heap allocations
+// (tests/alloc_test.cpp holds it to that).
 //
 // Work stealing (bounded): an idle worker that finds nothing runnable in
-// its own queue may migrate ONE whole task from a loaded peer before
+// its own queue migrates ONE whole task from a loaded peer before
 // parking. Migration happens only at an iteration boundary — a task that
 // is mid-batch is popped out of its owner's queue and therefore
 // invisible to thieves; only queued tasks can move. A steal moves the
@@ -108,9 +108,9 @@ struct EngineOptions {
   std::size_t workers = 0;
   /// Most tokens buffered per edge — the software-pipelining depth. 1
   /// degrades to lock-step execution; larger values decouple stage
-  /// jitter. Sized to the default firing_quantum: a firing batch stops
-  /// early at a full/empty channel, so a capacity below the quantum
-  /// silently caps interior-stage batches at the capacity.
+  /// jitter. Sized to the firing quantum (8): a firing batch stops
+  /// early at a full/empty channel, so a capacity below 8 silently caps
+  /// interior-stage batches at the capacity.
   /// Each edge also gets a byte budget of 256 KiB of declared tokens
   /// (mpsoc::Edge::bytes): it holds clamp(256 KiB / bytes,
   /// min(2, channel_capacity), channel_capacity) tokens. Frame-sized
@@ -119,34 +119,6 @@ struct EngineOptions {
   /// a fast producer cannot queue many frames of latency ahead of a
   /// slow stage. Edges declaring bytes == 0 get channel_capacity.
   std::size_t channel_capacity = 8;
-  /// Dispatch granularity: when a worker pops a task it fires up to this
-  /// many consecutive iterations (stopping early on empty input, full
-  /// output, closed gate, cancel, or engine stop) before re-queueing.
-  /// Channel-peer wakeups coalesce to once per batch — plus an immediate
-  /// notify whenever a firing unblocks a parked peer (a push into an
-  /// empty channel / a pop from a full one), so a slow body's batch
-  /// never serializes the pipeline. Amortizes the runqueue mutex, the
-  /// eventcount notifies, and the per-firing clock reads — the
-  /// overheads that cap throughput when bodies are small.
-  /// Migration and cancellation still act at iteration boundaries only;
-  /// 1 restores strict one-firing-per-dispatch (the bench baseline).
-  /// Note: with a quantum > 1 a batch is timed as a whole, so
-  /// TaskStats::min/max_firing_s become per-batch means and busy_s
-  /// includes the wait-free channel hand-off between the batch's bodies
-  /// (never locks, parks, or notifies — see TaskStats::busy_s).
-  std::size_t firing_quantum = 8;
-  /// Hand bodies recycled channel buffers: every edge banks consumed
-  /// payloads in a bounded free-list ring and TaskFiring::outputs arrive
-  /// as *cleared* buffers with warmed-up capacity instead of fresh
-  /// vectors. Bodies that fill outputs in place (TaskFiring::store /
-  /// resize+write / assign) then run allocation-free in steady state;
-  /// bodies that assign whole vectors still work — they just forgo the
-  /// reuse. Off = every firing allocates (the bench baseline).
-  bool recycle_payloads = true;
-  /// Allow idle workers to migrate whole tasks from loaded peers at
-  /// iteration boundaries. Off = the placement hint is a hard binding
-  /// (the pre-runqueue behaviour), useful as a bench baseline.
-  bool work_stealing = true;
   /// Pin worker w to hardware CPU ((pin_cpu_offset + w) mod
   /// hardware_concurrency) via pthread_setaffinity_np. A pin failure
   /// fails start() with a Status (never silently ignored); unsupported
@@ -168,8 +140,7 @@ struct EngineOptions {
   /// session events at batch granularity — never per firing. The sink is
   /// borrowed and must outlive the engine; one sink may be shared by
   /// several engines (ShardedEngine shares one across shards). nullptr
-  /// disables instrumentation down to one pointer check per batch, and
-  /// building with -DMMSOC_TELEMETRY=OFF compiles it out entirely.
+  /// disables instrumentation down to one pointer check per batch.
   Telemetry* telemetry = nullptr;
   /// Track / metric name prefix for this engine: tracks are
   /// "<prefix>.worker<N>", metrics "<prefix>.firings" etc. A sharded
@@ -218,20 +189,13 @@ struct TaskStats {
   std::uint64_t migrations = 0;  ///< times the task changed workers
   std::uint64_t firings = 0;
   /// Total batch wall time: body time plus the wait-free intra-batch
-  /// channel hand-off (tens of ns per firing — batches are timed as a
-  /// whole, so locks, parks, and notifies are never inside the window;
-  /// only vanishingly small for sub-microsecond synthetic bodies).
+  /// channel hand-off (tens of ns per firing — the hot loop reads the
+  /// clock twice per firing batch, not per firing, so locks, parks, and
+  /// notifies are never inside the window; only vanishingly small for
+  /// sub-microsecond synthetic bodies). Per-firing service times come
+  /// from the sampled unit trace (StageUnitTrace::service_s).
   double busy_s = 0.0;
-  /// Fastest / slowest dispatch, normalized per firing: with
-  /// EngineOptions::firing_quantum > 1 each sample is a batch mean (the
-  /// hot loop reads the clock twice per batch, not twice per firing).
-  /// Unset (quiet NaN, fired() == false) for a task that never fired —
-  /// 0.0 would read as an impossibly fast firing in the trace table,
-  /// which renders unset as '-' instead.
-  double min_firing_s = std::numeric_limits<double>::quiet_NaN();
-  double max_firing_s = std::numeric_limits<double>::quiet_NaN();
-  /// True once the task fired at least once; min/max_firing_s are only
-  /// meaningful then.
+  /// True once the task fired at least once.
   [[nodiscard]] bool fired() const noexcept { return firings > 0; }
   /// Boundary (gate) waits: firings that found their channels ready but
   /// the I/O gate closed, and the total worker-observed wait. Always zero
@@ -331,15 +295,14 @@ struct SessionReport {
   /// within its own capacity, so this is <= channel_capacity.
   std::size_t max_channel_occupancy = 0;
   /// Total task migrations across the session (sum of tasks[].migrations);
-  /// 0 when work_stealing is off or the load never skewed.
+  /// 0 when the load never skewed enough for an idle worker to steal.
   std::uint64_t task_migrations = 0;
   /// Total worker-observed I/O-boundary stall time (sum of
   /// tasks[].io_stall_s) — how long the session's tasks sat channel-ready
   /// but gate-closed waiting on devices. 0 for pure compute sessions.
   double io_stall_s = 0.0;
   /// Producer-side buffer reuses across all channels: how often a firing
-  /// was handed a consumed buffer back instead of allocating. 0 when
-  /// EngineOptions::recycle_payloads is off; approaches
+  /// was handed a consumed buffer back instead of allocating. Approaches
   /// iterations * edges once the free rings warm up.
   std::uint64_t payloads_recycled = 0;
 
@@ -399,11 +362,6 @@ class Engine {
   /// instance when bodies carry mutable closure state. Thread-safe
   /// against other submits, cancels, and the running workers.
   [[nodiscard]] common::Result<std::size_t> submit(
-      const mpsoc::TaskGraph& graph, mpsoc::Mapping mapping,
-      std::uint64_t iterations, SessionOptions session_options = {});
-  /// Synonym for submit(), kept for callers that read better as a
-  /// build-phase registration.
-  [[nodiscard]] common::Result<std::size_t> add_session(
       const mpsoc::TaskGraph& graph, mpsoc::Mapping mapping,
       std::uint64_t iterations, SessionOptions session_options = {});
 

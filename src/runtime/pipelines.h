@@ -19,7 +19,8 @@
 //    (block read -> decode -> re-encode -> block write), both built on
 //    the runtime/io boundary adapters so device latency parks tasks
 //    instead of blocking workers. Each session can also be built with
-//    inline (blocking) boundaries — the E-RT/IO bench baseline.
+//    inline (blocking) boundaries — the reference that tests compare
+//    the async path against.
 #pragma once
 
 #include <atomic>
@@ -167,7 +168,7 @@ struct StreamingSessionConfig {
   std::size_t reorder_span = 0;        ///< swap packets i and i+span (i step 2*span)
   std::uint32_t playout_delay_units = 3;
   // Boundary behaviour.
-  bool async_boundaries = true;  ///< false = inline blocking (bench baseline)
+  bool async_boundaries = true;  ///< false = blocking inline reference for tests
   std::size_t io_depth = 4;
   double time_scale = 0.0;  ///< 1.0 = model arrival gaps as real sleeps
   // Fault injection & recovery (fault.h). A non-null injector makes the
@@ -247,7 +248,7 @@ struct TranscodeSessionConfig {
   std::uint64_t frames = 24;
   std::uint64_t seed = 1;
   // Boundary behaviour.
-  bool async_boundaries = true;
+  bool async_boundaries = true;  ///< false = blocking inline reference for tests
   std::size_t io_depth = 4;
   double time_scale = 0.0;  ///< 1.0 = charge modeled disk time as real sleeps
   fs::BlockDevice::TimingModel timing{};

@@ -63,7 +63,7 @@ struct ShardedEngine::Impl {
   Gauge* g_inflight = nullptr;
 
   void emit_admission(EventKind kind, std::size_t shard_index) {
-    if (!kTelemetryCompiled || adm_ring == nullptr) return;
+    if (adm_ring == nullptr) return;
     TelemetryEvent ev;
     ev.word0 = TelemetryEvent::pack0(kind, 0, 0);
     ev.begin_ns = ev.end_ns = Telemetry::now_ns();
@@ -131,7 +131,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   for (std::size_t i = 0; i < shards; ++i) {
     impl_->inflight[i].store(0, std::memory_order_relaxed);
   }
-  if (kTelemetryCompiled && impl_->options.engine.telemetry != nullptr) {
+  if (impl_->options.engine.telemetry != nullptr) {
     Telemetry& tel = *impl_->options.engine.telemetry;
     const std::string p = impl_->options.engine.telemetry_prefix;
     impl_->adm_ring = tel.register_track(p + ".admission");
@@ -150,7 +150,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     EngineOptions engine_options = impl_->options.engine;
     // Shared sink, per-shard namespace: shard i's worker tracks and
     // metric names carry the "<prefix><i>" prefix.
-    if (kTelemetryCompiled && engine_options.telemetry != nullptr) {
+    if (engine_options.telemetry != nullptr) {
       engine_options.telemetry_prefix += std::to_string(i);
     }
     // Per-socket layout: shard i owns the CPU range starting at

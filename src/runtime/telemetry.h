@@ -16,9 +16,7 @@
 //    unread events are overwritten and counted in dropped(); the producer is
 //    never throttled.
 //  - With telemetry disabled (EngineOptions::telemetry == nullptr) the cost is
-//    one pointer null-check per batch. With MMSOC_DISABLE_TELEMETRY defined
-//    (cmake -DMMSOC_TELEMETRY=OFF) the instrumentation compiles out entirely
-//    (kTelemetryCompiled == false lets the optimiser delete the branches).
+//    one pointer null-check per batch.
 //
 // Ring protocol (extends the queue.h Lamport SPSC design): head_ and tail_ are
 // 64-bit monotonic sequence numbers (slot = seq & mask; monotonicity kills
@@ -42,12 +40,6 @@
 #include "metrics.h"
 
 namespace mmsoc {
-
-#if defined(MMSOC_DISABLE_TELEMETRY)
-inline constexpr bool kTelemetryCompiled = false;
-#else
-inline constexpr bool kTelemetryCompiled = true;
-#endif
 
 // Task / job / session names travel as interned ids in the event's name_id
 // field; arg0/arg1 are kind-specific.
@@ -142,8 +134,9 @@ struct TelemetryOptions {
   // stamped at its source, carried through the channel ledgers, and traced
   // end to end (kUnitFlow/kUnitComplete events, per-stage wait/service
   // accounting, per-session latency histograms). 1 traces every unit, 0
-  // disables unit tracing entirely. The default 1-in-16 keeps the E-RT/OBS
-  // overhead ratio >= 0.97 with tracing on.
+  // disables unit tracing entirely. The default 1-in-16 is what the
+  // end-to-end benchmark's traced runs use; their cost against untraced
+  // runs is its trace.overhead_share metric (benchmark/README.md).
   std::size_t unit_sample_period = 16;
   // Stall watchdog: a session that completes zero firings across this many
   // consecutive collector drain periods is flagged and its per-task

@@ -1,7 +1,6 @@
 #include "runtime/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
 
@@ -73,8 +72,6 @@ ModelComparison compare_with_schedule(const SessionReport& measured,
       s.measured_mean_s = t < service.size() ? service[t] : 0.0;
       s.worker = measured.tasks[t].worker;
       s.migrations = measured.tasks[t].migrations;
-      s.min_firing_s = measured.tasks[t].min_firing_s;
-      s.max_firing_s = measured.tasks[t].max_firing_s;
       // Kept out of measured_mean_s (the engine bills gate waits to
       // io_stall, never busy), so shares and rank correlation keep
       // comparing compute against predicted compute.
@@ -112,26 +109,15 @@ std::string format_comparison(const ModelComparison& c) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof line,
-                "%-20s %4s %4s %4s %12s %12s %10s %10s %10s %10s %10s %8s %8s\n",
+                "%-20s %4s %4s %4s %12s %12s %10s %10s %10s %8s %8s\n",
                 "stage", "pe", "wkr", "mig", "pred us", "meas us",
-                "io-wait us", "min us", "max us", "q-wait us", "svc us",
-                "pred %", "meas %");
+                "io-wait us", "q-wait us", "svc us", "pred %", "meas %");
   out += line;
-  // Unset (never fired) min/max render as '-': a 0.00 here would read as
-  // an impossibly fast firing. Same for the frame-journey columns of a
-  // stage no sampled unit reached (or with tracing off).
-  char min_col[24], max_col[24], qw_col[24], svc_col[24];
+  // The frame-journey columns of a stage no sampled unit reached (or
+  // with tracing off) render as '-': a 0.00 here would read as an
+  // impossibly fast firing.
+  char qw_col[24], svc_col[24];
   for (const auto& s : c.stages) {
-    if (std::isnan(s.min_firing_s)) {
-      std::snprintf(min_col, sizeof min_col, "%10s", "-");
-    } else {
-      std::snprintf(min_col, sizeof min_col, "%10.2f", s.min_firing_s * 1e6);
-    }
-    if (std::isnan(s.max_firing_s)) {
-      std::snprintf(max_col, sizeof max_col, "%10s", "-");
-    } else {
-      std::snprintf(max_col, sizeof max_col, "%10.2f", s.max_firing_s * 1e6);
-    }
     if (s.unit_sampled == 0) {
       std::snprintf(qw_col, sizeof qw_col, "%10s", "-");
       std::snprintf(svc_col, sizeof svc_col, "%10s", "-");
@@ -140,12 +126,12 @@ std::string format_comparison(const ModelComparison& c) {
       std::snprintf(svc_col, sizeof svc_col, "%10.2f", s.unit_service_s * 1e6);
     }
     std::snprintf(line, sizeof line,
-                  "%-20s %4zu %4zu %4llu %12.2f %12.2f %10.2f %s %s %s %s "
+                  "%-20s %4zu %4zu %4llu %12.2f %12.2f %10.2f %s %s "
                   "%7.1f%% %7.1f%%\n",
                   s.name.c_str(), s.pe, s.worker,
                   static_cast<unsigned long long>(s.migrations),
                   s.predicted_s * 1e6, s.measured_mean_s * 1e6,
-                  s.io_wait_s * 1e6, min_col, max_col, qw_col, svc_col,
+                  s.io_wait_s * 1e6, qw_col, svc_col,
                   s.predicted_share * 100.0, s.measured_share * 100.0);
     out += line;
   }

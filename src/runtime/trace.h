@@ -41,11 +41,6 @@ struct StageComparison {
   /// column so a stalled async source/sink reads as device latency, not
   /// as compute the model failed to predict. 0 for pure compute stages.
   double io_wait_s = 0.0;
-  /// Fastest / slowest dispatch (per-batch means; see TaskStats). Quiet
-  /// NaN — rendered as '-' in format_comparison — for a stage that never
-  /// fired, so an unset value can never read as an impossibly fast one.
-  double min_firing_s = std::numeric_limits<double>::quiet_NaN();
-  double max_firing_s = std::numeric_limits<double>::quiet_NaN();
   double predicted_share = 0.0;   ///< fraction of summed predicted time
   double measured_share = 0.0;    ///< fraction of summed measured time
   /// Frame-journey columns (unit-ledger sourced; see SessionReport::

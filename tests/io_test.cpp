@@ -391,7 +391,7 @@ TEST(TaskWaker, LifecycleErrorsAndSpuriousCallsAreSafe) {
   eopts.workers = 1;
   Engine engine(eopts);
   // Pre-start sessions are not wired yet: no waker to hand out.
-  auto sid = engine.add_session(pipe.graph, {0, 0}, 4);
+  auto sid = engine.submit(pipe.graph, {0, 0}, 4);
   ASSERT_TRUE(sid.is_ok());
   EXPECT_FALSE(engine.task_waker(sid.value(), 0).is_ok());
   ASSERT_TRUE(engine.start().is_ok());

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -115,13 +114,13 @@ mpsoc::TaskGraph diamond_graph() {
 TEST(Engine, RejectsInvalidSessions) {
   Engine engine;
   mpsoc::TaskGraph g = diamond_graph();  // no bodies attached
-  EXPECT_FALSE(engine.add_session(g, mpsoc::Mapping(4, 0), 10).is_ok());
+  EXPECT_FALSE(engine.submit(g, mpsoc::Mapping(4, 0), 10).is_ok());
 
   auto g2 = diamond_graph();
   (void)attach_synthetic_bodies(g2);
-  EXPECT_FALSE(engine.add_session(g2, mpsoc::Mapping(3, 0), 10).is_ok())
+  EXPECT_FALSE(engine.submit(g2, mpsoc::Mapping(3, 0), 10).is_ok())
       << "mapping size mismatch must be rejected";
-  EXPECT_FALSE(engine.add_session(g2, mpsoc::Mapping(4, 0), 0).is_ok())
+  EXPECT_FALSE(engine.submit(g2, mpsoc::Mapping(4, 0), 0).is_ok())
       << "zero iterations must be rejected";
 
   mpsoc::TaskGraph cyclic("cycle");
@@ -133,7 +132,7 @@ TEST(Engine, RejectsInvalidSessions) {
   const auto y = cyclic.add_task(t);
   (void)cyclic.add_edge(x, y, 1);
   (void)cyclic.add_edge(y, x, 1);
-  EXPECT_FALSE(engine.add_session(cyclic, mpsoc::Mapping(2, 0), 1).is_ok());
+  EXPECT_FALSE(engine.submit(cyclic, mpsoc::Mapping(2, 0), 1).is_ok());
 }
 
 TEST(Engine, DeterministicAcrossWorkerCounts) {
@@ -229,13 +228,13 @@ TEST(Engine, MultiSessionStress) {
   Engine engine(opts);
   std::vector<mpsoc::TaskGraph> graphs;
   std::vector<std::shared_ptr<SyntheticSinkState>> sinks;
-  graphs.reserve(kSessions);  // graphs must not reallocate after add_session
+  graphs.reserve(kSessions);  // graphs must not reallocate after submit
   for (std::size_t s = 0; s < kSessions; ++s) {
     graphs.push_back(diamond_graph());
     sinks.push_back(attach_synthetic_bodies(graphs.back(), 0.05));
     // Spread sessions over different PEs to exercise the shared pool.
     const mpsoc::Mapping mapping = {s % 3, (s + 1) % 3, (s + 2) % 3, s % 3};
-    auto added = engine.add_session(graphs.back(), mapping, kIters);
+    auto added = engine.submit(graphs.back(), mapping, kIters);
     ASSERT_TRUE(added.is_ok()) << added.status().to_text();
   }
   const auto status = engine.run();
@@ -267,7 +266,7 @@ TEST(Engine, CancelMidPipelineStopsPromptlyAndReportsPartial) {
   opts.workers = 2;
   Engine engine(opts);
   constexpr std::uint64_t kIters = 200'000'000;  // would take hours
-  auto added = engine.add_session(pipe.graph, {0, 1, 0}, kIters);
+  auto added = engine.submit(pipe.graph, {0, 1, 0}, kIters);
   ASSERT_TRUE(added.is_ok()) << added.status().to_text();
 
   ASSERT_TRUE(engine.start().is_ok());
@@ -298,7 +297,7 @@ TEST(Engine, CancelMidPipelineStopsPromptlyAndReportsPartial) {
 TEST(Engine, CancelIsIdempotentAndSafeOnFinishedSessions) {
   auto pipe = make_synthetic_chain(2, 100.0);
   Engine engine;
-  auto added = engine.add_session(pipe.graph, {0, 0}, 10);
+  auto added = engine.submit(pipe.graph, {0, 0}, 10);
   ASSERT_TRUE(added.is_ok());
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_EQ(engine.report(0).outcome, SessionOutcome::kCompleted);
@@ -312,7 +311,7 @@ TEST(Engine, CancelIsIdempotentAndSafeOnFinishedSessions) {
 TEST(Engine, CancelBeforeStartRetiresSessionImmediately) {
   auto pipe = endless_chain();
   Engine engine;
-  auto added = engine.add_session(pipe.graph, {0, 0, 0}, 1'000'000'000);
+  auto added = engine.submit(pipe.graph, {0, 0, 0}, 1'000'000'000);
   ASSERT_TRUE(added.is_ok());
   engine.cancel(added.value());
   ASSERT_TRUE(engine.run().is_ok());
@@ -330,8 +329,8 @@ TEST(Engine, DeadlineExpiryCancelsWithDeadlineExceeded) {
   SessionOptions deadline;
   deadline.timeout = std::chrono::milliseconds(30);
   auto s_slow =
-      engine.add_session(slow.graph, {0, 1, 0}, 200'000'000, deadline);
-  auto s_fast = engine.add_session(fast.graph, {1, 0}, 50);
+      engine.submit(slow.graph, {0, 1, 0}, 200'000'000, deadline);
+  auto s_fast = engine.submit(fast.graph, {1, 0}, 50);
   ASSERT_TRUE(s_slow.is_ok());
   ASSERT_TRUE(s_fast.is_ok());
 
@@ -353,7 +352,7 @@ TEST(Engine, GenerousDeadlineDoesNotFire) {
   Engine engine;
   SessionOptions o;
   o.timeout = std::chrono::minutes(10);
-  auto added = engine.add_session(pipe.graph, {0, 0, 0}, 25, o);
+  auto added = engine.submit(pipe.graph, {0, 0, 0}, 25, o);
   ASSERT_TRUE(added.is_ok());
   ASSERT_TRUE(engine.run().is_ok());
   EXPECT_EQ(engine.report(added.value()).outcome, SessionOutcome::kCompleted);
@@ -370,7 +369,7 @@ TEST(Engine, DestructorCancelsBackPressuredSessions) {
     opts.workers = 2;
     opts.channel_capacity = 1;  // maximal back-pressure
     Engine engine(opts);
-    auto added = engine.add_session(pipe.graph, {0, 1, 0}, 200'000'000);
+    auto added = engine.submit(pipe.graph, {0, 1, 0}, 200'000'000);
     ASSERT_TRUE(added.is_ok());
     ASSERT_TRUE(engine.start().is_ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -392,11 +391,11 @@ TEST(Engine, ManySessionsFewWorkersNoStarvation) {
   opts.channel_capacity = 2;
   Engine engine(opts);
   std::vector<SyntheticPipeline> pipes;
-  pipes.reserve(kSessions);  // graphs must not reallocate after add_session
+  pipes.reserve(kSessions);  // graphs must not reallocate after submit
   for (std::size_t s = 0; s < kSessions; ++s) {
     pipes.push_back(make_synthetic_chain(4, 500.0));
     const mpsoc::Mapping mapping = {s % 2, (s + 1) % 2, s % 2, (s + 1) % 2};
-    auto added = engine.add_session(pipes.back().graph, mapping, kIters);
+    auto added = engine.submit(pipes.back().graph, mapping, kIters);
     ASSERT_TRUE(added.is_ok()) << added.status().to_text();
   }
   const auto status = engine.run();
@@ -416,7 +415,7 @@ TEST(Engine, ConcurrentWaitIsSafe) {
   // double-join (std::system_error) or a race on the thread vector.
   auto pipe = make_synthetic_chain(3, 2000.0);
   Engine engine;
-  ASSERT_TRUE(engine.add_session(pipe.graph, {0, 0, 0}, 500).is_ok());
+  ASSERT_TRUE(engine.submit(pipe.graph, {0, 0, 0}, 500).is_ok());
   ASSERT_TRUE(engine.start().is_ok());
   common::Status a = common::Status(common::StatusCode::kInternal, "unset");
   std::thread other([&] { a = engine.wait(); });
@@ -431,7 +430,7 @@ TEST(Engine, StartWaitLifecycleIsEnforced) {
   auto pipe = make_synthetic_chain(2, 100.0);
   Engine engine;
   EXPECT_FALSE(engine.wait().is_ok()) << "wait before start must fail";
-  ASSERT_TRUE(engine.add_session(pipe.graph, {0, 0}, 5).is_ok());
+  ASSERT_TRUE(engine.submit(pipe.graph, {0, 0}, 5).is_ok());
   ASSERT_TRUE(engine.start().is_ok());
   EXPECT_FALSE(engine.start().is_ok()) << "double start must fail";
   // Dynamic admission: the engine accepts sessions after start().
@@ -471,7 +470,7 @@ TEST(Engine, SubmitAfterBodyErrorIsRejected) {
   t.body = [](mpsoc::TaskFiring&) { throw std::runtime_error("fault"); };
   (void)bad.add_task(t);
   Engine engine;
-  ASSERT_TRUE(engine.add_session(bad, {0}, 10).is_ok());
+  ASSERT_TRUE(engine.submit(bad, {0}, 10).is_ok());
   ASSERT_TRUE(engine.start().is_ok());
   // The single firing throws almost immediately; poll until the error
   // latches, then submit.
@@ -506,8 +505,8 @@ TEST(Engine, BodyErrorAbortsEdgeFreeSiblingSessionPromptly) {
   EngineOptions opts;
   opts.workers = 2;
   Engine engine(opts);
-  ASSERT_TRUE(engine.add_session(bad, {0}, 10).is_ok());
-  ASSERT_TRUE(engine.add_session(endless.graph, {1}, 200'000'000).is_ok());
+  ASSERT_TRUE(engine.submit(bad, {0}, 10).is_ok());
+  ASSERT_TRUE(engine.submit(endless.graph, {1}, 200'000'000).is_ok());
   const auto t0 = std::chrono::steady_clock::now();
   const auto status = engine.run();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
@@ -538,7 +537,7 @@ TEST(Engine, SubmitWhileRunningCompletesBitIdentically) {
   pipes.reserve(6);
   std::vector<std::size_t> ids;
   pipes.push_back(make_synthetic_chain(4, 500.0));
-  auto first = engine.add_session(pipes.back().graph, {0, 1, 0, 1}, kIters);
+  auto first = engine.submit(pipes.back().graph, {0, 1, 0, 1}, kIters);
   ASSERT_TRUE(first.is_ok());
   ids.push_back(first.value());
   ASSERT_TRUE(engine.start().is_ok());
@@ -598,14 +597,13 @@ TEST(Engine, SkewedStageStealingMigratesWorkAndStaysDeterministic) {
 
   EngineOptions opts;
   opts.workers = 4;
-  opts.work_stealing = true;
   Engine engine(opts);
   std::vector<SyntheticPipeline> pipes;
   pipes.reserve(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
     pipes.push_back(make_skewed_chain(4, 2000.0, 1));
     ASSERT_TRUE(
-        engine.add_session(pipes.back().graph, {0, 0, 0, 0}, kIters).is_ok());
+        engine.submit(pipes.back().graph, {0, 0, 0, 0}, kIters).is_ok());
   }
   ASSERT_TRUE(engine.run().is_ok());
 
@@ -630,31 +628,6 @@ TEST(Engine, SkewedStageStealingMigratesWorkAndStaysDeterministic) {
   EXPECT_EQ(engine.steal_count(), migrations);
 }
 
-TEST(Engine, StealingDisabledKeepsStaticBinding) {
-  EngineOptions opts;
-  opts.workers = 4;
-  opts.work_stealing = false;
-  Engine engine(opts);
-  std::vector<SyntheticPipeline> pipes;
-  pipes.reserve(4);
-  for (int s = 0; s < 4; ++s) {
-    pipes.push_back(make_skewed_chain(3, 1000.0, 1));
-    ASSERT_TRUE(
-        engine.add_session(pipes.back().graph, {0, 0, 0}, 24).is_ok());
-  }
-  ASSERT_TRUE(engine.run().is_ok());
-  EXPECT_EQ(engine.steal_count(), 0u);
-  for (std::size_t s = 0; s < 4; ++s) {
-    const auto& rep = engine.report(s);
-    EXPECT_EQ(rep.outcome, SessionOutcome::kCompleted);
-    EXPECT_EQ(rep.task_migrations, 0u);
-    for (const auto& t : rep.tasks) {
-      EXPECT_EQ(t.worker, t.home_worker)
-          << "with stealing off the hint is a hard binding";
-    }
-  }
-}
-
 TEST(Engine, StealCancelSubmitRaceStress) {
   // TSan target: concurrent submits, cancels, and steals over a skewed
   // load. Every session must end completed or cancelled, and the engine
@@ -669,7 +642,7 @@ TEST(Engine, StealCancelSubmitRaceStress) {
   std::vector<std::size_t> ids;
   for (int s = 0; s < 8; ++s) {
     pipes.push_back(make_skewed_chain(4, 3000.0, 1));
-    auto added = engine.add_session(pipes.back().graph, {0, 0, 0, 0}, kIters);
+    auto added = engine.submit(pipes.back().graph, {0, 0, 0, 0}, kIters);
     ASSERT_TRUE(added.is_ok());
     ids.push_back(added.value());
   }
@@ -753,8 +726,6 @@ TEST(Engine, RecycledOutputsArriveClearedWithNoStaleBytes) {
   EngineOptions opts;
   opts.workers = 2;
   opts.channel_capacity = 4;
-  opts.firing_quantum = 8;
-  opts.recycle_payloads = true;
   auto report = run_pipeline(g, {0, 1}, kIters, opts);
   ASSERT_TRUE(report.is_ok()) << report.status().to_text();
   EXPECT_EQ(dirty.load(), 0u) << "recycled outputs must arrive cleared";
@@ -789,8 +760,6 @@ TEST(Engine, RecyclingHoldsBoundsUnderBackPressure) {
   EngineOptions opts;
   opts.workers = 2;
   opts.channel_capacity = 3;
-  opts.firing_quantum = 8;
-  opts.recycle_payloads = true;
   constexpr std::uint64_t kIters = 200;
   auto report = run_pipeline(g, {0, 1}, kIters, opts);
   ASSERT_TRUE(report.is_ok()) << report.status().to_text();
@@ -803,87 +772,32 @@ TEST(Engine, RecyclingHoldsBoundsUnderBackPressure) {
   EXPECT_EQ(seen.load(), expect) << "recycling lost or corrupted a token";
 }
 
-// Satellite regression: batching (quantum > 1) + stealing must stay
-// bit-identical across every worker count and quantum — a task mid-batch
-// is popped out of its owner's queue, so no thief can split a batch.
+// Satellite regression: batching + stealing must stay bit-identical
+// across every worker count — a task mid-batch is popped out of its
+// owner's queue, so no thief can split a batch.
 TEST(Engine, BatchingWithStealingBitIdenticalAcrossWorkerCounts) {
   constexpr std::uint64_t kIters = 48;
   std::uint64_t reference = 0;
   bool have_reference = false;
-  for (const std::size_t quantum : {1u, 2u, 8u}) {
-    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      auto pipe = make_skewed_chain(5, 2000.0, 2, 8.0);
-      EngineOptions opts;
-      opts.workers = workers;
-      opts.work_stealing = true;
-      opts.firing_quantum = quantum;
-      opts.recycle_payloads = true;
-      mpsoc::Mapping mapping(5, 0);  // everything hinted at worker 0
-      auto report = run_pipeline(pipe.graph, mapping, kIters, opts);
-      ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-      EXPECT_EQ(pipe.sink->tokens.load(), kIters);
-      if (!have_reference) {
-        reference = pipe.sink->digest.load();
-        have_reference = true;
-      } else {
-        EXPECT_EQ(pipe.sink->digest.load(), reference)
-            << "digest diverged at quantum " << quantum << ", workers "
-            << workers;
-      }
-    }
-  }
-}
-
-// The firing quantum must not change real-kernel output either: the
-// Fig. 1 encoder bitstream is bit-identical across quanta.
-TEST(Engine, FiringQuantumPreservesVideoBitstream) {
-  std::uint32_t reference = 0;
-  bool have_reference = false;
-  for (const std::size_t quantum : {1u, 8u, 64u}) {
-    VideoPipelineConfig cfg;
-    cfg.width = 32;
-    cfg.height = 32;
-    auto pipe = make_video_encoder_pipeline(cfg);
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    auto pipe = make_skewed_chain(5, 2000.0, 2, 8.0);
     EngineOptions opts;
-    opts.workers = 3;
-    opts.firing_quantum = quantum;
-    mpsoc::Mapping mapping(pipe.graph.task_count());
-    for (std::size_t t = 0; t < mapping.size(); ++t) mapping[t] = t % 3;
-    auto report = run_pipeline(pipe.graph, mapping, 12, opts);
+    opts.workers = workers;
+    mpsoc::Mapping mapping(5, 0);  // everything hinted at worker 0
+    auto report = run_pipeline(pipe.graph, mapping, kIters, opts);
     ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-    ASSERT_EQ(pipe.sink->frames_coded, 12u);
+    EXPECT_EQ(pipe.sink->tokens.load(), kIters);
     if (!have_reference) {
-      reference = pipe.sink->bitstream_crc;
+      reference = pipe.sink->digest.load();
       have_reference = true;
     } else {
-      EXPECT_EQ(pipe.sink->bitstream_crc, reference)
-          << "bitstream depends on firing quantum " << quantum;
+      EXPECT_EQ(pipe.sink->digest.load(), reference)
+          << "digest diverged at workers " << workers;
     }
   }
 }
 
-// Recycling off must mean *no* reuse (the fresh-allocation bench
-// baseline is honest), and identical output either way.
-TEST(Engine, RecyclingToggleIsBitIdenticalAndAccounted) {
-  constexpr std::uint64_t kIters = 32;
-  std::uint64_t digests[2] = {0, 0};
-  std::uint64_t recycled[2] = {0, 0};
-  for (const bool recycle : {false, true}) {
-    auto pipe = make_synthetic_chain(4, 1000.0);
-    EngineOptions opts;
-    opts.workers = 2;
-    opts.recycle_payloads = recycle;
-    auto report = run_pipeline(pipe.graph, {0, 1, 0, 1}, kIters, opts);
-    ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-    digests[recycle ? 1 : 0] = pipe.sink->digest.load();
-    recycled[recycle ? 1 : 0] = report.value().payloads_recycled;
-  }
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(recycled[0], 0u) << "recycling off must not touch free rings";
-  EXPECT_GT(recycled[1], 0u);
-}
-
-// Blocking-stage stealing (the E-RT/STEAL scenario): sessions whose
+// Blocking-stage stealing (a modeled accelerator wait): sessions whose
 // accelerator-wait stage is hinted at one worker only overlap their
 // waits if stealing migrates the blocked tasks — and the digest must
 // not care. Also exercises bodies blocking while thieves raid the
@@ -902,14 +816,13 @@ TEST(Engine, BlockingStageStealingOverlapsWaitsDeterministically) {
   }
   EngineOptions opts;
   opts.workers = 4;
-  opts.work_stealing = true;
   Engine engine(opts);
   std::vector<SyntheticPipeline> pipes;
   pipes.reserve(kSessions);
   for (std::size_t s = 0; s < kSessions; ++s) {
     pipes.push_back(make_blocking_skewed_chain(4, 1000.0, 2, 200.0));
     ASSERT_TRUE(
-        engine.add_session(pipes.back().graph, {0, 0, 0, 0}, kIters).is_ok());
+        engine.submit(pipes.back().graph, {0, 0, 0, 0}, kIters).is_ok());
   }
   ASSERT_TRUE(engine.run().is_ok());
   std::uint64_t migrations = 0;
@@ -950,7 +863,6 @@ TEST(Engine, SlowBatchOverlapsDownstreamStage) {
 
   EngineOptions opts;
   opts.workers = 2;
-  opts.firing_quantum = 8;
   opts.channel_capacity = 8;
   const auto t0 = std::chrono::steady_clock::now();
   auto report = run_pipeline(g, {0, 1}, kIters, opts);
@@ -971,13 +883,12 @@ TEST(Engine, SlowBatchOverlapsDownstreamStage) {
 TEST(Engine, LastQueuedTaskIsStealableWhileOwnerBlocksMidBatch) {
   EngineOptions opts;
   opts.workers = 2;
-  opts.work_stealing = true;
   Engine engine(opts);
   // Lone blocking task hinted at worker 0: ~2ms accelerator wait per
   // firing, batched — worker 0 spends nearly all its time popped into
   // this task's batches.
   auto blocker = make_blocking_skewed_chain(1, 100.0, 0, 2000.0);
-  ASSERT_TRUE(engine.add_session(blocker.graph, {0}, 20).is_ok());
+  ASSERT_TRUE(engine.submit(blocker.graph, {0}, 20).is_ok());
   ASSERT_TRUE(engine.start().is_ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   // Admit a fast task onto the same (blocked) worker. It lands queued
@@ -1002,7 +913,7 @@ TEST(Engine, PinWorkersRunsToCompletionOrFailsLoudly) {
   opts.pin_workers = true;
   Engine engine(opts);
   auto pipe = make_synthetic_chain(3, 500.0);
-  ASSERT_TRUE(engine.add_session(pipe.graph, {0, 1, 0}, 20).is_ok());
+  ASSERT_TRUE(engine.submit(pipe.graph, {0, 1, 0}, 20).is_ok());
   const auto status = engine.run();
 #if defined(__linux__)
   ASSERT_TRUE(status.is_ok()) << status.to_text();
@@ -1149,7 +1060,6 @@ TEST(Trace, ComparisonIsSaneForVideoPipeline) {
   EXPECT_GT(sr.measured_ii_s(), 0.0);
   for (const auto& t : sr.tasks) {
     EXPECT_EQ(t.firings, 6u) << t.name;
-    EXPECT_GE(t.max_firing_s, t.min_firing_s) << t.name;
   }
   EXPECT_LE(sr.total_busy_s(), sr.wall_s * static_cast<double>(sr.tasks.size()));
 
@@ -1232,10 +1142,10 @@ TEST(Engine, GatedTaskParksUntilExternalWakeAndBillsIoStall) {
   EXPECT_EQ(rep.tasks[snk].io_stalls, 0u) << "ungated task never stalls";
 }
 
-// A task that never fires must report its min/max firing time as unset
-// (quiet NaN, fired() == false), not 0.0 — zero would read as an
-// impossibly fast firing — and format_comparison renders the unset
-// columns as '-'. The never-fired state is forced deterministically: the
+// A task that never fires must report fired() == false and a zero mean
+// firing time, and format_comparison renders its unset frame-journey
+// columns as '-' (a 0.00 would read as an impossibly fast firing). The
+// never-fired state is forced deterministically: the
 // source's gate never opens, so neither it nor its starved sink can run
 // before the session is cancelled.
 TEST(Engine, NeverFiredTaskReportsUnsetFiringTimes) {
@@ -1269,8 +1179,6 @@ TEST(Engine, NeverFiredTaskReportsUnsetFiringTimes) {
   for (const auto& t : rep.tasks) {
     ASSERT_EQ(t.firings, 0u) << t.name;
     EXPECT_FALSE(t.fired()) << t.name;
-    EXPECT_TRUE(std::isnan(t.min_firing_s)) << t.name;
-    EXPECT_TRUE(std::isnan(t.max_firing_s)) << t.name;
     EXPECT_DOUBLE_EQ(t.mean_firing_s(), 0.0) << t.name;
   }
 
@@ -1278,10 +1186,6 @@ TEST(Engine, NeverFiredTaskReportsUnsetFiringTimes) {
   const auto cmp =
       compare_with_schedule(rep, g, platform, {0, 1}, mpsoc::Schedule{});
   ASSERT_EQ(cmp.stages.size(), 2u);
-  for (const auto& s : cmp.stages) {
-    EXPECT_TRUE(std::isnan(s.min_firing_s)) << s.name;
-    EXPECT_TRUE(std::isnan(s.max_firing_s)) << s.name;
-  }
   // The table renders unset as a right-aligned '-' in a 10-wide column.
   EXPECT_NE(format_comparison(cmp).find("         -"), std::string::npos);
 }
