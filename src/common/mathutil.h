@@ -19,6 +19,14 @@ namespace mmsoc::common {
   return static_cast<std::int16_t>(std::clamp(v, -32768, 32767));
 }
 
+/// std::lround for floats in int range, without the libm call: round half
+/// away from zero. In double, x + copysign(0.5, x) is exact for every float
+/// with |x| >= 2^-29 and truncates to 0 below that, so this matches lround.
+[[nodiscard]] inline int round_half_away(float x) noexcept {
+  const double d = static_cast<double>(x);
+  return static_cast<int>(d + std::copysign(0.5, d));
+}
+
 /// Integer log2 floor; ilog2(0) == 0 by convention.
 [[nodiscard]] constexpr unsigned ilog2(std::uint64_t v) noexcept {
   unsigned r = 0;

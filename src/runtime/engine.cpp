@@ -1624,6 +1624,7 @@ struct Engine::Impl {
       rep.channel_capacity = options.channel_capacity;
       rep.tasks.assign(sess.graph->task_count(), TaskStats{});
       for (const auto& ch : sess.channels) {
+        rep.edge_peak_occupancy.push_back(ch->max_occupancy());
         rep.max_channel_occupancy =
             std::max(rep.max_channel_occupancy, ch->max_occupancy());
         rep.payloads_recycled += ch->recycle_hits();

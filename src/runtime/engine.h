@@ -294,6 +294,8 @@ struct SessionReport {
   /// Max over all edges of the tokens buffered at once; each edge stays
   /// within its own capacity, so this is <= channel_capacity.
   std::size_t max_channel_occupancy = 0;
+  /// Per edge (indexed by edge id), the most tokens it buffered at once.
+  std::vector<std::size_t> edge_peak_occupancy;
   /// Total task migrations across the session (sum of tasks[].migrations);
   /// 0 when the load never skewed enough for an idle worker to steal.
   std::uint64_t task_migrations = 0;

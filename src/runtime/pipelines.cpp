@@ -14,6 +14,7 @@
 #include "audio/subband_codec.h"
 #include "common/bitstream.h"
 #include "common/crc32.h"
+#include "common/mathutil.h"
 #include "common/rng.h"
 #include "core/appgraphs.h"
 #include "dsp/dct.h"
@@ -279,7 +280,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
                        for (int x = 0; x < 8; ++x) {
                          residual[(static_cast<std::size_t>(byi) * 8 + y) * w +
                                   bxi * 8 + x] =
-                             static_cast<std::int16_t>(std::lround(
+                             static_cast<std::int16_t>(common::round_half_away(
                                  pixels[static_cast<std::size_t>(y) * 8 + x]));
                        }
                      }

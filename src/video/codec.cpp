@@ -41,8 +41,8 @@ void store_block(Plane& p, int bx, int by, float bias, const dsp::Block& in) {
   for (int y = 0; y < kBlock; ++y)
     for (int x = 0; x < kBlock; ++x)
       p.set(bx + x, by + y,
-            common::clamp_u8(static_cast<int>(
-                std::lround(in[static_cast<std::size_t>(y) * kBlock + x] + bias))));
+            common::clamp_u8(common::round_half_away(
+                in[static_cast<std::size_t>(y) * kBlock + x] + bias)));
 }
 
 // Add a residual block onto a prediction and store.
@@ -51,9 +51,9 @@ void store_residual(Plane& p, const Plane& pred, int bx, int by,
   for (int y = 0; y < kBlock; ++y)
     for (int x = 0; x < kBlock; ++x)
       p.set(bx + x, by + y,
-            common::clamp_u8(static_cast<int>(
-                std::lround(in[static_cast<std::size_t>(y) * kBlock + x] +
-                            pred.at(bx + x, by + y)))));
+            common::clamp_u8(common::round_half_away(
+                in[static_cast<std::size_t>(y) * kBlock + x] +
+                pred.at(bx + x, by + y))));
 }
 
 // Encode one plane (intra path). Updates ops and reconstructs into recon.

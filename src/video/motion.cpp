@@ -3,37 +3,88 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/mathutil.h"
 #include "dsp/dispatch.h"
 
 namespace mmsoc::video {
 
-std::uint64_t sad16(const Plane& cur, const Plane& ref, int bx, int by, int dx,
-                    int dy) noexcept {
-  const int rx = bx + dx;
-  const int ry = by + dy;
-  // Fast path: both 16x16 windows fully inside their planes — hand the
-  // rows straight to the dispatched SAD kernel. Integer sums are exact in
-  // any order, so this is bit-identical to the clamped loop below.
-  if (bx >= 0 && by >= 0 && bx + kMacroblockSize <= cur.width() &&
-      by + kMacroblockSize <= cur.height() && rx >= 0 && ry >= 0 &&
-      rx + kMacroblockSize <= ref.width() &&
-      ry + kMacroblockSize <= ref.height()) {
-    return dsp::kernels().sad16(cur.row(by) + bx, cur.stride(),
-                                ref.row(ry) + rx, ref.stride());
+namespace {
+
+// Copy `w` pixels of row `y` of `p`, starting at column `x`, to `dst` with
+// both coordinates edge-clamped: the left overhang repeats column 0, the
+// inside is one memcpy, the right overhang repeats the last column.
+void copy_clamped_row(const Plane& p, int x, int y, int w,
+                      std::uint8_t* dst) noexcept {
+  const std::uint8_t* src = p.row(std::clamp(y, 0, p.height() - 1));
+  const int lo = std::clamp(-x, 0, w);              // columns left of the plane
+  const int hi = std::clamp(p.width() - x, lo, w);  // first column right of it
+  std::memset(dst, src[0], static_cast<std::size_t>(lo));
+  if (hi > lo) {
+    std::memcpy(dst + lo, src + x + lo, static_cast<std::size_t>(hi - lo));
   }
-  // Border fallback: edge-clamp both planes (partial edge macroblocks read
-  // past the current plane too, not just the reference).
-  std::uint64_t sad = 0;
-  for (int y = 0; y < kMacroblockSize; ++y) {
-    for (int x = 0; x < kMacroblockSize; ++x) {
-      const int a = cur.at_clamped(bx + x, by + y);
-      const int b = ref.at_clamped(bx + x + dx, by + y + dy);
-      sad += static_cast<std::uint64_t>(std::abs(a - b));
+  std::memset(dst + hi, src[p.width() - 1], static_cast<std::size_t>(w - hi));
+}
+
+// The 16x16 window of `p` at (x, y) as (pointer, stride): the plane's own
+// rows when the window lies inside it, else its edge-clamped copy gathered
+// into `scratch` (kMacroblockSize^2 bytes).
+const std::uint8_t* window16(const Plane& p, int x, int y,
+                             std::uint8_t* scratch,
+                             std::ptrdiff_t& stride) noexcept {
+  if (x >= 0 && y >= 0 && x + kMacroblockSize <= p.width() &&
+      y + kMacroblockSize <= p.height()) {
+    stride = p.stride();
+    return p.row(y) + x;
+  }
+  for (int r = 0; r < kMacroblockSize; ++r) {
+    copy_clamped_row(p, x, y + r, kMacroblockSize,
+                     scratch + r * kMacroblockSize);
+  }
+  stride = kMacroblockSize;
+  return scratch;
+}
+
+// Motion-compensated prediction in blocks of `block` pixels: each block
+// copies the edge-clamped window of `ref` displaced by its macroblock's
+// vector divided by `divisor` (rounding toward zero).
+Plane compensate_blocks(const Plane& ref, const MotionField& field, int block,
+                        int divisor) {
+  Plane out(ref.width(), ref.height());
+  for (int by = 0; by < field.blocks_y; ++by) {
+    for (int bx = 0; bx < field.blocks_x; ++bx) {
+      const auto& mv =
+          field.blocks[static_cast<std::size_t>(by) * field.blocks_x + bx].mv;
+      const int ox = bx * block;
+      const int oy = by * block;
+      const int h = std::min(block, out.height() - oy);
+      const int w = std::min(block, out.width() - ox);
+      if (w <= 0) continue;
+      const int sx = ox + mv.dx / divisor;
+      const int sy = oy + mv.dy / divisor;
+      for (int y = 0; y < h; ++y) {
+        copy_clamped_row(ref, sx, sy + y, w, out.row(oy + y) + ox);
+      }
     }
   }
-  return sad;
+  return out;
+}
+
+}  // namespace
+
+std::uint64_t sad16(const Plane& cur, const Plane& ref, int bx, int by, int dx,
+                    int dy) noexcept {
+  // Windows that leave their plane (border candidates, partial edge
+  // macroblocks) are gathered edge-clamped into a stack block, so every
+  // SAD runs on the dispatched kernel. Integer sums are exact in any
+  // order, so this equals the per-pixel clamped sum.
+  alignas(64) std::uint8_t cur_win[kMacroblockSize * kMacroblockSize];
+  alignas(64) std::uint8_t ref_win[kMacroblockSize * kMacroblockSize];
+  std::ptrdiff_t cur_stride = 0, ref_stride = 0;
+  const std::uint8_t* a = window16(cur, bx, by, cur_win, cur_stride);
+  const std::uint8_t* b = window16(ref, bx + dx, by + dy, ref_win, ref_stride);
+  return dsp::kernels().sad16(a, cur_stride, b, ref_stride);
 }
 
 namespace {
@@ -230,48 +281,11 @@ MotionField estimate_frame(const Plane& cur, const Plane& ref, int range,
 }
 
 Plane compensate(const Plane& ref, const MotionField& field) {
-  Plane out(ref.width(), ref.height());
-  for (int by = 0; by < field.blocks_y; ++by) {
-    for (int bx = 0; bx < field.blocks_x; ++bx) {
-      const auto& mv =
-          field.blocks[static_cast<std::size_t>(by) * field.blocks_x + bx].mv;
-      const int ox = bx * kMacroblockSize;
-      const int oy = by * kMacroblockSize;
-      const int h = std::min(kMacroblockSize, out.height() - oy);
-      const int w = std::min(kMacroblockSize, out.width() - ox);
-      for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-          out.set(ox + x, oy + y,
-                  ref.at_clamped(ox + x + mv.dx, oy + y + mv.dy));
-        }
-      }
-    }
-  }
-  return out;
+  return compensate_blocks(ref, field, kMacroblockSize, 1);
 }
 
 Plane compensate_chroma(const Plane& ref, const MotionField& field) {
-  Plane out(ref.width(), ref.height());
-  const int half = kMacroblockSize / 2;
-  for (int by = 0; by < field.blocks_y; ++by) {
-    for (int bx = 0; bx < field.blocks_x; ++bx) {
-      const auto& mv =
-          field.blocks[static_cast<std::size_t>(by) * field.blocks_x + bx].mv;
-      const int ox = bx * half;
-      const int oy = by * half;
-      // Integer-divide luma vectors by 2 (round toward zero).
-      const int cdx = mv.dx / 2;
-      const int cdy = mv.dy / 2;
-      const int h = std::min(half, out.height() - oy);
-      const int w = std::min(half, out.width() - ox);
-      for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-          out.set(ox + x, oy + y, ref.at_clamped(ox + x + cdx, oy + y + cdy));
-        }
-      }
-    }
-  }
-  return out;
+  return compensate_blocks(ref, field, kMacroblockSize / 2, 2);
 }
 
 }  // namespace mmsoc::video

@@ -2,6 +2,8 @@
 // PRNG, fixed-point, math utilities, status types.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -185,6 +187,46 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(data), before);
 }
 
+// Bytewise reflected CRC-32 state update, straight from the polynomial.
+std::uint32_t reference_crc_state(std::uint32_t state, const std::uint8_t* p,
+                                  std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(5);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      EXPECT_EQ(crc32({p, len}),
+                reference_crc_state(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalSplitAtEveryOffsetMatchesReference) {
+  Rng rng(6);
+  std::vector<std::uint8_t> data(77);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint32_t want =
+      reference_crc_state(0xFFFFFFFFu, data.data(), data.size()) ^ 0xFFFFFFFFu;
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 inc;
+    inc.update({data.data(), split});
+    inc.update({data.data() + split, data.size() - split});
+    EXPECT_EQ(inc.value(), want) << "split at " << split;
+  }
+}
+
 // ---------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSeed) {
@@ -325,6 +367,29 @@ TEST(MathUtil, ClampU8) {
   EXPECT_EQ(clamp_u8(128), 128);
   EXPECT_EQ(clamp_u8(255), 255);
   EXPECT_EQ(clamp_u8(900), 255);
+}
+
+TEST(MathUtil, RoundHalfAwayMatchesLroundOnTiesAndTheirNeighbours) {
+  std::vector<float> xs = {0.0f, -0.0f};
+  for (int k = -32768; k < 32768; ++k) {
+    const float tie = static_cast<float>(k) + 0.5f;
+    xs.insert(xs.end(), {tie, std::nextafter(tie, -INFINITY),
+                         std::nextafter(tie, INFINITY)});
+  }
+  for (const float x : xs) {
+    ASSERT_EQ(round_half_away(x), std::lround(x)) << "x = " << x;
+  }
+}
+
+TEST(MathUtil, RoundHalfAwayMatchesLroundOnStridedSweep) {
+  // Every 997th float bit pattern below 2^15 in magnitude, both signs:
+  // subnormals, tiny values, and the full range the codecs round.
+  const std::uint32_t limit = std::bit_cast<std::uint32_t>(32768.0f);
+  for (std::uint32_t bits = 0; bits < limit; bits += 997) {
+    const float x = std::bit_cast<float>(bits);
+    ASSERT_EQ(round_half_away(x), std::lround(x)) << "x = " << x;
+    ASSERT_EQ(round_half_away(-x), std::lround(-x)) << "x = " << -x;
+  }
 }
 
 TEST(MathUtil, ClampS16) {

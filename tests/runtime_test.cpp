@@ -864,15 +864,14 @@ TEST(Engine, SlowBatchOverlapsDownstreamStage) {
   EngineOptions opts;
   opts.workers = 2;
   opts.channel_capacity = 8;
-  const auto t0 = std::chrono::steady_clock::now();
   auto report = run_pipeline(g, {0, 1}, kIters, opts);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-  // Overlapped: ~(kIters + 1) blocks. Serialized bursts: ~2 * kIters.
-  // Generous margin for scheduler noise, still well below serialized.
-  EXPECT_LT(wall, 2.0 * static_cast<double>(kIters) * kBlockUs * 1e-6 * 0.85)
+  // Overlapped: wall ~ one stage's busy time plus one block. Serialized
+  // bursts: wall ~ the sum of both stages' busy time. Measuring against
+  // the run's own busy time cancels the host's sleep_for overshoot.
+  const double busy = report.value().total_busy_s();
+  EXPECT_GT(busy, 2.0 * static_cast<double>(kIters) * kBlockUs * 1e-6 * 0.99);
+  EXPECT_LT(report.value().wall_s, busy * 0.85)
       << "downstream stage slept through the producer's batch";
 }
 
@@ -995,8 +994,18 @@ TEST(VideoPipeline, CifStreamMatchesRecordedGolden) {
   EXPECT_EQ(pipe.sink->bitstream_crc, 0x6C26C690u);
   EXPECT_EQ(pipe.sink->recon_crc, 0x35DDE574u);
   EXPECT_EQ(pipe.sink->bitstream_bytes, 13478u);
-  EXPECT_LE(report.value().max_channel_occupancy, 2u)
-      << "CIF frame edges are double-buffered";
+  // Frame-sized edges (a CIF plane or residual, over half the 256 KiB
+  // channel byte budget) are double-buffered; the small motion-vector and
+  // bitstream edges may fill their whole channel.
+  const auto& edges = pipe.graph.edges();
+  const auto& peaks = report.value().edge_peak_occupancy;
+  ASSERT_EQ(peaks.size(), edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const std::size_t bound =
+        edges[e].bytes > 128.0 * 1024.0 ? 2 : report.value().channel_capacity;
+    EXPECT_LE(peaks[e], bound) << "edge " << e << " (" << edges[e].bytes
+                               << " bytes)";
+  }
 }
 
 TEST(VideoPipeline, RejectsFramesThatAreNotWholeMacroblocks) {

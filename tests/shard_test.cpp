@@ -399,8 +399,12 @@ TEST(ShardedEngine, StatsSnapshotBalancesWhileSessionsChurn) {
   ASSERT_TRUE(sharded.start().is_ok());
 
   constexpr int kSubmits = 48;
+  std::atomic<bool> observing{false};
   std::atomic<bool> done{false};
   std::thread submitter([&] {
+    // Start churning only once the observer is in its loop, so a
+    // descheduled observer cannot miss the whole run.
+    while (!observing.load(std::memory_order_acquire)) std::this_thread::yield();
     // Keep the books moving: short sessions, back-to-back, with rejects
     // mixed in when the shards saturate.
     std::vector<SyntheticPipeline> pipes;
@@ -424,6 +428,7 @@ TEST(ShardedEngine, StatsSnapshotBalancesWhileSessionsChurn) {
                   opts.max_sessions_per_shard);
     ASSERT_EQ(s.submitted, s.accepted + s.rejected);
     ++observations;
+    observing.store(true, std::memory_order_release);
   }
   submitter.join();
   EXPECT_GT(observations, 0u);

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -458,6 +459,14 @@ TEST(Motion, DiamondRefinementKeepsFixedCenter) {
   EXPECT_EQ(r.sad, f(1, 0));
 }
 
+Plane random_plane(int w, int h, Rng& rng) {
+  Plane p(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      p.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
+  return p;
+}
+
 TEST(Motion, PartialEdgeMacroblocksAreEstimatedAndCompensated) {
   // Regression: non-multiple-of-16 frames used to lose their right/bottom
   // strips — block counts truncated, and compensate() left the uncovered
@@ -465,10 +474,7 @@ TEST(Motion, PartialEdgeMacroblocksAreEstimatedAndCompensated) {
   // border blocks edge-clamp.
   const int w = 72, h = 40;  // 4.5 x 2.5 macroblocks
   Rng rng(31);
-  Plane ref(w, h);
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x)
-      ref.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
+  const Plane ref = random_plane(w, h, rng);
   const Plane cur = ref;
   const auto field = estimate_frame(cur, ref, 4, SearchAlgorithm::kFullSearch);
   EXPECT_EQ(field.blocks_x, 5);
@@ -481,11 +487,79 @@ TEST(Motion, PartialEdgeMacroblocksAreEstimatedAndCompensated) {
   // reference exactly, including the partial edge strips.
   EXPECT_EQ(compensate(ref, field), ref);
   // Chroma plane of a 72x40 4:2:0 frame: 36x20, also not block-aligned.
-  Plane cref(w / 2, h / 2);
-  for (int y = 0; y < h / 2; ++y)
-    for (int x = 0; x < w / 2; ++x)
-      cref.set(x, y, static_cast<std::uint8_t>(rng.next_below(256)));
+  const Plane cref = random_plane(w / 2, h / 2, rng);
   EXPECT_EQ(compensate_chroma(cref, field), cref);
+}
+
+TEST(Motion, BorderSadEqualsPerPixelClampedSum) {
+  // Windows that leave a plane are gathered edge-clamped and handed to the
+  // SIMD kernel; they must equal the per-pixel clamped definition at every
+  // macroblock, partial ones included, for vectors far past each edge.
+  Rng rng(41);
+  for (const auto& [w, h] : {std::pair{48, 32}, std::pair{33, 17}}) {
+    const Plane cur = random_plane(w, h, rng);
+    const Plane ref = random_plane(w, h, rng);
+    for (int by = 0; by < h; by += kMacroblockSize) {
+      for (int bx = 0; bx < w; bx += kMacroblockSize) {
+        for (int dy = -20; dy <= 20; ++dy) {
+          for (int dx = -20; dx <= 20; ++dx) {
+            std::uint64_t want = 0;
+            for (int y = 0; y < kMacroblockSize; ++y)
+              for (int x = 0; x < kMacroblockSize; ++x)
+                want += static_cast<std::uint64_t>(
+                    std::abs(cur.at_clamped(bx + x, by + y) -
+                             ref.at_clamped(bx + x + dx, by + y + dy)));
+            ASSERT_EQ(sad16(cur, ref, bx, by, dx, dy), want)
+                << w << "x" << h << " block (" << bx << "," << by
+                << ") vector (" << dx << "," << dy << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Motion, CompensationEqualsPerPixelClampedFetch) {
+  // Row-copy compensation must equal the per-pixel clamped fetch for
+  // vectors that point past every edge (chroma: halved toward zero).
+  Rng rng(43);
+  for (const auto& [w, h] : {std::pair{48, 32}, std::pair{33, 17}}) {
+    MotionField field;
+    field.blocks_x = (w + kMacroblockSize - 1) / kMacroblockSize;
+    field.blocks_y = (h + kMacroblockSize - 1) / kMacroblockSize;
+    for (int trial = 0; trial < 20; ++trial) {
+      field.blocks.clear();
+      for (int i = 0; i < field.blocks_x * field.blocks_y; ++i) {
+        MotionResult r;
+        r.mv = MotionVector{static_cast<int>(rng.next_in(-40, 40)),
+                            static_cast<int>(rng.next_in(-40, 40))};
+        field.blocks.push_back(r);
+      }
+      for (const bool chroma : {false, true}) {
+        const int block = chroma ? kMacroblockSize / 2 : kMacroblockSize;
+        const int div = chroma ? 2 : 1;
+        const Plane ref =
+            chroma ? random_plane(w / 2, h / 2, rng) : random_plane(w, h, rng);
+        const Plane got =
+            chroma ? compensate_chroma(ref, field) : compensate(ref, field);
+        ASSERT_EQ(got.width(), ref.width());
+        ASSERT_EQ(got.height(), ref.height());
+        for (int y = 0; y < ref.height(); ++y) {
+          for (int x = 0; x < ref.width(); ++x) {
+            const auto& mv =
+                field.blocks[static_cast<std::size_t>(y / block) *
+                                 field.blocks_x +
+                             x / block]
+                    .mv;
+            ASSERT_EQ(got.at(x, y),
+                      ref.at_clamped(x + mv.dx / div, y + mv.dy / div))
+                << (chroma ? "chroma " : "luma ") << w << "x" << h
+                << " pixel (" << x << "," << y << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- vlc
