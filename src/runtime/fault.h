@@ -22,19 +22,22 @@
 //    last failing unit, first/last status) endpoints and adapters
 //    accumulate and the engine rolls into SessionReport.
 //
-// Fallible-endpoint status convention (TryReadFn / TryWriteFn):
+// Endpoint status convention (TryReadFn / TryWriteFn) — the only one:
+// every boundary endpoint speaks it, and one escalation in the I/O
+// adapters (io.h, BoundaryAdapter) implements it:
 //  - ok            the unit's payload / write completed
-//  - kOutOfRange   clean end of stream — the adapter delivers an empty
-//                  payload and counts an underrun (legacy truncation
-//                  semantics), the session still completes
+//  - kOutOfRange   clean end of stream — the source delivers an empty
+//                  payload and counts an underrun, the session still
+//                  completes
 //  - kUnavailable  transient device error — retried under RetryPolicy;
 //                  exhaustion escalates to a session failure
 //  - kResourceExhausted
 //                  stuck device — the adapter parks the unit (no retry,
 //                  no failure); the session stalls and recovery is the
 //                  stall watchdog's job (quarantine)
-//  - anything else permanent error — the adapter fails the session
-//                  immediately (Engine::fail_session -> kUnavailable)
+//  - anything else permanent error (e.g. a volume error, kInternal) —
+//                  the adapter fails the session immediately
+//                  (Engine::fail_session -> kUnavailable)
 #pragma once
 
 #include <cstdint>

@@ -22,28 +22,6 @@ void sleep_us(double us) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(us));
 }
 
-/// Adapt a legacy infallible reader to the TryReadFn convention:
-/// nullopt = clean end of stream (kOutOfRange).
-TryReadFn adapt_read_fn(AsyncSource::ReadFn read) {
-  return [read = std::move(read)](
-             std::uint64_t unit) -> Result<mpsoc::Payload> {
-    auto produced = read(unit);
-    if (!produced.has_value()) {
-      return Result<mpsoc::Payload>(
-          Status(StatusCode::kOutOfRange, "end of stream"));
-    }
-    return Result<mpsoc::Payload>(std::move(*produced));
-  };
-}
-
-TryWriteFn adapt_write_fn(AsyncSink::WriteFn write) {
-  return [write = std::move(write)](std::uint64_t unit,
-                                    const mpsoc::Payload& payload) -> Status {
-    write(unit, payload);
-    return Status::ok();
-  };
-}
-
 /// Min-heap ordering for the IoContext delayed-job heap: earliest due
 /// (ties broken FIFO by seq) at the top of a std::push_heap max-heap.
 struct DelayedLater {
@@ -200,31 +178,50 @@ void IoContext::note_failure() {
 }
 
 // ---------------------------------------------------------------------------
-// AsyncSource
+// BoundaryAdapter
 // ---------------------------------------------------------------------------
 
-namespace {
-RetryPolicy no_retry() {
-  RetryPolicy p;
-  p.max_attempts = 1;  // legacy adapters: first failure is final
-  return p;
-}
-}  // namespace
-
-AsyncSource::AsyncSource(IoContext& io, ReadFn read, std::size_t depth,
-                         std::shared_ptr<PayloadPool> pool)
-    : AsyncSource(io, adapt_read_fn(std::move(read)), no_retry(), depth,
-                  std::move(pool)) {}
-
-AsyncSource::AsyncSource(IoContext& io, TryReadFn read, RetryPolicy retry,
-                         std::size_t depth, std::shared_ptr<PayloadPool> pool)
+BoundaryAdapter::BoundaryAdapter(IoContext& io, RetryPolicy retry,
+                                 std::size_t depth,
+                                 std::shared_ptr<PayloadPool> pool)
     : io_(&io),
-      read_(std::move(read)),
       retry_(retry),
       depth_(std::max<std::size_t>(1, depth)),
-      pool_(std::move(pool)) {}
+      // A solo adapter's own pool only needs to cover its buffer.
+      pool_(pool ? std::move(pool)
+                 : std::make_shared<PayloadPool>(depth_ + 2)) {}
 
-AsyncSource::~AsyncSource() {
+void BoundaryAdapter::set_failure_handler(BoundaryFailureFn on_fail) {
+  std::lock_guard lock(mu_);
+  on_fail_ = std::move(on_fail);
+}
+
+void BoundaryAdapter::set_error_observer(BoundaryErrorFn on_error) {
+  std::lock_guard lock(mu_);
+  on_error_ = std::move(on_error);
+}
+
+common::Status BoundaryAdapter::failure() const {
+  std::lock_guard lock(mu_);
+  return failed_status_;
+}
+
+std::uint64_t BoundaryAdapter::failed_unit() const {
+  std::lock_guard lock(mu_);
+  return failed_unit_;
+}
+
+bool BoundaryAdapter::stuck() const {
+  std::lock_guard lock(mu_);
+  return stuck_;
+}
+
+BoundaryStats BoundaryAdapter::stats() const {
+  std::lock_guard lock(mu_);
+  return stats_;
+}
+
+void BoundaryAdapter::quiesce() {
   // A pending backoff timer counts as in-flight: the timer-fed job will
   // run (IoContext::stop flushes delayed jobs before closing the queue),
   // so this wait terminates even mid-backoff.
@@ -232,57 +229,158 @@ AsyncSource::~AsyncSource() {
   idle_.wait(lock, [this] { return !inflight_; });
 }
 
-void AsyncSource::set_failure_handler(BoundaryFailureFn on_fail) {
-  std::lock_guard lock(mu_);
-  on_fail_ = std::move(on_fail);
+void BoundaryAdapter::attach(std::function<void()> waker) {
+  std::function<void()> kick;
+  FailureNotice notice;
+  {
+    std::lock_guard lock(mu_);
+    waker_ = std::move(waker);
+    kick = waker_;
+    pump_locked();
+    // A failure that predates the handler wiring (context stopped before
+    // attach) is delivered here instead of being silently absorbed.
+    notice = claim_failure_locked();
+  }
+  notice.deliver();
+  // Cover the wiring race: a unit that completed before the waker was
+  // stored never called it, so nudge the (possibly parked) owner once.
+  if (kick) kick();
 }
 
-void AsyncSource::set_error_observer(BoundaryErrorFn on_error) {
-  std::lock_guard lock(mu_);
-  on_error_ = std::move(on_error);
+void BoundaryAdapter::post_drain_locked(std::uint64_t unit, const char* op) {
+  inflight_ = true;
+  if (io_->post([this] { drain(); })) return;
+  // Context stopped under a live session: the gate stays permanently
+  // open so the engine can still drain instead of parking forever — but
+  // the stop is a *failure*, recorded here and pushed to the failure
+  // handler by the body or attach() (handlers can't run under the lock).
+  if (failed_status_.is_ok()) {
+    failed_status_ = Status(StatusCode::kUnavailable,
+                            std::string("I/O context stopped before ") + op +
+                                " unit " + std::to_string(unit));
+    failed_unit_ = unit;
+    fail_notify_pending_ = true;
+    io_->note_failure();  // counter add only — safe under mu_
+  }
+  drop_held_locked();
+  io_failed_.store(true, std::memory_order_release);
+  retire_locked();
 }
 
-common::Status AsyncSource::failure() const {
-  std::lock_guard lock(mu_);
-  return failed_status_;
+void BoundaryAdapter::retire_locked() {
+  inflight_ = false;
+  idle_.notify_all();
 }
 
-std::uint64_t AsyncSource::failed_unit() const {
-  std::lock_guard lock(mu_);
-  return failed_unit_;
+bool BoundaryAdapter::take_retry_locked(std::uint64_t& unit,
+                                        std::uint32_t& attempt) {
+  if (!retry_armed_) return false;
+  retry_armed_ = false;
+  unit = retry_unit_;
+  attempt = retry_attempt_;
+  return true;
 }
 
-bool AsyncSource::stuck() const {
-  std::lock_guard lock(mu_);
-  return stuck_;
+BoundaryAdapter::FailureNotice BoundaryAdapter::claim_failure_locked() {
+  if (!fail_notify_pending_ || !on_fail_) return {};
+  fail_notify_pending_ = false;
+  return FailureNotice{on_fail_, failed_unit_, failed_status_};
 }
 
-void AsyncSource::fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-                       Status status) {
+void BoundaryAdapter::escalate(std::uint64_t unit, std::uint32_t attempt,
+                               const Status& status, double busy_s) {
+  // The fault.h tiers: stuck -> park (the stall watchdog's problem),
+  // transient -> backoff retry, exhaustion/permanent -> boundary failure.
+  const bool park = status.code() == StatusCode::kResourceExhausted;
+  const bool retry = status.code() == StatusCode::kUnavailable &&
+                     attempt + 1 < retry_.max_attempts;
+  BoundaryErrorFn observer;
+  {
+    std::lock_guard lock(mu_);
+    stats_.io_busy_s += busy_s;
+    ++stats_.errors;
+    if (park) stuck_ = true;
+    if (retry) {
+      // inflight_ stays true: the pending timer IS the in-flight job, so
+      // teardown quiesces on it like on any other drain.
+      ++stats_.retries;
+      retry_armed_ = true;
+      retry_unit_ = unit;
+      retry_attempt_ = attempt + 1;
+    }
+    observer = on_error_;
+  }
+  if (observer) observer(unit, status, /*will_retry=*/retry);
+  if (park) {
+    // Park only after the observer ran: teardown quiesces on inflight_
+    // and must not overtake a callback on this thread. The gate stays
+    // closed (a sink keeps its held unit and occupancy slot).
+    std::lock_guard lock(mu_);
+    retire_locked();
+    return;
+  }
+  if (retry) {
+    const auto backoff_ns = static_cast<std::uint64_t>(
+        retry_.backoff_us(unit, attempt + 1) * 1000.0);
+    io_->note_retry(backoff_ns);
+    if (!io_->post_after(std::chrono::nanoseconds(backoff_ns),
+                         [this] { drain(); })) {
+      fail(std::unique_lock(mu_), unit,
+           Status(StatusCode::kUnavailable,
+                  "I/O context stopped during retry of unit " +
+                      std::to_string(unit)));
+    }
+    return;
+  }
+  Status terminal = status;
+  if (status.code() == StatusCode::kUnavailable) {
+    terminal = Status(StatusCode::kUnavailable,
+                      "retry budget exhausted at unit " +
+                          std::to_string(unit) + " after " +
+                          std::to_string(retry_.max_attempts) +
+                          " attempts: " + status.message());
+  }
+  fail(std::unique_lock(mu_), unit, std::move(terminal));
+}
+
+void BoundaryAdapter::fail(std::unique_lock<std::mutex> lock,
+                           std::uint64_t unit, Status status) {
   const bool first = failed_status_.is_ok();
   if (first) {
     failed_status_ = status;
     failed_unit_ = unit;
   }
   retry_armed_ = false;
-  // Gate opens permanently (fail closed but drainable): the body
-  // delivers empty payloads counted as underruns, the failure handler
-  // carries the real story.
-  io_failed_.store(true, std::memory_order_release);
   BoundaryFailureFn on_fail = first ? on_fail_ : BoundaryFailureFn{};
   if (first && !on_fail) fail_notify_pending_ = true;
-  std::function<void()> waker = waker_;
   lock.unlock();
   if (first) io_->note_failure();
   if (on_fail) on_fail(unit, status);
-  if (waker) waker();
-  // Only now does the adapter go idle: ~AsyncSource must not return (and
-  // let the engine the handler captures be destroyed) while the handler
-  // is still running on this thread.
+  // Only now does the gate open: the body delivers empty payloads (source)
+  // or drops units (sink), all counted, so the engine drains.
   lock.lock();
-  inflight_ = false;
-  idle_.notify_all();
+  drop_held_locked();
+  io_failed_.store(true, std::memory_order_release);
+  std::function<void()> waker = waker_;
+  lock.unlock();
+  if (waker) waker();
+  // Only now does the adapter go idle: the destructor (and flush()) must
+  // not return — letting the engine the handler and waker capture be
+  // destroyed — while either is still running on this thread.
+  lock.lock();
+  retire_locked();
 }
+
+// ---------------------------------------------------------------------------
+// AsyncSource
+// ---------------------------------------------------------------------------
+
+AsyncSource::AsyncSource(IoContext& io, TryReadFn read, RetryPolicy retry,
+                         std::size_t depth, std::shared_ptr<PayloadPool> pool)
+    : BoundaryAdapter(io, retry, depth, std::move(pool)),
+      read_(std::move(read)) {}
+
+AsyncSource::~AsyncSource() { quiesce(); }
 
 void AsyncSource::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
   graph.set_body(task, [this](mpsoc::TaskFiring& f) { body(f); });
@@ -295,196 +393,80 @@ void AsyncSource::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
 
 void AsyncSource::attach(std::uint64_t total_units,
                          std::function<void()> waker) {
-  std::function<void()> kick;
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
   {
     std::lock_guard lock(mu_);
     total_ = total_units;
-    waker_ = std::move(waker);
-    kick = waker_;
-    pump_locked();
-    // A failure that predates the handler wiring (context stopped before
-    // attach) is delivered here instead of being silently absorbed.
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
   }
-  if (notify_fail) on_fail(funit, fstatus);
-  // Cover the wiring race: a unit that completed before the waker was
-  // stored never called it, so nudge the (possibly parked) owner once.
-  if (kick) kick();
+  BoundaryAdapter::attach(std::move(waker));
 }
 
 void AsyncSource::pump_locked() {
-  if (inflight_ || stuck_ || next_read_ >= total_ ||
-      buffered_.size() >= depth_) {
+  if (inflight_ || stuck_ || io_failed_.load(std::memory_order_relaxed) ||
+      next_read_ >= total_ || buffered_.size() >= depth_) {
     return;
   }
-  if (io_failed_.load(std::memory_order_relaxed)) return;
-  inflight_ = true;
-  if (!io_->post([this] { drain(); })) {
-    // Context stopped under a live session: the gate stays permanently
-    // open and the body delivers empty payloads (counted as underruns)
-    // so the engine can still drain instead of parking forever — but the
-    // stop is a *failure*, recorded here and pushed to the failure
-    // handler by body()/attach() (handlers can't run under the lock).
-    inflight_ = false;
-    if (failed_status_.is_ok()) {
-      failed_status_ =
-          Status(StatusCode::kUnavailable,
-                 "I/O context stopped before reading unit " +
-                     std::to_string(next_read_));
-      failed_unit_ = next_read_;
-      fail_notify_pending_ = true;
-      io_->note_failure();  // counter add only — safe under mu_
-    }
-    io_failed_.store(true, std::memory_order_release);
-    idle_.notify_all();
-  }
+  post_drain_locked(next_read_, "reading");
 }
 
 void AsyncSource::drain() {
   for (;;) {
-    std::uint64_t unit;
-    std::uint32_t attempt;
+    std::uint64_t unit = 0;
+    std::uint32_t attempt = 0;
     {
       std::lock_guard lock(mu_);
-      if (retry_armed_ && !io_failed_.load(std::memory_order_relaxed)) {
-        // A backoff timer delivered us here: resume the retried unit.
-        retry_armed_ = false;
-        unit = retry_unit_;
-        attempt = retry_attempt_;
-      } else if (!stuck_ && !io_failed_.load(std::memory_order_relaxed) &&
-                 next_read_ < total_ && buffered_.size() < depth_) {
-        retry_armed_ = false;
-        unit = next_read_++;
-        attempt = 0;
-      } else {
-        retry_armed_ = false;
-        inflight_ = false;
-        idle_.notify_all();  // ~AsyncSource may be waiting to tear down
+      if (io_failed_.load(std::memory_order_relaxed)) {
+        retire_locked();
         return;
+      }
+      if (!take_retry_locked(unit, attempt)) {
+        if (stuck_ || next_read_ >= total_ || buffered_.size() >= depth_) {
+          retire_locked();  // ~AsyncSource may be waiting to tear down
+          return;
+        }
+        unit = next_read_++;
       }
     }
     const auto t0 = Clock::now();
     Result<mpsoc::Payload> produced = read_(unit);
     const auto t1 = Clock::now();
-    const Status st = produced.is_ok() ? Status::ok() : produced.status();
-    if (st.is_ok() || st.code() == StatusCode::kOutOfRange) {
-      std::function<void()> waker;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        mpsoc::Payload payload;
-        if (st.is_ok()) {
-          payload = std::move(produced.value());
-          if (attempt > 0) ++stats_.recovered;
-        } else {
-          ++stats_.underruns;  // truncated stream: deliver empty, keep going
-        }
-        ++stats_.units;
-        stats_.bytes += payload.size();
-        buffered_.push_back(std::move(payload));
-        // Frame-journey origin: the unit's clock starts when the device
-        // read completed (t1, already measured for io_busy_s).
-        origins_.push_back(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t1.time_since_epoch())
-                .count()));
-        stats_.max_buffered = std::max(stats_.max_buffered, buffered_.size());
-        // Publish the buffer state *before* the waker runs (release pairs
-        // with the gate's acquire), so a woken worker always sees the unit.
-        gate_count_.store(buffered_.size(), std::memory_order_release);
-        waker = waker_;
-      }
-      if (waker) waker();
-      continue;
-    }
-    // Device error. Three escalation tiers (fault.h convention):
-    // stuck -> park (watchdog's problem), transient -> backoff retry,
-    // exhaustion/permanent -> session failure.
-    if (st.code() == StatusCode::kResourceExhausted) {
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        stuck_ = true;
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/false);
-      {
-        // Park only after the observer ran: teardown quiesces on
-        // inflight_ and must not overtake a callback on this thread.
-        std::lock_guard lock(mu_);
-        inflight_ = false;
-        idle_.notify_all();
-      }
-      return;  // gate stays closed: the stall watchdog quarantines
-    }
-    if (st.code() == StatusCode::kUnavailable &&
-        attempt + 1 < retry_.max_attempts) {
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        ++stats_.retries;
-        retry_armed_ = true;
-        retry_unit_ = unit;
-        retry_attempt_ = attempt + 1;
-        // inflight_ stays true: the pending timer IS the in-flight job,
-        // so teardown quiesces on it like on any other drain.
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/true);
-      const auto backoff_ns = static_cast<std::uint64_t>(
-          retry_.backoff_us(unit, attempt + 1) * 1000.0);
-      io_->note_retry(backoff_ns);
-      if (!io_->post_after(std::chrono::nanoseconds(backoff_ns),
-                           [this] { drain(); })) {
-        fail(std::unique_lock(mu_), unit,
-             Status(StatusCode::kUnavailable,
-                    "I/O context stopped during retry of unit " +
-                        std::to_string(unit)));
-      }
+    if (!produced.is_ok() &&
+        produced.status().code() != StatusCode::kOutOfRange) {
+      escalate(unit, attempt, produced.status(), seconds_between(t0, t1));
       return;
     }
-    // Retry budget exhausted or permanent device error.
-    BoundaryErrorFn observer;
+    std::function<void()> waker;
     {
       std::lock_guard lock(mu_);
       stats_.io_busy_s += seconds_between(t0, t1);
-      ++stats_.errors;
-      observer = on_error_;
+      mpsoc::Payload payload;
+      if (produced.is_ok()) {
+        payload = std::move(produced.value());
+        if (attempt > 0) ++stats_.recovered;
+      } else {
+        ++stats_.underruns;  // end of stream: deliver empty, keep going
+      }
+      ++stats_.units;
+      stats_.bytes += payload.size();
+      buffered_.push_back(std::move(payload));
+      // Frame-journey origin: the unit's clock starts when the device
+      // read completed (t1, already measured for io_busy_s).
+      origins_.push_back(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              t1.time_since_epoch())
+              .count()));
+      stats_.max_buffered = std::max(stats_.max_buffered, buffered_.size());
+      // Publish the buffer state *before* the waker runs (release pairs
+      // with the gate's acquire), so a woken worker always sees the unit.
+      gate_count_.store(buffered_.size(), std::memory_order_release);
+      waker = waker_;
     }
-    if (observer) observer(unit, st, /*will_retry=*/false);
-    Status terminal = st;
-    if (st.code() == StatusCode::kUnavailable) {
-      terminal = Status(StatusCode::kUnavailable,
-                        "retry budget exhausted at unit " +
-                            std::to_string(unit) + " after " +
-                            std::to_string(retry_.max_attempts) +
-                            " attempts: " + st.message());
-    }
-    fail(std::unique_lock(mu_), unit, std::move(terminal));
-    return;
+    if (waker) waker();
   }
 }
 
 void AsyncSource::body(mpsoc::TaskFiring& f) {
   mpsoc::Payload payload;
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
+  FailureNotice notice;
   {
     std::lock_guard lock(mu_);
     if (!buffered_.empty()) {
@@ -501,28 +483,16 @@ void AsyncSource::body(mpsoc::TaskFiring& f) {
       // payload keeps the graph draining; the handler tells the truth.
       ++stats_.underruns;
     }
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
+    notice = claim_failure_locked();
   }
-  if (notify_fail) on_fail(funit, fstatus);
-  const std::size_t n = f.outputs.size();
-  if (pool_) {
-    // Copy into the engine's recycled channel buffers and bank the unit
-    // buffer for the paired sink — the adapter itself then allocates
-    // nothing in steady state.
-    for (std::size_t k = 0; k < n; ++k) {
-      f.store(k, payload.data(), payload.size());
-    }
-    pool_->release(std::move(payload));
-  } else {
-    for (std::size_t k = 0; k + 1 < n; ++k) f.outputs[k] = payload;
-    if (n > 0) f.outputs[n - 1] = std::move(payload);
+  notice.deliver();
+  // Copy into the engine's recycled channel buffers and bank the unit
+  // buffer for the paired sink — the adapter itself then allocates
+  // nothing in steady state.
+  for (std::size_t k = 0; k < f.outputs.size(); ++k) {
+    f.store(k, payload.data(), payload.size());
   }
+  pool_->release(std::move(payload));
 }
 
 std::uint64_t AsyncSource::origin_ns(std::uint64_t unit) const {
@@ -537,88 +507,16 @@ std::uint64_t AsyncSource::origin_ns(std::uint64_t unit) const {
   return origins_[static_cast<std::size_t>(slot)];
 }
 
-BoundaryStats AsyncSource::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
 // ---------------------------------------------------------------------------
 // AsyncSink
 // ---------------------------------------------------------------------------
 
-AsyncSink::AsyncSink(IoContext& io, WriteFn write, std::size_t depth,
-                     std::shared_ptr<PayloadPool> pool)
-    : AsyncSink(io, adapt_write_fn(std::move(write)), no_retry(), depth,
-                std::move(pool)) {}
-
 AsyncSink::AsyncSink(IoContext& io, TryWriteFn write, RetryPolicy retry,
                      std::size_t depth, std::shared_ptr<PayloadPool> pool)
-    : io_(&io),
-      write_(std::move(write)),
-      retry_(retry),
-      depth_(std::max<std::size_t>(1, depth)),
-      pool_(std::move(pool)) {}
+    : BoundaryAdapter(io, retry, depth, std::move(pool)),
+      write_(std::move(write)) {}
 
-AsyncSink::~AsyncSink() {
-  std::unique_lock lock(mu_);
-  flushed_.wait(lock, [this] { return !inflight_; });
-}
-
-void AsyncSink::set_failure_handler(BoundaryFailureFn on_fail) {
-  std::lock_guard lock(mu_);
-  on_fail_ = std::move(on_fail);
-}
-
-void AsyncSink::set_error_observer(BoundaryErrorFn on_error) {
-  std::lock_guard lock(mu_);
-  on_error_ = std::move(on_error);
-}
-
-common::Status AsyncSink::failure() const {
-  std::lock_guard lock(mu_);
-  return failed_status_;
-}
-
-std::uint64_t AsyncSink::failed_unit() const {
-  std::lock_guard lock(mu_);
-  return failed_unit_;
-}
-
-bool AsyncSink::stuck() const {
-  std::lock_guard lock(mu_);
-  return stuck_;
-}
-
-void AsyncSink::fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-                     Status status) {
-  const bool first = failed_status_.is_ok();
-  if (first) {
-    failed_status_ = status;
-    failed_unit_ = unit;
-  }
-  // Drop everything we hold (counted) and open the gate so the pipeline
-  // drains; the failure handler carries the real story.
-  stats_.dropped += pending_.size() + (retry_active_ ? 1 : 0);
-  pending_.clear();
-  retry_armed_ = false;
-  retry_active_ = false;
-  retry_slot_.clear();
-  occupied_ = 0;
-  gate_occupied_.store(0, std::memory_order_release);
-  io_failed_.store(true, std::memory_order_release);
-  BoundaryFailureFn on_fail = first ? on_fail_ : BoundaryFailureFn{};
-  if (first && !on_fail) fail_notify_pending_ = true;
-  std::function<void()> waker = waker_;
-  lock.unlock();
-  if (first) io_->note_failure();
-  if (on_fail) on_fail(unit, status);
-  if (waker) waker();
-  // Only now does the adapter go idle: ~AsyncSink (and flush()) must not
-  // return while the failure handler is still running on this thread.
-  lock.lock();
-  inflight_ = false;
-  flushed_.notify_all();
-}
+AsyncSink::~AsyncSink() { quiesce(); }
 
 void AsyncSink::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
   graph.set_body(task, [this](mpsoc::TaskFiring& f) { body(f); });
@@ -628,33 +526,22 @@ void AsyncSink::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
   });
 }
 
-void AsyncSink::attach(std::function<void()> waker) {
-  std::function<void()> kick;
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
-  {
-    std::lock_guard lock(mu_);
-    waker_ = std::move(waker);
-    kick = waker_;
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
-  }
-  if (notify_fail) on_fail(funit, fstatus);
-  if (kick) kick();
+void AsyncSink::pump_locked() {
+  if (inflight_ || stuck_ || pending_.empty()) return;
+  post_drain_locked(next_write_, "writing");
+}
+
+void AsyncSink::drop_held_locked() {
+  stats_.dropped += pending_.size() + (holding_ ? 1 : 0);
+  pending_.clear();
+  holding_ = false;
+  held_.clear();
+  occupied_ = 0;
+  gate_occupied_.store(0, std::memory_order_release);
 }
 
 void AsyncSink::body(mpsoc::TaskFiring& f) {
-  bool notify_fail = false;
-  std::uint64_t funit = 0;
-  Status fstatus;
-  BoundaryFailureFn on_fail;
+  FailureNotice notice;
   {
     std::lock_guard lock(mu_);
     if (io_failed_.load(std::memory_order_relaxed)) {
@@ -662,189 +549,75 @@ void AsyncSink::body(mpsoc::TaskFiring& f) {
     } else {
       // Engine contract: fired only while occupied_ < depth_ (the gate),
       // and this task's single owner is the only producer. The channel
-      // still owns its slot, so bank a copy — drawn from the pool when
-      // one is attached, so the copy reuses retired unit storage.
-      mpsoc::Payload banked = pool_ ? pool_->acquire() : mpsoc::Payload{};
+      // still owns its slot, so bank a copy drawn from the pool, reusing
+      // retired unit storage.
+      mpsoc::Payload banked = pool_->acquire();
       banked.assign(f.inputs[0]->begin(), f.inputs[0]->end());
       pending_.push_back(std::move(banked));
       ++occupied_;
       gate_occupied_.store(occupied_, std::memory_order_release);
       stats_.max_buffered = std::max(stats_.max_buffered, pending_.size());
-      if (!inflight_ && !stuck_) {
-        inflight_ = true;
-        if (!io_->post([this] { drain(); })) {
-          // Context stopped under a live session: drop what we hold
-          // (counted), keep the gate permanently open, unblock any
-          // flush()er — and record the stop as a failure for the
-          // handler (delivered below, off the lock).
-          inflight_ = false;
-          if (failed_status_.is_ok()) {
-            failed_status_ =
-                Status(StatusCode::kUnavailable,
-                       "I/O context stopped before writing unit " +
-                           std::to_string(next_write_));
-            failed_unit_ = next_write_;
-            fail_notify_pending_ = true;
-            io_->note_failure();  // counter add only — safe under mu_
-          }
-          io_failed_.store(true, std::memory_order_release);
-          stats_.dropped += pending_.size();
-          pending_.clear();
-          occupied_ = 0;
-          gate_occupied_.store(0, std::memory_order_release);
-          flushed_.notify_all();
-        }
-      }
+      pump_locked();
     }
-    if (fail_notify_pending_ && on_fail_) {
-      fail_notify_pending_ = false;
-      notify_fail = true;
-      funit = failed_unit_;
-      fstatus = failed_status_;
-      on_fail = on_fail_;
-    }
+    notice = claim_failure_locked();
   }
-  if (notify_fail) on_fail(funit, fstatus);
+  notice.deliver();
 }
 
 void AsyncSink::drain() {
   for (;;) {
-    mpsoc::Payload payload;
-    std::uint64_t unit;
-    std::uint32_t attempt;
+    std::uint64_t unit = 0;
+    std::uint32_t attempt = 0;
     {
       std::lock_guard lock(mu_);
       if (io_failed_.load(std::memory_order_relaxed)) {
-        inflight_ = false;
-        flushed_.notify_all();
+        retire_locked();
         return;
       }
-      if (retry_armed_) {
-        // A backoff timer delivered us here: resume the retried unit.
-        retry_armed_ = false;
-        payload = std::move(retry_slot_);
-        retry_slot_.clear();
-        unit = retry_unit_;
-        attempt = retry_attempt_;
-      } else if (!stuck_ && !pending_.empty()) {
-        payload = std::move(pending_.front());
+      if (!take_retry_locked(unit, attempt)) {
+        if (stuck_ || pending_.empty()) {
+          retire_locked();
+          return;
+        }
+        held_ = std::move(pending_.front());
         pending_.pop_front();
+        holding_ = true;
         unit = next_write_++;
-        attempt = 0;
-        retry_active_ = true;  // the writer now holds this unit
-        retry_unit_ = unit;
-      } else {
-        inflight_ = false;
-        flushed_.notify_all();
-        return;
       }
     }
-    const std::size_t bytes = payload.size();
     const auto t0 = Clock::now();
-    Status st = write_(unit, payload);  // adapter keeps ownership
+    const Status st = write_(unit, held_);  // adapter keeps ownership
     const auto t1 = Clock::now();
-    if (st.is_ok()) {
-      if (pool_) pool_->release(std::move(payload));
-      std::function<void()> waker;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.units;
-        stats_.bytes += bytes;
-        if (attempt > 0) ++stats_.recovered;
-        retry_active_ = false;
-        // The slot counts as occupied until the write *finished* — that
-        // is the back-pressure a slow device exerts on the pipeline.
-        --occupied_;
-        gate_occupied_.store(occupied_, std::memory_order_release);
-        waker = waker_;
-      }
-      if (waker) waker();
-      continue;
-    }
-    if (st.code() == StatusCode::kResourceExhausted) {
-      // Stuck device: park with the unit banked and its occupancy slot
-      // held — the pipeline back-pressures, the watchdog quarantines.
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        stuck_ = true;
-        retry_slot_ = std::move(payload);
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/false);
-      {
-        // Park only after the observer ran: teardown quiesces on
-        // inflight_ and must not overtake a callback on this thread.
-        std::lock_guard lock(mu_);
-        inflight_ = false;
-        flushed_.notify_all();
-      }
+    if (!st.is_ok()) {
+      escalate(unit, attempt, st, seconds_between(t0, t1));
       return;
     }
-    if (st.code() == StatusCode::kUnavailable &&
-        attempt + 1 < retry_.max_attempts) {
-      BoundaryErrorFn observer;
-      {
-        std::lock_guard lock(mu_);
-        stats_.io_busy_s += seconds_between(t0, t1);
-        ++stats_.errors;
-        ++stats_.retries;
-        retry_armed_ = true;
-        retry_slot_ = std::move(payload);
-        retry_attempt_ = attempt + 1;
-        // inflight_ stays true (the timer IS the in-flight job), and
-        // the unit keeps its occupied_ slot through the backoff.
-        observer = on_error_;
-      }
-      if (observer) observer(unit, st, /*will_retry=*/true);
-      const auto backoff_ns = static_cast<std::uint64_t>(
-          retry_.backoff_us(unit, attempt + 1) * 1000.0);
-      io_->note_retry(backoff_ns);
-      if (!io_->post_after(std::chrono::nanoseconds(backoff_ns),
-                           [this] { drain(); })) {
-        fail(std::unique_lock(mu_), unit,
-             Status(StatusCode::kUnavailable,
-                    "I/O context stopped during retry of unit " +
-                        std::to_string(unit)));
-      }
-      return;
-    }
-    // Retry budget exhausted or permanent device error.
-    BoundaryErrorFn observer;
+    const std::size_t bytes = held_.size();
+    pool_->release(std::move(held_));
+    std::function<void()> waker;
     {
       std::lock_guard lock(mu_);
       stats_.io_busy_s += seconds_between(t0, t1);
-      ++stats_.errors;
-      observer = on_error_;
+      ++stats_.units;
+      stats_.bytes += bytes;
+      if (attempt > 0) ++stats_.recovered;
+      holding_ = false;
+      // The slot counts as occupied until the write *finished* — that
+      // is the back-pressure a slow device exerts on the pipeline.
+      --occupied_;
+      gate_occupied_.store(occupied_, std::memory_order_release);
+      waker = waker_;
     }
-    if (observer) observer(unit, st, /*will_retry=*/false);
-    Status terminal = st;
-    if (st.code() == StatusCode::kUnavailable) {
-      terminal = Status(StatusCode::kUnavailable,
-                        "retry budget exhausted at unit " +
-                            std::to_string(unit) + " after " +
-                            std::to_string(retry_.max_attempts) +
-                            " attempts: " + st.message());
-    }
-    fail(std::unique_lock(mu_), unit, std::move(terminal));
-    return;
+    if (waker) waker();
   }
 }
 
 void AsyncSink::flush() {
   std::unique_lock lock(mu_);
-  flushed_.wait(lock, [this] {
-    return (pending_.empty() && !inflight_) ||
-           io_failed_.load(std::memory_order_relaxed) || stuck_;
+  idle_.wait(lock, [this] {
+    return !inflight_ && (pending_.empty() || stuck_ ||
+                          io_failed_.load(std::memory_order_relaxed));
   });
-}
-
-BoundaryStats AsyncSink::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
 }
 
 // ---------------------------------------------------------------------------
@@ -856,12 +629,12 @@ RtpIngress::RtpIngress(std::vector<TimedPacket> feed, RtpIngressOptions options)
       receiver_(options.playout_delay_units),
       time_scale_(options.time_scale) {}
 
-std::optional<mpsoc::Payload> RtpIngress::read(std::uint64_t /*index*/) {
+Result<mpsoc::Payload> RtpIngress::try_read(std::uint64_t index) {
   std::unique_lock lock(mu_);
   for (;;) {
     if (auto unit = receiver_.pop()) {
       last_unit_ = unit->payload;
-      return mpsoc::Payload(std::move(unit->payload));
+      return std::move(unit->payload);
     }
     if (feed_pos_ >= feed_.size()) break;
     const TimedPacket& pkt = feed_[feed_pos_++];
@@ -879,9 +652,12 @@ std::optional<mpsoc::Payload> RtpIngress::read(std::uint64_t /*index*/) {
   // arrive behind it still play out in order.
   if (auto unit = receiver_.pop_flush()) {
     last_unit_ = unit->payload;
-    return mpsoc::Payload(std::move(unit->payload));
+    return std::move(unit->payload);
   }
-  if (receiver_.received() == 0) return std::nullopt;  // nothing ever arrived
+  if (receiver_.received() == 0) {  // nothing ever arrived
+    return Status(StatusCode::kOutOfRange,
+                  "rtp feed ended at unit " + std::to_string(index));
+  }
   // Pure tail loss (buffer empty, stream short): repeat the last
   // delivered unit so the session still gets its full unit count.
   ++tail_concealed_;
@@ -905,7 +681,7 @@ double RtpIngress::jitter_us() const {
 
 RtpEgress::RtpEgress(RtpEgressOptions options) : options_(options) {}
 
-void RtpEgress::write(std::uint64_t index, const mpsoc::Payload& unit) {
+Status RtpEgress::try_write(std::uint64_t index, const mpsoc::Payload& unit) {
   {
     std::lock_guard lock(mu_);
     auto packet = sender_.packetize(
@@ -914,6 +690,7 @@ void RtpEgress::write(std::uint64_t index, const mpsoc::Payload& unit) {
     packets_.push_back(std::move(packet));
   }
   sleep_us(options_.pacing_us * options_.time_scale);
+  return Status::ok();
 }
 
 std::vector<std::vector<std::uint8_t>> RtpEgress::take_packets() {
@@ -953,12 +730,6 @@ BlockFileSource::BlockFileSource(fs::FatVolume& volume,
       volume_mu_(std::move(volume_mu)),
       index_(std::move(index)),
       options_(options) {}
-
-std::optional<mpsoc::Payload> BlockFileSource::read(std::uint64_t index) {
-  auto produced = try_read(index);
-  if (!produced.is_ok()) return std::nullopt;
-  return std::move(produced.value());
-}
 
 Result<mpsoc::Payload> BlockFileSource::try_read(std::uint64_t index) {
   if (index >= index_.offsets.size()) {
@@ -1017,10 +788,6 @@ BlockFileSink::BlockFileSink(fs::FatVolume& volume,
       path_(std::move(path)),
       options_(options) {}
 
-void BlockFileSink::write(std::uint64_t index, const mpsoc::Payload& unit) {
-  (void)try_write(index, unit);  // recorded-and-swallowed legacy semantics
-}
-
 common::Status BlockFileSink::try_write(std::uint64_t index,
                                         const mpsoc::Payload& unit) {
   double delta_us = 0.0;
@@ -1034,10 +801,7 @@ common::Status BlockFileSink::try_write(std::uint64_t index,
   {
     std::lock_guard lock(mu_);
     modeled_us_ += delta_us;
-    if (!device_status.is_ok()) {
-      if (status_.is_ok()) status_ = device_status;  // first device error wins
-      errors_.record(index, device_status);
-    }
+    if (!device_status.is_ok()) errors_.record(index, device_status);
   }
   sleep_us(delta_us * options_.time_scale);
   if (!device_status.is_ok()) {
@@ -1053,11 +817,6 @@ common::Status BlockFileSink::try_write(std::uint64_t index,
 double BlockFileSink::modeled_io_us() const {
   std::lock_guard lock(mu_);
   return modeled_us_;
-}
-
-common::Status BlockFileSink::status() const {
-  std::lock_guard lock(mu_);
-  return status_;
 }
 
 IoErrorSummary BlockFileSink::error_summary() const {

@@ -11,7 +11,8 @@
 //    seek/transfer time, RTP interarrival pacing) run *here*, never on an
 //    engine worker.
 //  * AsyncSource / AsyncSink — task adapters that turn a graph node into
-//    an asynchronous boundary. The adapter installs a TaskBody that only
+//    an asynchronous boundary (their shared state and error path live in
+//    BoundaryAdapter). The adapter installs a TaskBody that only
 //    moves payloads between the graph's channels and a small completion
 //    buffer, plus a TaskGate so the engine parks the task while the
 //    buffer is empty (source) or full (sink). The I/O thread refills /
@@ -23,6 +24,12 @@
 //    RtpReceiver's playout logic), and BlockFileSource/BlockFileSink over
 //    fs::FatVolume + fs::BlockDevice with its TimingModel converted into
 //    real (sleep) latency on the I/O thread.
+//
+// One endpoint convention: every endpoint exposes exactly one fallible
+// read or write (TryReadFn / TryWriteFn, status tiers in fault.h), and
+// both adapters take only that. End of stream is kOutOfRange; a device
+// error is retried or parks or fails the session — it is never turned
+// into a silently empty unit.
 //
 // Hand-off protocol (IoContext thread <-> engine worker), per adapter:
 // all mutable state sits behind the adapter mutex except the gate word,
@@ -53,7 +60,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -120,7 +126,7 @@ class IoContext {
   /// post_after), join the threads. Idempotent. Stopping while sessions
   /// are still live is safe but lossy: boundary adapters *fail closed* —
   /// they surface the stop as a boundary failure (see
-  /// AsyncSource::set_failure_handler) and keep the engine drainable by
+  /// BoundaryAdapter::set_failure_handler) and keep the engine drainable by
   /// delivering empty payloads / dropping units, all of it counted.
   void stop();
 
@@ -202,64 +208,24 @@ using BoundaryFailureFn =
 using BoundaryErrorFn = std::function<void(
     std::uint64_t unit, const common::Status& status, bool will_retry)>;
 
-/// Boundary *source*: an external reader feeding a graph source task.
-/// The reader runs on the I/O context (blocking/sleeping there is the
-/// point), prefetching up to `depth` units ahead of the pipeline; the
-/// task body pops one unit per firing and broadcasts it to every out
-/// edge. The task's gate is "a prefetched unit is buffered".
-class AsyncSource {
+/// What AsyncSource and AsyncSink share: the adapter mutex, the one
+/// in-flight I/O job, the payload pool, the failure/error plumbing, and
+/// the single implementation of the TryReadFn/TryWriteFn status
+/// escalation (fault.h): kResourceExhausted parks, kUnavailable retries
+/// on the IoContext timer under the RetryPolicy, exhaustion and every
+/// other error fail the boundary. The adapters add only what differs —
+/// the source's prefetch buffer, the sink's banked copies and the unit
+/// its writer holds.
+class BoundaryAdapter {
  public:
-  /// Produce unit `index` (strictly increasing, one call at a time).
-  /// nullopt = stream ended early; the adapter substitutes an empty
-  /// payload and counts an underrun so the session still completes.
-  using ReadFn = std::function<std::optional<mpsoc::Payload>(std::uint64_t)>;
-
-  /// With a `pool`, the body copies each unit into the engine's recycled
-  /// channel buffers and releases the endpoint-produced unit buffer into
-  /// the pool instead of freeing it — pair the pool with an AsyncSink so
-  /// the sink's per-unit copies draw from it (zero steady-state adapter
-  /// allocations). Without a pool the unit buffer is moved into the last
-  /// out-edge (the pre-pool behaviour).
-  AsyncSource(IoContext& io, ReadFn read, std::size_t depth = 4,
-              std::shared_ptr<PayloadPool> pool = nullptr);
-
-  /// Fallible reader with retry: `read` follows the TryReadFn status
-  /// convention (fault.h). kUnavailable results are retried under
-  /// `retry` — the backoff runs on the IoContext timer (post_after), so
-  /// no worker or I/O thread ever sleeps on it, and the elapsed wall
-  /// time is naturally charged against the session deadline. Exhaustion
-  /// and permanent errors fire the failure handler; kResourceExhausted
-  /// parks the adapter (stuck device — the stall watchdog's problem).
-  AsyncSource(IoContext& io, TryReadFn read, RetryPolicy retry,
-              std::size_t depth = 4,
-              std::shared_ptr<PayloadPool> pool = nullptr);
-  /// Quiesces: blocks until any in-flight I/O job retired, so the job
-  /// can never touch a destroyed adapter. Terminates because a queued
-  /// job always runs (IoContext::stop drains its backlog before
-  /// joining). Do not destroy from an I/O thread.
-  ~AsyncSource();
-
-  AsyncSource(const AsyncSource&) = delete;
-  AsyncSource& operator=(const AsyncSource&) = delete;
-
-  /// Install body + gate on `task` (must be a source: no in-edges), plus
-  /// the unit-origin hook (origin_ns below) so frame-journey tracing
-  /// starts each unit's clock at device-read completion rather than at
-  /// the first firing — prefetch dwell in the completion buffer then
-  /// shows up in end-to-end latency, where a QoS reader expects it.
-  void bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task);
+  BoundaryAdapter(const BoundaryAdapter&) = delete;
+  BoundaryAdapter& operator=(const BoundaryAdapter&) = delete;
 
   /// Arm the adapter after the session is submitted into a *running*
-  /// engine: remember how many units to produce, store the engine waker
-  /// (from Engine::task_waker), and start prefetching. Wakes the task
-  /// once immediately so a unit that completed during wiring is noticed.
-  void attach(std::uint64_t total_units, std::function<void()> waker);
-
-  /// Ingress stamp (Telemetry::now_ns epoch) of unit `unit`: the instant
-  /// its device read completed on the I/O thread. 0 when unknown (unit
-  /// already delivered, not yet read, or fail-open empty payload) — the
-  /// engine then falls back to the firing-start stamp.
-  [[nodiscard]] std::uint64_t origin_ns(std::uint64_t unit) const;
+  /// engine: store the engine waker (from Engine::task_waker), start the
+  /// device side, deliver a failure that predates the wiring, and wake
+  /// the task once so a unit that completed during wiring is noticed.
+  void attach(std::function<void()> waker);
 
   /// Install the failure handler / per-error observer. Must be called
   /// before attach() — the handlers may fire from attach() itself (e.g.
@@ -276,29 +242,63 @@ class AsyncSource {
 
   [[nodiscard]] BoundaryStats stats() const;
 
- private:
-  void body(mpsoc::TaskFiring& firing);
-  void pump_locked();  ///< post the drain job if refill is needed
-  void drain();        ///< I/O thread: read until buffer full / stream end
-  /// Terminal failure: record it (first wins), open the gate (fail
-  /// closed but drainable), notify handler + waker outside the lock.
+ protected:
+  /// Without a `pool` the adapter creates its own.
+  BoundaryAdapter(IoContext& io, RetryPolicy retry, std::size_t depth,
+                  std::shared_ptr<PayloadPool> pool);
+  ~BoundaryAdapter() = default;
+
+  /// A failure recorded while no handler could run (context stopped
+  /// before attach), claimed under the lock and delivered off it.
+  struct FailureNotice {
+    BoundaryFailureFn on_fail;
+    std::uint64_t unit = 0;
+    common::Status status;
+    void deliver() const {
+      if (on_fail) on_fail(unit, status);
+    }
+  };
+
+  /// I/O thread: move units until the buffer is full (source) or empty
+  /// (sink), then retire.
+  virtual void drain() = 0;
+  /// Under mu_: post drain() if the adapter has device work to do.
+  virtual void pump_locked() = 0;
+  /// Under mu_: discard (and count) every unit the adapter holds, as the
+  /// boundary fails.
+  virtual void drop_held_locked() {}
+
+  /// Block until no I/O job is in flight, so none can touch a destroyed
+  /// adapter. Every derived destructor calls this first.
+  void quiesce();
+  /// Under mu_: post drain() for `unit`; `op` names the operation
+  /// ("reading"/"writing") in the failure recorded when the context has
+  /// stopped — the gate then opens so the engine can still drain.
+  void post_drain_locked(std::uint64_t unit, const char* op);
+  /// Under mu_: the drain job ends; wake ~adapter / flush() waiters.
+  void retire_locked();
+  /// Under mu_: claim the retry a backoff timer delivered, if armed.
+  bool take_retry_locked(std::uint64_t& unit, std::uint32_t& attempt);
+  /// Under mu_: claim a failure no handler has seen yet.
+  FailureNotice claim_failure_locked();
+  /// Drain job, off the lock: the device op on `unit` (try `attempt`)
+  /// failed with `status` after `busy_s` — park, schedule a retry, or
+  /// fail the boundary. The drain job must return right after.
+  void escalate(std::uint64_t unit, std::uint32_t attempt,
+                const common::Status& status, double busy_s);
+  /// Terminal failure: record it (first wins), run the handler *before*
+  /// the gate opens — so a session never drains to completion ahead of
+  /// the failure that ends it — then open the gate (fail closed but
+  /// drainable) and wake the task.
   void fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
             common::Status status);
 
   IoContext* io_;
-  TryReadFn read_;
   RetryPolicy retry_;
   std::size_t depth_;
   std::shared_ptr<PayloadPool> pool_;
   mutable std::mutex mu_;
-  std::condition_variable idle_;  ///< signalled whenever inflight_ clears
-  std::deque<mpsoc::Payload> buffered_;
-  /// Read-completion stamps, in lockstep with buffered_; pop_base_ is
-  /// the unit index of the front slot (pops are strictly in order).
-  std::deque<std::uint64_t> origins_;
-  std::uint64_t pop_base_ = 0;
-  std::uint64_t next_read_ = 0;
-  std::uint64_t total_ = 0;
+  std::condition_variable idle_;  ///< signalled whenever the drain job retires
   bool inflight_ = false;
   std::function<void()> waker_;
   BoundaryStats stats_;
@@ -308,118 +308,129 @@ class AsyncSource {
   std::uint64_t retry_unit_ = 0;
   std::uint32_t retry_attempt_ = 0;
   /// Stuck device (kResourceExhausted): adapter parked, gate closed, no
-  /// more reads; the stall watchdog quarantines the session.
+  /// more device ops; the stall watchdog quarantines the session.
   bool stuck_ = false;
   /// Terminal failure record (first failure wins).
   common::Status failed_status_;
   std::uint64_t failed_unit_ = 0;
   /// Failure detected with no handler invocation possible yet (context
-  /// stopped before attach); body()/attach() deliver it.
+  /// stopped before attach); the body or attach() delivers it.
   bool fail_notify_pending_ = false;
   BoundaryFailureFn on_fail_;
   BoundaryErrorFn on_error_;
-  /// Gate word: buffered_.size(), published with release so the gate is
-  /// a wait-free acquire load from workers and thieves.
-  std::atomic<std::size_t> gate_count_{0};
   /// Boundary-failed flag: the IoContext stopped under us, the retry
   /// budget is exhausted, or the device failed permanently. The gate
-  /// opens unconditionally and the body delivers empty payloads (counted
-  /// as underruns) so the engine can always drain — but the failure is
-  /// surfaced through the failure handler, never silently absorbed.
+  /// opens unconditionally so the engine can always drain (the source
+  /// delivers empty payloads counted as underruns, the sink drops units
+  /// counted as dropped) — but the failure is surfaced through the
+  /// failure handler, never silently absorbed.
   std::atomic<bool> io_failed_{false};
 };
 
-/// Boundary *sink*: a graph sink task feeding an external writer. The
-/// task body enqueues the payload into a bounded buffer (gate: "the
-/// buffer has space", so a slow device back-pressures the pipeline by
-/// parking the sink task, never a worker); the I/O thread drains the
-/// buffer in order through the writer.
-class AsyncSink {
+/// Boundary *source*: an external reader feeding a graph source task.
+/// The reader runs on the I/O context (blocking/sleeping there is the
+/// point), prefetching up to `depth` units ahead of the pipeline; the
+/// task body pops one unit per firing and copies it to every out edge
+/// (the engine's recycled channel buffers), retiring the endpoint's
+/// buffer into the pool. The task's gate is "a prefetched unit is
+/// buffered".
+class AsyncSource final : public BoundaryAdapter {
  public:
-  /// Persist unit `index` (strictly increasing, one call at a time).
-  /// Takes the unit by const reference: the adapter keeps ownership of
-  /// the buffer so it can recycle the storage through its pool.
-  using WriteFn = std::function<void(std::uint64_t, const mpsoc::Payload&)>;
+  /// `read` follows the TryReadFn status convention (fault.h): kOutOfRange
+  /// delivers an empty payload counted as an underrun; kUnavailable is
+  /// retried under `retry` on the IoContext timer (post_after), so no
+  /// worker or I/O thread sleeps on a backoff and its wall time counts
+  /// against the session deadline. Pair `pool` with an AsyncSink so the
+  /// sink's per-unit copies reuse the buffers this source retires (zero
+  /// steady-state adapter allocations).
+  AsyncSource(IoContext& io, TryReadFn read, RetryPolicy retry = {},
+              std::size_t depth = 4,
+              std::shared_ptr<PayloadPool> pool = nullptr);
+  /// Quiesces: blocks until any in-flight I/O job retired. Terminates
+  /// because a queued job always runs (IoContext::stop drains its backlog
+  /// before joining). Do not destroy from an I/O thread.
+  ~AsyncSource();
 
-  /// With a `pool`, the copy each firing banks for the I/O thread is
-  /// drawn from the pool and its storage returned there after the write
-  /// — see AsyncSource for the pairing.
-  AsyncSink(IoContext& io, WriteFn write, std::size_t depth = 4,
-            std::shared_ptr<PayloadPool> pool = nullptr);
+  /// Install body + gate on `task` (must be a source: no in-edges), plus
+  /// the unit-origin hook (origin_ns below) so frame-journey tracing
+  /// starts each unit's clock at device-read completion rather than at
+  /// the first firing — prefetch dwell in the completion buffer then
+  /// shows up in end-to-end latency, where a QoS reader expects it.
+  void bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task);
 
-  /// Fallible writer with retry (see the AsyncSource overload). The unit
-  /// being retried stays banked in the adapter and keeps its occupancy
-  /// slot, so a retrying sink back-pressures the pipeline exactly like a
-  /// slow device would.
-  AsyncSink(IoContext& io, TryWriteFn write, RetryPolicy retry,
+  /// Remember how many units to produce, then BoundaryAdapter::attach
+  /// (which starts prefetching).
+  void attach(std::uint64_t total_units, std::function<void()> waker);
+
+  /// Ingress stamp (Telemetry::now_ns epoch) of unit `unit`: the instant
+  /// its device read completed on the I/O thread. 0 when unknown (unit
+  /// already delivered, not yet read, or an empty failed-boundary
+  /// payload) — the engine then falls back to the firing-start stamp.
+  [[nodiscard]] std::uint64_t origin_ns(std::uint64_t unit) const;
+
+ private:
+  void body(mpsoc::TaskFiring& firing);
+  void drain() override;
+  void pump_locked() override;
+
+  TryReadFn read_;
+  std::deque<mpsoc::Payload> buffered_;
+  /// Read-completion stamps, in lockstep with buffered_; pop_base_ is
+  /// the unit index of the front slot (pops are strictly in order).
+  std::deque<std::uint64_t> origins_;
+  std::uint64_t pop_base_ = 0;
+  std::uint64_t next_read_ = 0;
+  std::uint64_t total_ = 0;
+  /// Gate word: buffered_.size(), published with release so the gate is
+  /// a wait-free acquire load from workers and thieves.
+  std::atomic<std::size_t> gate_count_{0};
+};
+
+/// Boundary *sink*: a graph sink task feeding an external writer. The
+/// task body banks a pool-drawn copy of the payload in a bounded buffer
+/// (gate: "the buffer has space", so a slow device back-pressures the
+/// pipeline by parking the sink task, never a worker); the I/O thread
+/// drains the buffer in order through the writer.
+class AsyncSink final : public BoundaryAdapter {
+ public:
+  /// `write` follows the TryWriteFn status convention (see AsyncSource).
+  /// The unit being retried stays held by the adapter and keeps its
+  /// occupancy slot, so a retrying sink back-pressures the pipeline
+  /// exactly like a slow device would.
+  AsyncSink(IoContext& io, TryWriteFn write, RetryPolicy retry = {},
             std::size_t depth = 4,
             std::shared_ptr<PayloadPool> pool = nullptr);
   /// Quiesces like ~AsyncSource (waits for the in-flight drain job, not
   /// for a full flush). Do not destroy from an I/O thread.
   ~AsyncSink();
 
-  AsyncSink(const AsyncSink&) = delete;
-  AsyncSink& operator=(const AsyncSink&) = delete;
-
   /// Install body + gate on `task` (must be a sink with one in-edge).
   void bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task);
 
-  /// Arm the adapter (see AsyncSource::attach).
-  void attach(std::function<void()> waker);
-
   /// Block until every enqueued unit has been written (or dropped, if
-  /// the IoContext stopped under us). Call after Engine::wait() — the
-  /// engine drains the *graph*, this drains the device side.
+  /// the boundary failed) and no I/O job is in flight. Call after
+  /// Engine::wait() — the engine drains the *graph*, this drains the
+  /// device side.
   void flush();
-
-  /// See AsyncSource — same contracts.
-  void set_failure_handler(BoundaryFailureFn on_fail);
-  void set_error_observer(BoundaryErrorFn on_error);
-  [[nodiscard]] common::Status failure() const;
-  [[nodiscard]] std::uint64_t failed_unit() const;
-  [[nodiscard]] bool stuck() const;
-
-  [[nodiscard]] BoundaryStats stats() const;
 
  private:
   void body(mpsoc::TaskFiring& firing);
-  void drain();  ///< I/O thread: write until the buffer empties
-  void fail(std::unique_lock<std::mutex> lock, std::uint64_t unit,
-            common::Status status);
+  void drain() override;
+  void pump_locked() override;
+  void drop_held_locked() override;
 
-  IoContext* io_;
   TryWriteFn write_;
-  RetryPolicy retry_;
-  std::size_t depth_;
-  std::shared_ptr<PayloadPool> pool_;
-  mutable std::mutex mu_;
-  std::condition_variable flushed_;
   std::deque<mpsoc::Payload> pending_;
   std::uint64_t next_write_ = 0;
-  /// Units admitted but not yet fully written (pending_ plus the one the
-  /// writer holds); the gate compares this against depth.
+  /// The unit the writer holds — popped from pending_ once, its index
+  /// assigned once — through its write, every retry backoff, or a park.
+  /// Owned by the in-flight drain job (with none in flight, by mu_).
+  mpsoc::Payload held_;
+  bool holding_ = false;
+  /// Units admitted but not yet fully written (pending_ plus held_); the
+  /// gate compares this against depth.
   std::size_t occupied_ = 0;
-  bool inflight_ = false;
-  std::function<void()> waker_;
-  BoundaryStats stats_;
-  // Retry state (see AsyncSource). The payload under retry is held in
-  // retry_slot_ — popped from pending_ once, its unit index assigned
-  // once — and keeps its occupied_ slot through every backoff.
-  bool retry_armed_ = false;
-  bool retry_active_ = false;  ///< retry_slot_/retry_unit_ hold a unit
-  std::uint64_t retry_unit_ = 0;
-  std::uint32_t retry_attempt_ = 0;
-  mpsoc::Payload retry_slot_;
-  bool stuck_ = false;
-  common::Status failed_status_;
-  std::uint64_t failed_unit_ = 0;
-  bool fail_notify_pending_ = false;
-  BoundaryFailureFn on_fail_;
-  BoundaryErrorFn on_error_;
   std::atomic<std::size_t> gate_occupied_{0};
-  /// Boundary-failed flag (see AsyncSource): gate opens, units are
-  /// dropped (counted), failure surfaced through the handler.
-  std::atomic<bool> io_failed_{false};
 };
 
 // ---------------------------------------------------------------------------
@@ -444,31 +455,19 @@ struct RtpIngressOptions {
 /// RTP receive boundary: replays a TimedPacket feed (packets may be
 /// lost, reordered, corrupted — typically shaped by net::LossyLink or by
 /// hand) through an RtpReceiver and emits playout units in sequence
-/// order. Use `reader()` as an AsyncSource ReadFn.
+/// order. Use `try_reader()` as an AsyncSource reader.
 class RtpIngress {
  public:
   RtpIngress(std::vector<TimedPacket> feed, RtpIngressOptions options = {});
 
-  /// I/O-thread entry: ingest packets until unit `index` plays out.
-  std::optional<mpsoc::Payload> read(std::uint64_t index);
-  [[nodiscard]] AsyncSource::ReadFn reader() {
-    return [this](std::uint64_t i) { return read(i); };
-  }
-
-  /// Fallible adapter (TryReadFn convention): a nullopt read becomes
-  /// kOutOfRange (clean EOS). The receiver itself conceals lost packets,
-  /// so this endpoint never errors on its own — it is the hook point for
-  /// FaultInjector::wrap_read (modeled NIC/driver faults).
+  /// I/O-thread entry (TryReadFn convention): ingest packets until unit
+  /// `index` plays out. kOutOfRange only when nothing ever arrived; the
+  /// receiver conceals lost packets, so this endpoint never errors on
+  /// its own — it is the hook point for FaultInjector::wrap_read
+  /// (modeled NIC/driver faults).
+  common::Result<mpsoc::Payload> try_read(std::uint64_t index);
   [[nodiscard]] TryReadFn try_reader() {
-    return [this](std::uint64_t i) -> common::Result<mpsoc::Payload> {
-      auto unit = read(i);
-      if (!unit.has_value()) {
-        return common::Result<mpsoc::Payload>(
-            common::Status(common::StatusCode::kOutOfRange,
-                           "rtp feed ended at unit " + std::to_string(i)));
-      }
-      return common::Result<mpsoc::Payload>(std::move(*unit));
-    };
+    return [this](std::uint64_t i) { return try_read(i); };
   }
 
   /// Units delivered as a repeat of the previous one (receiver-side
@@ -498,23 +497,18 @@ struct RtpEgressOptions {
 };
 
 /// RTP transmit boundary: packetizes each unit with an RtpSender and
-/// appends it to an in-memory wire log. Use `writer()` as an
-/// AsyncSink WriteFn.
+/// appends it to an in-memory wire log. Use `try_writer()` as an
+/// AsyncSink writer.
 class RtpEgress {
  public:
   explicit RtpEgress(RtpEgressOptions options = {});
 
-  void write(std::uint64_t index, const mpsoc::Payload& unit);
-  [[nodiscard]] AsyncSink::WriteFn writer() {
-    return [this](std::uint64_t i, const mpsoc::Payload& p) { write(i, p); };
-  }
-
-  /// Fallible adapter: the in-memory wire log cannot fail, so this is
-  /// purely the FaultInjector::wrap_write hook point.
+  /// TryWriteFn convention; the in-memory wire log cannot fail, so this
+  /// always returns ok — the FaultInjector::wrap_write hook point.
+  common::Status try_write(std::uint64_t index, const mpsoc::Payload& unit);
   [[nodiscard]] TryWriteFn try_writer() {
     return [this](std::uint64_t i, const mpsoc::Payload& p) {
-      write(i, p);
-      return common::Status::ok();
+      return try_write(i, p);
     };
   }
 
@@ -566,16 +560,9 @@ class BlockFileSource {
   BlockFileSource(fs::FatVolume& volume, std::shared_ptr<std::mutex> volume_mu,
                   StreamIndex index, BlockIoOptions options = {});
 
-  std::optional<mpsoc::Payload> read(std::uint64_t index);
-  [[nodiscard]] AsyncSource::ReadFn reader() {
-    return [this](std::uint64_t i) { return read(i); };
-  }
-
-  /// Fallible variant (TryReadFn convention): past-the-end reads are
-  /// kOutOfRange (clean EOS), volume errors surface as kInternal with
-  /// the device's message — permanent, never silently swallowed as an
-  /// empty payload like read() does. Use with the retrying AsyncSource
-  /// ctor (optionally through a FaultInjector wrap).
+  /// TryReadFn convention: past-the-end reads are kOutOfRange (clean
+  /// EOS), volume errors surface as kInternal with the device's message —
+  /// permanent, never silently swallowed as an empty payload.
   common::Result<mpsoc::Payload> try_read(std::uint64_t index);
   [[nodiscard]] TryReadFn try_reader() {
     return [this](std::uint64_t i) { return try_read(i); };
@@ -601,13 +588,8 @@ class BlockFileSink {
   BlockFileSink(fs::FatVolume& volume, std::shared_ptr<std::mutex> volume_mu,
                 std::string path, BlockIoOptions options = {});
 
-  void write(std::uint64_t index, const mpsoc::Payload& unit);
-  [[nodiscard]] AsyncSink::WriteFn writer() {
-    return [this](std::uint64_t i, const mpsoc::Payload& p) { write(i, p); };
-  }
-
-  /// Fallible variant: volume errors surface as kInternal (permanent)
-  /// instead of being recorded-and-swallowed like write() does.
+  /// TryWriteFn convention: volume errors surface as kInternal
+  /// (permanent).
   common::Status try_write(std::uint64_t index, const mpsoc::Payload& unit);
   [[nodiscard]] TryWriteFn try_writer() {
     return [this](std::uint64_t i, const mpsoc::Payload& p) {
@@ -616,9 +598,7 @@ class BlockFileSink {
   }
 
   [[nodiscard]] double modeled_io_us() const;
-  [[nodiscard]] common::Status status() const;  ///< first device error, if any
-  /// Every device error this endpoint observed (not just the first —
-  /// status() keeps only that one).
+  /// Every device error this endpoint observed (not just the first).
   [[nodiscard]] IoErrorSummary error_summary() const;
 
  private:
@@ -628,7 +608,6 @@ class BlockFileSink {
   BlockIoOptions options_;
   mutable std::mutex mu_;
   double modeled_us_ = 0.0;
-  common::Status status_;
   IoErrorSummary errors_;
 };
 

@@ -592,27 +592,106 @@ video::Frame frame_from_luma(const Payload& p, int w, int h) {
   return frame;
 }
 
-// Fig. 1 decode-loop stage state: the VideoDecoder keeps the reference
-// frame, `last` is the concealment fallback when a unit is undecodable.
-struct DecoderStage {
-  video::VideoDecoder decoder;
-  video::Frame last;
-};
+TaskId add_stage(TaskGraph& g, const char* name, double work_ops) {
+  mpsoc::Task t;
+  t.name = name;
+  t.work_ops = work_ops;
+  return g.add_task(std::move(t));
+}
 
+// Stage costs come from the same per-op weights (core::VideoCosts) the
+// analytic Fig. 1 graphs use, so model and runtime agree on one source.
 double analytic_decode_ops(int w, int h) {
   const auto ops = analytic_video_ops(w, h);
-  return static_cast<double>(ops.idct_blocks) * 1024.0 +
-         static_cast<double>(ops.quant_coeffs) * 2.0 +
-         static_cast<double>(ops.vlc_symbols) * 8.0 +
-         static_cast<double>(ops.mc_pixels) * 2.0;
+  const core::VideoCosts costs{};
+  return static_cast<double>(ops.idct_blocks) * costs.per_dct_block +
+         static_cast<double>(ops.quant_coeffs) * costs.per_quant_coeff +
+         static_cast<double>(ops.vlc_symbols) * costs.per_vlc_symbol +
+         static_cast<double>(ops.mc_pixels) * costs.per_mc_pixel;
 }
 
 double analytic_encode_ops(int w, int h) {
   const auto ops = analytic_video_ops(w, h);
-  return static_cast<double>(ops.me_sad_ops) +
-         static_cast<double>(ops.dct_blocks) * 1024.0 +
-         static_cast<double>(ops.quant_coeffs) * 2.0 +
-         static_cast<double>(ops.vlc_symbols) * 8.0 + analytic_decode_ops(w, h);
+  const core::VideoCosts costs{};
+  return static_cast<double>(ops.me_sad_ops) * costs.per_sad_op +
+         static_cast<double>(ops.dct_blocks) * costs.per_dct_block +
+         static_cast<double>(ops.quant_coeffs) * costs.per_quant_coeff +
+         static_cast<double>(ops.vlc_symbols) * costs.per_vlc_symbol +
+         analytic_decode_ops(w, h);
+}
+
+/// DECODE: the Fig. 1 decode loop (VLD -> dequant -> IDCT -> MC
+/// predictor -> reconstruct) realized by video::VideoDecoder, whose
+/// reference frame is the stage state. Drop policy: an empty or
+/// undecodable unit repeats the last good frame (decode_conceals); a
+/// *concealed repeat* of a valid P unit decodes fine but drifts until
+/// the next I frame — the classic artifact.
+template <typename State>
+mpsoc::TaskBody decode_body(std::shared_ptr<State> state, int w, int h) {
+  struct DecoderStage {
+    video::VideoDecoder decoder;
+    video::Frame last;
+  };
+  auto st = std::make_shared<DecoderStage>();
+  st->last = video::Frame(w, h);
+  return [st, state = std::move(state)](TaskFiring& f) {
+    const Payload& unit = *f.inputs[0];
+    bool decoded = false;
+    if (!unit.empty()) {
+      if (auto frame = st->decoder.decode(unit); frame.is_ok()) {
+        st->last = std::move(frame.value());
+        decoded = true;
+      }
+    }
+    if (!decoded) ++state->decode_conceals;
+    ++state->frames_decoded;
+    store_luma(f, 0, st->last);
+  };
+}
+
+/// Install the boundary tasks' bodies over the session's endpoint
+/// functions. Async: one pool for both ends (unit buffers retired by the
+/// source feed the sink's per-unit copies, so the boundary adds no
+/// steady-state allocations) and adapters over the endpoints, wrapped by
+/// the injector when one is configured — endpoint registration order (in
+/// before out) is part of the determinism contract: ids feed the fault
+/// hash. Inline (the blocking test reference): the worker itself calls
+/// the endpoint; end of stream yields an empty unit and any other error
+/// throws, which stops the run.
+template <typename Config>
+void bind_boundaries(BoundarySession& s, IoContext& io, const Config& config,
+                     const char* read_name, const FaultPlan& read_plan,
+                     TryReadFn read, const char* write_name,
+                     const FaultPlan& write_plan, TryWriteFn write) {
+  if (!config.async_boundaries) {
+    s.graph.set_body(s.source_task, [read = std::move(read)](TaskFiring& f) {
+      auto unit = read(f.iteration);
+      if (unit.is_ok()) {
+        f.outputs[0] = std::move(unit.value());
+      } else if (unit.status().code() != common::StatusCode::kOutOfRange) {
+        throw std::runtime_error(unit.status().to_text());
+      }
+    });
+    s.graph.set_body(s.sink_task, [write = std::move(write)](TaskFiring& f) {
+      if (auto st = write(f.iteration, *f.inputs[0]); !st.is_ok()) {
+        throw std::runtime_error(st.to_text());
+      }
+    });
+    return;
+  }
+  if (config.fault != nullptr) {
+    read = config.fault->wrap_read(
+        config.fault->add_endpoint(read_name, read_plan), std::move(read));
+    write = config.fault->wrap_write(
+        config.fault->add_endpoint(write_name, write_plan), std::move(write));
+  }
+  s.pool = std::make_shared<PayloadPool>(2 * config.io_depth + 4);
+  s.source = std::make_unique<AsyncSource>(io, std::move(read), config.retry,
+                                           config.io_depth, s.pool);
+  s.sink = std::make_unique<AsyncSink>(io, std::move(write), config.retry,
+                                       config.io_depth, s.pool);
+  s.source->bind(s.graph, s.source_task);
+  s.sink->bind(s.graph, s.sink_task);
 }
 
 /// Wire the boundary wakers — and the failure/error plumbing — of a
@@ -627,84 +706,53 @@ double analytic_encode_ops(int w, int h) {
 /// the engine, which the session-outlives-drain contract already
 /// requires.
 common::Status wire_boundaries(Engine& engine, std::size_t session,
-                               AsyncSource* source, mpsoc::TaskId source_task,
-                               std::uint64_t units, AsyncSink* sink,
-                               mpsoc::TaskId sink_task) {
-  if (source != nullptr) {
-    auto waker = engine.task_waker(session, source_task);
-    if (!waker.is_ok()) return waker.status();
-    source->set_failure_handler(
+                               BoundarySession& s) {
+  if (s.source == nullptr) return common::Status::ok();  // inline
+  auto plumb = [&engine, session](BoundaryAdapter& adapter) {
+    adapter.set_failure_handler(
         [&engine, session](std::uint64_t unit, const common::Status& status) {
           engine.fail_session(session, unit, status);
         });
-    source->set_error_observer([&engine, session](std::uint64_t unit,
+    adapter.set_error_observer([&engine, session](std::uint64_t unit,
                                                   const common::Status& status,
                                                   bool will_retry) {
       engine.record_io_error(session, unit, status, will_retry);
     });
-    source->attach(units, std::move(waker.value()));
-  }
-  if (sink != nullptr) {
-    auto waker = engine.task_waker(session, sink_task);
-    if (!waker.is_ok()) return waker.status();
-    sink->set_failure_handler(
-        [&engine, session](std::uint64_t unit, const common::Status& status) {
-          engine.fail_session(session, unit, status);
-        });
-    sink->set_error_observer([&engine, session](std::uint64_t unit,
-                                                const common::Status& status,
-                                                bool will_retry) {
-      engine.record_io_error(session, unit, status, will_retry);
-    });
-    sink->attach(std::move(waker.value()));
-  }
+  };
+  auto source_waker = engine.task_waker(session, s.source_task);
+  if (!source_waker.is_ok()) return source_waker.status();
+  plumb(*s.source);
+  s.source->attach(s.frames, std::move(source_waker.value()));
+  auto sink_waker = engine.task_waker(session, s.sink_task);
+  if (!sink_waker.is_ok()) return sink_waker.status();
+  plumb(*s.sink);
+  s.sink->attach(std::move(sink_waker.value()));
   return common::Status::ok();
-}
-
-/// Build the (possibly injector-wrapped) fallible read/write pair for a
-/// session's boundaries. Endpoint registration order (in before out) is
-/// part of the determinism contract: endpoint ids feed the fault hash.
-TryReadFn make_fallible_read(FaultInjector* fault, const char* name,
-                             const FaultPlan& plan, TryReadFn inner) {
-  if (fault == nullptr) return inner;
-  const std::size_t id = fault->add_endpoint(name, plan);
-  return fault->wrap_read(id, std::move(inner));
-}
-
-TryWriteFn make_fallible_write(FaultInjector* fault, const char* name,
-                               const FaultPlan& plan, TryWriteFn inner) {
-  if (fault == nullptr) return inner;
-  const std::size_t id = fault->add_endpoint(name, plan);
-  return fault->wrap_write(id, std::move(inner));
 }
 
 }  // namespace
 
-common::Result<std::size_t> StreamingSession::submit_to(
+common::Result<std::size_t> BoundarySession::submit_to(
     Engine& engine, const mpsoc::Mapping& mapping, SessionOptions options) {
   auto added = engine.submit(graph, mapping, frames, options);
   if (!added.is_ok()) return added;
-  const common::Status wired =
-      wire_boundaries(engine, added.value(), source.get(), ingress_task,
-                      frames, sink.get(), egress_task);
-  if (!wired.is_ok()) return common::Result<std::size_t>(wired);
+  const common::Status wired = wire_boundaries(engine, added.value(), *this);
+  if (!wired.is_ok()) return wired;
   return added;
 }
 
-common::Result<SessionTicket> StreamingSession::submit_to(
+common::Result<SessionTicket> BoundarySession::submit_to(
     ShardedEngine& sharded, const mpsoc::Mapping& mapping,
     SessionOptions options) {
   auto ticket = sharded.submit(graph, mapping, frames, options);
   if (!ticket.is_ok()) return ticket;
-  Engine& engine = sharded.shard(ticket.value().shard);
-  const common::Status wired =
-      wire_boundaries(engine, ticket.value().session, source.get(),
-                      ingress_task, frames, sink.get(), egress_task);
-  if (!wired.is_ok()) return common::Result<SessionTicket>(wired);
+  const common::Status wired = wire_boundaries(
+      sharded.shard(ticket.value().shard), ticket.value().session, *this);
+  if (!wired.is_ok()) return wired;
   return ticket;
 }
 
-void StreamingSession::finish() {
+void BoundarySession::finish() {
   if (sink) sink->flush();
 }
 
@@ -767,59 +815,17 @@ StreamingSession make_streaming_session(IoContext& io,
   out_opts.time_scale = config.time_scale;
   s.egress = std::make_shared<RtpEgress>(out_opts);
 
-  TaskGraph g("rtp-streaming");
+  TaskGraph& g = s.graph = TaskGraph("rtp-streaming");
   const double luma_bytes = static_cast<double>(w) * h;
-  {
-    mpsoc::Task t;
-    t.name = "rtp-ingress";
-    t.work_ops = 500.0;
-    s.ingress_task = g.add_task(std::move(t));
-  }
-  const TaskId decode = g.add_task(
-      [&] {
-        mpsoc::Task t;
-        t.name = "decode";
-        t.work_ops = analytic_decode_ops(w, h);
-        return t;
-      }());
-  const TaskId display = g.add_task([&] {
-    mpsoc::Task t;
-    t.name = "display";
-    t.work_ops = luma_bytes;
-    return t;
-  }());
-  {
-    mpsoc::Task t;
-    t.name = "rtp-egress";
-    t.work_ops = 500.0;
-    s.egress_task = g.add_task(std::move(t));
-  }
-  (void)g.add_edge(s.ingress_task, decode, luma_bytes * 0.2);  // compressed
+  s.source_task = add_stage(g, "rtp-ingress", 500.0);
+  const TaskId decode = add_stage(g, "decode", analytic_decode_ops(w, h));
+  const TaskId display = add_stage(g, "display", luma_bytes);
+  s.sink_task = add_stage(g, "rtp-egress", 500.0);
+  (void)g.add_edge(s.source_task, decode, luma_bytes * 0.2);  // compressed
   (void)g.add_edge(decode, display, luma_bytes);
-  (void)g.add_edge(display, s.egress_task, luma_bytes);
+  (void)g.add_edge(display, s.sink_task, luma_bytes);
 
-  // DECODE: the Fig. 1 decode loop (VLD -> dequant -> IDCT -> MC
-  // predictor -> reconstruct) realized by video::VideoDecoder. Drop
-  // policy: an empty or undecodable unit repeats the last good frame
-  // (decode_conceals); a *concealed repeat* of a valid P unit decodes
-  // fine but drifts until the next I frame — the classic artifact.
-  {
-    auto st = std::make_shared<DecoderStage>();
-    st->last = video::Frame(w, h);
-    g.set_body(decode, [st, state = s.state, w, h](TaskFiring& f) {
-      const Payload& unit = *f.inputs[0];
-      bool decoded = false;
-      if (!unit.empty()) {
-        if (auto frame = st->decoder.decode(unit); frame.is_ok()) {
-          st->last = std::move(frame.value());
-          decoded = true;
-        }
-      }
-      if (!decoded) ++state->decode_conceals;
-      ++state->frames_decoded;
-      store_luma(f, 0, st->last);
-    });
-  }
+  g.set_body(decode, decode_body(s.state, w, h));
 
   // DISPLAY: CRC-chain the shown luma (one word summarizes the whole
   // displayed sequence) and forward it to the egress boundary.
@@ -833,71 +839,10 @@ StreamingSession make_streaming_session(IoContext& io,
     });
   }
 
-  if (config.async_boundaries) {
-    // One pool, both ends: unit buffers retired by the ingress adapter
-    // feed the egress adapter's per-unit copies (and vice versa), so the
-    // boundary adds no steady-state allocations of its own.
-    s.pool = std::make_shared<PayloadPool>(2 * config.io_depth + 4);
-    if (config.fault != nullptr || config.fallible_boundaries) {
-      s.source = std::make_unique<AsyncSource>(
-          io,
-          make_fallible_read(config.fault, "rtp.in", config.ingress_faults,
-                             s.ingress->try_reader()),
-          config.retry, config.io_depth, s.pool);
-      s.sink = std::make_unique<AsyncSink>(
-          io,
-          make_fallible_write(config.fault, "rtp.out", config.egress_faults,
-                              s.egress->try_writer()),
-          config.retry, config.io_depth, s.pool);
-    } else {
-      s.source = std::make_unique<AsyncSource>(io, s.ingress->reader(),
-                                               config.io_depth, s.pool);
-      s.sink = std::make_unique<AsyncSink>(io, s.egress->writer(),
-                                           config.io_depth, s.pool);
-    }
-    s.source->bind(g, s.ingress_task);
-    s.sink->bind(g, s.egress_task);
-  } else {
-    // Inline-blocking baseline: the worker itself waits out the network.
-    g.set_body(s.ingress_task, [ingress = s.ingress](TaskFiring& f) {
-      auto unit = ingress->read(f.iteration);
-      f.outputs[0] = unit.has_value() ? std::move(*unit) : Payload{};
-    });
-    g.set_body(s.egress_task, [egress = s.egress](TaskFiring& f) {
-      egress->write(f.iteration, *f.inputs[0]);
-    });
-  }
-
-  s.graph = std::move(g);
+  bind_boundaries(s, io, config, "rtp.in", config.ingress_faults,
+                  s.ingress->try_reader(), "rtp.out", config.egress_faults,
+                  s.egress->try_writer());
   return s;
-}
-
-common::Result<std::size_t> FileTranscodeSession::submit_to(
-    Engine& engine, const mpsoc::Mapping& mapping, SessionOptions options) {
-  auto added = engine.submit(graph, mapping, frames, options);
-  if (!added.is_ok()) return added;
-  const common::Status wired =
-      wire_boundaries(engine, added.value(), source.get(), read_task, frames,
-                      sink.get(), write_task);
-  if (!wired.is_ok()) return common::Result<std::size_t>(wired);
-  return added;
-}
-
-common::Result<SessionTicket> FileTranscodeSession::submit_to(
-    ShardedEngine& sharded, const mpsoc::Mapping& mapping,
-    SessionOptions options) {
-  auto ticket = sharded.submit(graph, mapping, frames, options);
-  if (!ticket.is_ok()) return ticket;
-  Engine& engine = sharded.shard(ticket.value().shard);
-  const common::Status wired =
-      wire_boundaries(engine, ticket.value().session, source.get(), read_task,
-                      frames, sink.get(), write_task);
-  if (!wired.is_ok()) return common::Result<SessionTicket>(wired);
-  return ticket;
-}
-
-void FileTranscodeSession::finish() {
-  if (sink) sink->flush();
 }
 
 common::Result<FileTranscodeSession> make_file_transcode_session(
@@ -967,53 +912,17 @@ common::Result<FileTranscodeSession> make_file_transcode_session(
   s.writer_endpoint = std::make_shared<BlockFileSink>(*s.volume, s.volume_mu,
                                                       s.out_path, io_opts);
 
-  TaskGraph g("file-transcode");
+  TaskGraph& g = s.graph = TaskGraph("file-transcode");
   const double luma_bytes = static_cast<double>(w) * h;
-  {
-    mpsoc::Task t;
-    t.name = "block-read";
-    t.work_ops = 500.0;
-    s.read_task = g.add_task(std::move(t));
-  }
-  const TaskId decode = g.add_task([&] {
-    mpsoc::Task t;
-    t.name = "decode";
-    t.work_ops = analytic_decode_ops(w, h);
-    return t;
-  }());
-  const TaskId encode = g.add_task([&] {
-    mpsoc::Task t;
-    t.name = "encode";
-    t.work_ops = analytic_encode_ops(w, h);
-    return t;
-  }());
-  {
-    mpsoc::Task t;
-    t.name = "block-write";
-    t.work_ops = 500.0;
-    s.write_task = g.add_task(std::move(t));
-  }
-  (void)g.add_edge(s.read_task, decode, luma_bytes * 0.2);
+  s.source_task = add_stage(g, "block-read", 500.0);
+  const TaskId decode = add_stage(g, "decode", analytic_decode_ops(w, h));
+  const TaskId encode = add_stage(g, "encode", analytic_encode_ops(w, h));
+  s.sink_task = add_stage(g, "block-write", 500.0);
+  (void)g.add_edge(s.source_task, decode, luma_bytes * 0.2);
   (void)g.add_edge(decode, encode, luma_bytes);
-  (void)g.add_edge(encode, s.write_task, luma_bytes * 0.2);
+  (void)g.add_edge(encode, s.sink_task, luma_bytes * 0.2);
 
-  {
-    auto st = std::make_shared<DecoderStage>();
-    st->last = video::Frame(w, h);
-    g.set_body(decode, [st, state = s.state](TaskFiring& f) {
-      const Payload& unit = *f.inputs[0];
-      bool decoded = false;
-      if (!unit.empty()) {
-        if (auto frame = st->decoder.decode(unit); frame.is_ok()) {
-          st->last = std::move(frame.value());
-          decoded = true;
-        }
-      }
-      if (!decoded) ++state->decode_conceals;
-      ++state->frames_decoded;
-      store_luma(f, 0, st->last);
-    });
-  }
+  g.set_body(decode, decode_body(s.state, w, h));
   {
     // RE-ENCODE at the output rate point — the §3 transcode step.
     video::EncoderConfig out_ec;
@@ -1033,38 +942,9 @@ common::Result<FileTranscodeSession> make_file_transcode_session(
     });
   }
 
-  if (config.async_boundaries) {
-    s.pool = std::make_shared<PayloadPool>(2 * config.io_depth + 4);
-    if (config.fault != nullptr || config.fallible_boundaries) {
-      s.source = std::make_unique<AsyncSource>(
-          io,
-          make_fallible_read(config.fault, "file.read", config.read_faults,
-                             s.reader_endpoint->try_reader()),
-          config.retry, config.io_depth, s.pool);
-      s.sink = std::make_unique<AsyncSink>(
-          io,
-          make_fallible_write(config.fault, "file.write", config.write_faults,
-                              s.writer_endpoint->try_writer()),
-          config.retry, config.io_depth, s.pool);
-    } else {
-      s.source = std::make_unique<AsyncSource>(io, s.reader_endpoint->reader(),
-                                               config.io_depth, s.pool);
-      s.sink = std::make_unique<AsyncSink>(io, s.writer_endpoint->writer(),
-                                           config.io_depth, s.pool);
-    }
-    s.source->bind(g, s.read_task);
-    s.sink->bind(g, s.write_task);
-  } else {
-    g.set_body(s.read_task, [reader = s.reader_endpoint](TaskFiring& f) {
-      auto unit = reader->read(f.iteration);
-      f.outputs[0] = unit.has_value() ? std::move(*unit) : Payload{};
-    });
-    g.set_body(s.write_task, [writer = s.writer_endpoint](TaskFiring& f) {
-      writer->write(f.iteration, *f.inputs[0]);
-    });
-  }
-
-  s.graph = std::move(g);
+  bind_boundaries(s, io, config, "file.read", config.read_faults,
+                  s.reader_endpoint->try_reader(), "file.write",
+                  config.write_faults, s.writer_endpoint->try_writer());
   return s;
 }
 

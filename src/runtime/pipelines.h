@@ -17,10 +17,15 @@
 //  * Boundary sessions (async I/O): a *streaming* session (RTP in ->
 //    Fig. 1 decode path -> RTP out) and a *file transcode* session
 //    (block read -> decode -> re-encode -> block write), both built on
-//    the runtime/io boundary adapters so device latency parks tasks
-//    instead of blocking workers. Each session can also be built with
-//    inline (blocking) boundaries — the reference that tests compare
-//    the async path against.
+//    one BoundarySession plumbing over the runtime/io adapters, so
+//    device latency parks tasks instead of blocking workers. Their
+//    endpoints follow the one fallible convention (fault.h): end of
+//    stream yields empty units, and a device error that does not
+//    recover fails the session — a transcode never reports success over
+//    a missing input or a full volume. Each session can also be built
+//    with inline (blocking) boundaries — the reference that tests
+//    compare the async path against; an inline boundary error stops the
+//    run.
 #pragma once
 
 #include <atomic>
@@ -152,6 +157,42 @@ struct SyntheticPipeline {
     double block_us);
 
 // ---------------------------------------------------------------------------
+// Boundary sessions (shared plumbing)
+// ---------------------------------------------------------------------------
+
+/// What the two boundary sessions share: a graph whose source task reads
+/// an external endpoint and whose sink task writes one, the adapters
+/// bridging them, and the submit/finish plumbing. Submit into a *running*
+/// Engine (or ShardedEngine) — dynamic admission is required because the
+/// boundary wakers only exist once the session is wired onto live
+/// workers. Keep the object alive until the engine drained, then call
+/// finish().
+struct BoundarySession {
+  mpsoc::TaskGraph graph{"boundary-session"};
+  std::uint64_t frames = 0;
+  /// Shared by the source and sink adapters: retired unit buffers cycle
+  /// source -> pool -> sink copy -> pool (see PayloadPool).
+  std::shared_ptr<PayloadPool> pool;
+  std::unique_ptr<AsyncSource> source;  ///< null with inline boundaries
+  std::unique_ptr<AsyncSink> sink;      ///< null with inline boundaries
+  mpsoc::TaskId source_task = 0;
+  mpsoc::TaskId sink_task = 0;
+
+  /// Submit + wire the boundary wakers and the failure plumbing: a
+  /// boundary that can no longer produce or persist — device error,
+  /// retry budget exhausted, IoContext stopped — retires the session as
+  /// kFailed with the failing unit. The engine must be running.
+  [[nodiscard]] common::Result<std::size_t> submit_to(
+      Engine& engine, const mpsoc::Mapping& mapping,
+      SessionOptions options = {});
+  [[nodiscard]] common::Result<SessionTicket> submit_to(
+      ShardedEngine& sharded, const mpsoc::Mapping& mapping,
+      SessionOptions options = {});
+  /// Drain the device side of the sink boundary (call after wait()).
+  void finish();
+};
+
+// ---------------------------------------------------------------------------
 // Streaming session: RTP in -> decode path -> RTP out
 // ---------------------------------------------------------------------------
 
@@ -171,20 +212,16 @@ struct StreamingSessionConfig {
   bool async_boundaries = true;  ///< false = blocking inline reference for tests
   std::size_t io_depth = 4;
   double time_scale = 0.0;  ///< 1.0 = model arrival gaps as real sleeps
-  // Fault injection & recovery (fault.h). A non-null injector makes the
-  // async boundaries *fallible*: ingress/egress ops route through the
-  // TryReadFn/TryWriteFn convention wrapped by the injector (endpoints
-  // "rtp.in" / "rtp.out"), transient errors retried under `retry`,
-  // terminal failures surfaced through Engine::fail_session by
-  // submit_to(). Borrowed — must outlive the session. Ignored with
-  // inline boundaries.
+  // Fault injection & recovery (fault.h). The async boundaries always
+  // follow the TryReadFn/TryWriteFn convention: transient errors retry
+  // under `retry`, terminal failures retire the session through
+  // Engine::fail_session. A non-null injector additionally wraps the
+  // ingress/egress ops (endpoints "rtp.in" / "rtp.out"). Borrowed — must
+  // outlive the session. Ignored with inline boundaries.
   FaultInjector* fault = nullptr;
   FaultPlan ingress_faults;
   FaultPlan egress_faults;
   RetryPolicy retry;
-  /// Fallible boundaries even without an injector (real error paths
-  /// surface instead of fail-open empty units).
-  bool fallible_boundaries = false;
 };
 
 /// What the decode/display stages observed (read after the engine drained).
@@ -197,33 +234,17 @@ struct StreamingState {
   std::uint64_t luma_bytes = 0;
 };
 
-/// A built streaming session: submit into a *running* Engine (or
-/// ShardedEngine) — dynamic admission is required because the boundary
-/// wakers only exist once the session is wired onto live workers. Keep
-/// the object alive until the engine drained, then call finish().
-struct StreamingSession {
-  mpsoc::TaskGraph graph{"rtp-streaming"};
-  std::uint64_t frames = 0;
-  std::shared_ptr<StreamingState> state;
+/// The endpoints a streaming session's adapters call from I/O threads.
+/// Listed as a base *before* BoundarySession so it is destroyed after
+/// it: the adapters quiesce before the endpoints they call go away.
+struct RtpSessionEndpoints {
   std::shared_ptr<RtpIngress> ingress;  ///< jitter/loss stats live here
   std::shared_ptr<RtpEgress> egress;
-  /// Shared by the source and sink adapters: retired unit buffers cycle
-  /// ingress -> pool -> egress copy -> pool (see PayloadPool).
-  std::shared_ptr<PayloadPool> pool;
-  std::unique_ptr<AsyncSource> source;  ///< null with inline boundaries
-  std::unique_ptr<AsyncSink> sink;      ///< null with inline boundaries
-  mpsoc::TaskId ingress_task = 0;
-  mpsoc::TaskId egress_task = 0;
+};
 
-  /// Submit + wire the boundary wakers. The engine must be running.
-  [[nodiscard]] common::Result<std::size_t> submit_to(
-      Engine& engine, const mpsoc::Mapping& mapping,
-      SessionOptions options = {});
-  [[nodiscard]] common::Result<SessionTicket> submit_to(
-      ShardedEngine& sharded, const mpsoc::Mapping& mapping,
-      SessionOptions options = {});
-  /// Drain the device side of the egress boundary (call after wait()).
-  void finish();
+/// A built streaming session (source = RTP ingress, sink = RTP egress).
+struct StreamingSession : RtpSessionEndpoints, BoundarySession {
+  std::shared_ptr<StreamingState> state;
 };
 
 /// Build a streaming session: pre-encodes `frames` synthetic frames,
@@ -254,14 +275,12 @@ struct TranscodeSessionConfig {
   fs::BlockDevice::TimingModel timing{};
   std::uint32_t block_size = 512;
   // Fault injection & recovery (fault.h) — see StreamingSessionConfig.
-  // Endpoints register as "file.read" / "file.write"; with no
-  // injector but fallible_boundaries set, real device errors surface
-  // as permanent session failures instead of fail-open empty units.
+  // Endpoints register as "file.read" / "file.write". A volume error is
+  // permanent: with or without an injector it fails the session.
   FaultInjector* fault = nullptr;
   FaultPlan read_faults;
   FaultPlan write_faults;
   RetryPolicy retry;
-  bool fallible_boundaries = false;
 };
 
 struct TranscodeState {
@@ -272,29 +291,21 @@ struct TranscodeState {
   std::uint32_t out_crc = 0;  ///< chained CRC over re-encoded units
 };
 
-struct FileTranscodeSession {
-  mpsoc::TaskGraph graph{"file-transcode"};
-  std::uint64_t frames = 0;
-  std::shared_ptr<TranscodeState> state;
+/// The volume and endpoints a transcode session's adapters call from I/O
+/// threads (destroyed after the adapters, see RtpSessionEndpoints).
+struct FileSessionEndpoints {
   std::unique_ptr<fs::BlockDevice> device;
   std::unique_ptr<fs::FatVolume> volume;
   std::shared_ptr<std::mutex> volume_mu;  ///< serializes source/sink on the volume
   std::shared_ptr<BlockFileSource> reader_endpoint;
   std::shared_ptr<BlockFileSink> writer_endpoint;
-  std::shared_ptr<PayloadPool> pool;    ///< shared source/sink buffer pool
-  std::unique_ptr<AsyncSource> source;  ///< null with inline boundaries
-  std::unique_ptr<AsyncSink> sink;      ///< null with inline boundaries
   std::string out_path;
-  mpsoc::TaskId read_task = 0;
-  mpsoc::TaskId write_task = 0;
+};
 
-  [[nodiscard]] common::Result<std::size_t> submit_to(
-      Engine& engine, const mpsoc::Mapping& mapping,
-      SessionOptions options = {});
-  [[nodiscard]] common::Result<SessionTicket> submit_to(
-      ShardedEngine& sharded, const mpsoc::Mapping& mapping,
-      SessionOptions options = {});
-  void finish();
+/// A built file transcode session (source = block read, sink = block
+/// write).
+struct FileTranscodeSession : FileSessionEndpoints, BoundarySession {
+  std::shared_ptr<TranscodeState> state;
 };
 
 /// Build a file transcode session: formats a FAT volume on a fresh

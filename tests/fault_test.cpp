@@ -894,7 +894,6 @@ TEST(BlockEndpoints, SinkTryWriteRecordsEverySinkErrorNotJustTheFirst) {
   // Two good writes through the fallible path.
   EXPECT_TRUE(sink.try_write(0, unit_payload(0)).is_ok());
   EXPECT_TRUE(sink.try_write(1, unit_payload(1)).is_ok());
-  EXPECT_TRUE(sink.status().is_ok());
   EXPECT_FALSE(sink.error_summary().any());
 
   // Exhaust the volume so appends start failing, then fail twice.
@@ -910,10 +909,6 @@ TEST(BlockEndpoints, SinkTryWriteRecordsEverySinkErrorNotJustTheFirst) {
   EXPECT_EQ(summary.errors, 2u) << "both failures recorded, not just one";
   EXPECT_EQ(summary.first_unit, failing_a);
   EXPECT_EQ(summary.last_unit, failing_a + 1);
-  EXPECT_FALSE(sink.status().is_ok()) << "legacy first-error status intact";
-  // The legacy write() path records into the same summary.
-  sink.write(failing_a + 2, huge);
-  EXPECT_EQ(sink.error_summary().errors, 3u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -21,6 +22,9 @@ namespace {
 
 using namespace mmsoc;
 using namespace mmsoc::runtime;
+using common::Result;
+using common::Status;
+using common::StatusCode;
 using mpsoc::Payload;
 using mpsoc::TaskFiring;
 using mpsoc::TaskGraph;
@@ -70,9 +74,9 @@ TEST(AsyncBoundary, SourceDeliversInOrderAndEngineAccountsStalls) {
       io,
       [](std::uint64_t i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        return std::optional<Payload>(unit_payload(i));
+        return Result<Payload>(unit_payload(i));
       },
-      /*depth=*/2);
+      {}, /*depth=*/2);
 
   TaskGraph g("gated-source");
   const TaskId src = g.add_task(task("src", 10));
@@ -120,12 +124,13 @@ TEST(AsyncBoundary, SinkBackpressuresOrderedWritesAndFlushes) {
   std::vector<std::pair<std::uint64_t, Payload>> written;
   AsyncSink sink(
       io,
-      [&](std::uint64_t i, Payload p) {
+      [&](std::uint64_t i, const Payload& p) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         std::lock_guard lock(written_mu);
-        written.emplace_back(i, std::move(p));
+        written.emplace_back(i, p);
+        return Status::ok();
       },
-      /*depth=*/2);
+      {}, /*depth=*/2);
 
   TaskGraph g("gated-sink");
   const TaskId src = g.add_task(task("src", 10));
@@ -164,8 +169,9 @@ TEST(AsyncBoundary, TruncatedStreamUnderrunsInsteadOfWedging) {
   constexpr std::uint64_t kAvailable = 7;
   IoContext io;
   AsyncSource source(io, [](std::uint64_t i) {
-    return i < kAvailable ? std::optional<Payload>(unit_payload(i))
-                          : std::nullopt;
+    return i < kAvailable
+               ? Result<Payload>(unit_payload(i))
+               : Result<Payload>(StatusCode::kOutOfRange, "end of stream");
   });
   TaskGraph g("truncated");
   const TaskId src = g.add_task(task("src", 10));
@@ -197,13 +203,14 @@ TEST(AsyncBoundary, StoppedContextFailsOpenInsteadOfWedging) {
   IoContext io;
   io.stop();  // the pathological ordering: context dies before the session
   AsyncSource source(io, [](std::uint64_t i) {
-    return std::optional<Payload>(unit_payload(i));
+    return Result<Payload>(unit_payload(i));
   });
   std::mutex sink_mu;
   std::uint64_t sunk = 0;
-  AsyncSink sink(io, [&](std::uint64_t, Payload) {
+  AsyncSink sink(io, [&](std::uint64_t, const Payload&) {
     std::lock_guard lock(sink_mu);
     ++sunk;
+    return Status::ok();
   });
   TaskGraph g("dead-context");
   const TaskId src = g.add_task(task("src", 10));
@@ -243,7 +250,7 @@ TEST(AsyncBoundary, AdapterDestructionQuiescesInflightIo) {
     AsyncSource source(io, [&read_done](std::uint64_t i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       read_done.store(true);
-      return std::optional<Payload>(unit_payload(i));
+      return Result<Payload>(unit_payload(i));
     });
     TaskGraph g("cancel-quiesce");
     const TaskId src = g.add_task(task("src", 10));
@@ -305,8 +312,8 @@ TEST(AsyncBoundary, SharedPoolRecyclesUnitBuffersAcrossSourceAndSink) {
   IoContext io;
   auto pool = std::make_shared<PayloadPool>(16);
   AsyncSource source(
-      io, [](std::uint64_t i) { return std::optional<Payload>(unit_payload(i)); },
-      /*depth=*/4, pool);
+      io, [](std::uint64_t i) { return Result<Payload>(unit_payload(i)); },
+      {}, /*depth=*/4, pool);
   std::mutex written_mu;
   std::vector<Payload> written;
   AsyncSink sink(
@@ -314,8 +321,9 @@ TEST(AsyncBoundary, SharedPoolRecyclesUnitBuffersAcrossSourceAndSink) {
       [&](std::uint64_t, const Payload& p) {
         std::lock_guard lock(written_mu);
         written.push_back(p);
+        return Status::ok();
       },
-      /*depth=*/4, pool);
+      {}, /*depth=*/4, pool);
 
   TaskGraph g("pooled-boundary");
   const TaskId src = g.add_task(task("src", 10));
@@ -374,9 +382,9 @@ TEST(RtpIngress, TailGapFlushesReceivedPacketsInsteadOfDroppingThem) {
                      RtpIngressOptions{.playout_delay_units = 3});
   std::vector<Payload> played;
   for (std::uint64_t i = 0; i < 6; ++i) {
-    auto unit = ingress.read(i);
-    ASSERT_TRUE(unit.has_value());
-    played.push_back(std::move(*unit));
+    auto unit = ingress.try_read(i);
+    ASSERT_TRUE(unit.is_ok());
+    played.push_back(std::move(unit.value()));
   }
   EXPECT_EQ(played[2], unit_payload(2, 16));
   EXPECT_EQ(played[3], unit_payload(2, 16)) << "lost unit concealed as repeat";
@@ -419,6 +427,8 @@ StreamingSessionConfig small_stream(std::uint64_t frames) {
 
 struct StreamRun {
   std::uint32_t luma_crc = 0;
+  std::uint64_t luma_bytes = 0;
+  std::uint64_t decode_conceals = 0;
   std::uint64_t concealed = 0;
   std::uint64_t packets_out = 0;
   SessionOutcome outcome = SessionOutcome::kPending;
@@ -441,6 +451,8 @@ StreamRun run_stream(const StreamingSessionConfig& cfg, std::size_t workers) {
   r.outcome = engine.report(sid.value()).outcome;
   r.io_stall_s = engine.report(sid.value()).io_stall_s;
   r.luma_crc = session.state->luma_crc;
+  r.luma_bytes = session.state->luma_bytes;
+  r.decode_conceals = session.state->decode_conceals;
   r.concealed = session.ingress->concealed();
   r.packets_out = session.egress->packets_sent();
   EXPECT_EQ(session.state->frames_decoded, cfg.frames);
@@ -482,6 +494,44 @@ TEST(StreamingSession, LossAndReorderConcealedDeterministically) {
   EXPECT_NE(a.luma_crc, run_stream(clean, 2).luma_crc);
 }
 
+// Destroying a session while its source is mid-read (real-time pacing
+// sleeps on the I/O thread) must quiesce the adapters before the
+// endpoints they call are destroyed. The sanitizer legs catch a
+// violation as a use-after-free.
+TEST(StreamingSession, TeardownMidReadQuiescesAdaptersBeforeEndpoints) {
+  IoContext io;
+  EngineOptions eopts;
+  eopts.workers = 1;
+  Engine engine(eopts);
+  ASSERT_TRUE(engine.start().is_ok());
+  {
+    auto cfg = small_stream(30);
+    cfg.time_scale = 1.0;  // each read waits out a ~33 ms arrival gap
+    StreamingSession session = make_streaming_session(io, cfg);
+    auto sid = session.submit_to(engine, round_robin_mapping(session.graph, 1));
+    ASSERT_TRUE(sid.is_ok());
+    engine.cancel(sid.value());
+    ASSERT_TRUE(engine.wait().is_ok());
+  }  // the prefetching read is still sleeping inside the ingress here
+}
+
+// Byte-exact golden: the default session with 10% loss and reorder span
+// 2 displays the same sequence at every worker count.
+TEST(StreamingSession, LossyDefaultMatchesGoldenAtEveryWorkerCount) {
+  StreamingSessionConfig cfg;
+  cfg.loss_probability = 0.10;
+  cfg.reorder_span = 2;
+  for (const std::size_t workers : {1, 2, 4}) {
+    const StreamRun r = run_stream(cfg, workers);
+    ASSERT_EQ(r.outcome, SessionOutcome::kCompleted) << workers << " workers";
+    EXPECT_EQ(r.luma_crc, 0x10ef1bf0u) << workers << " workers";
+    EXPECT_EQ(r.luma_bytes, 98304u) << workers << " workers";
+    EXPECT_EQ(r.decode_conceals, 14u) << workers << " workers";
+    EXPECT_EQ(r.concealed, 7u) << workers << " workers";
+    EXPECT_EQ(r.packets_out, 24u) << workers << " workers";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // File transcode session (block read -> decode -> encode -> block write)
 // ---------------------------------------------------------------------------
@@ -513,7 +563,7 @@ TEST(TranscodeSession, AsyncMatchesInlineBitstreamExactly) {
     EXPECT_TRUE(engine.wait().is_ok());
     session.finish();
     EXPECT_EQ(engine.report(sid.value()).outcome, SessionOutcome::kCompleted);
-    EXPECT_TRUE(session.writer_endpoint->status().is_ok());
+    EXPECT_FALSE(session.writer_endpoint->error_summary().any());
     // The re-encoded stream really landed on the FAT volume.
     auto out = session.volume->read_file(session.out_path);
     EXPECT_TRUE(out.is_ok());
@@ -549,7 +599,115 @@ TEST(TranscodeSession, SlowDeviceShowsUpAsIoStallNotCompute) {
   EXPECT_GT(session.writer_endpoint->modeled_io_us(), 0.0);
   // The read boundary waits on the disk; that time must be in io_stall.
   EXPECT_GT(rep.io_stall_s, 0.0);
-  EXPECT_GT(rep.tasks[session.read_task].io_stalls, 0u);
+  EXPECT_GT(rep.tasks[session.source_task].io_stalls, 0u);
+}
+
+struct TranscodeRun {
+  SessionOutcome outcome = SessionOutcome::kPending;
+  Status status;
+  std::uint64_t failed_unit = 0;
+  std::uint32_t out_crc = 0;
+  std::uint64_t bytes_out = 0;
+  std::uint64_t bytes_on_disk = 0;
+};
+
+/// Build and run one transcode session; `prepare` may alter its volume
+/// before submission. The engine outlives the session (declared first).
+TranscodeRun run_transcode(
+    const TranscodeSessionConfig& cfg, std::size_t workers,
+    const std::function<void(FileTranscodeSession&)>& prepare = {}) {
+  IoContext io;
+  EngineOptions eopts;
+  eopts.workers = workers;
+  Engine engine(eopts);
+  EXPECT_TRUE(engine.start().is_ok());
+  auto made = make_file_transcode_session(io, cfg);
+  if (!made.is_ok()) {
+    ADD_FAILURE() << made.status().to_text();
+    return {};
+  }
+  FileTranscodeSession session = std::move(made.value());
+  if (prepare) prepare(session);
+  auto sid = session.submit_to(engine,
+                               round_robin_mapping(session.graph, workers));
+  EXPECT_TRUE(sid.is_ok()) << sid.status().to_text();
+  EXPECT_TRUE(engine.wait().is_ok());
+  session.finish();
+  const auto& rep = engine.report(sid.value());
+  auto out = session.volume->read_file(session.out_path);
+  return TranscodeRun{rep.outcome,
+                      rep.status,
+                      rep.failed_unit,
+                      session.state->out_crc,
+                      session.state->bytes_out,
+                      out.is_ok() ? out.value().size() : 0};
+}
+
+// Byte-exact golden for the default transcode at every worker count.
+TEST(TranscodeSession, DefaultMatchesGoldenAtEveryWorkerCount) {
+  for (const std::size_t workers : {1, 2, 4}) {
+    const TranscodeRun r = run_transcode(TranscodeSessionConfig{}, workers);
+    ASSERT_EQ(r.outcome, SessionOutcome::kCompleted) << workers << " workers";
+    EXPECT_EQ(r.out_crc, 0xd9d2cb09u) << workers << " workers";
+    EXPECT_EQ(r.bytes_out, 5585u) << workers << " workers";
+    EXPECT_EQ(r.bytes_on_disk, 5585u) << workers << " workers";
+  }
+}
+
+// A transcode whose input vanished must fail at unit 0 naming the read,
+// not complete with every unit concealed.
+TEST(TranscodeSession, MissingInputFailsInsteadOfConcealingEveryUnit) {
+  const TranscodeRun r =
+      run_transcode(small_transcode(10), 2, [](FileTranscodeSession& s) {
+        ASSERT_TRUE(s.volume->remove("/in.bit").is_ok());
+      });
+  EXPECT_EQ(r.outcome, SessionOutcome::kFailed);
+  EXPECT_EQ(r.failed_unit, 0u);
+  EXPECT_NE(r.status.message().find("device read"), std::string::npos)
+      << r.status.to_text();
+}
+
+// A transcode onto a full volume must fail naming the write, not
+// complete with nothing on disk.
+TEST(TranscodeSession, FullVolumeFailsInsteadOfReportingEmptySuccess) {
+  const TranscodeRun r =
+      run_transcode(small_transcode(10), 2, [](FileTranscodeSession& s) {
+        const std::size_t fill =
+            static_cast<std::size_t>(s.volume->free_blocks()) *
+            s.device->block_size();
+        ASSERT_TRUE(s.volume
+                        ->write_file("/filler",
+                                     std::vector<std::uint8_t>(fill, 0x5a))
+                        .is_ok());
+      });
+  EXPECT_EQ(r.outcome, SessionOutcome::kFailed);
+  EXPECT_EQ(r.failed_unit, 0u);
+  EXPECT_NE(r.status.message().find("device write"), std::string::npos)
+      << r.status.to_text();
+  EXPECT_EQ(r.bytes_on_disk, 0u);
+}
+
+// The inline reference calls the same endpoint functions: a device error
+// stops the run instead of feeding the decoder an empty unit.
+TEST(TranscodeSession, InlineReferenceStopsTheRunOnADeviceError) {
+  auto cfg = small_transcode(10);
+  cfg.async_boundaries = false;
+  IoContext io;
+  EngineOptions eopts;
+  eopts.workers = 2;
+  Engine engine(eopts);
+  ASSERT_TRUE(engine.start().is_ok());
+  auto made = make_file_transcode_session(io, cfg);
+  ASSERT_TRUE(made.is_ok());
+  FileTranscodeSession session = std::move(made.value());
+  ASSERT_TRUE(session.volume->remove("/in.bit").is_ok());
+  auto sid = session.submit_to(engine, round_robin_mapping(session.graph, 2));
+  ASSERT_TRUE(sid.is_ok());
+  const Status waited = engine.wait();
+  EXPECT_FALSE(waited.is_ok());
+  EXPECT_NE(waited.message().find("device read"), std::string::npos)
+      << waited.to_text();
+  EXPECT_EQ(session.state->decode_conceals, 0u);
 }
 
 // ---------------------------------------------------------------------------
