@@ -4,10 +4,14 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -37,7 +41,7 @@ std::uint64_t to_ns(Clock::time_point t) {
           .count());
 }
 
-// Cancellation codes stored in SessionState::cancel_code. Zero means the
+// Cancellation codes stored in LiveSession::cancel_code. Zero means the
 // session is live; the first CAS winner decides the reported outcome.
 constexpr int kLive = 0;
 constexpr int kCancelledByUser = 1;
@@ -97,7 +101,7 @@ std::vector<double> SessionReport::mean_service_times() const {
 }
 
 struct Engine::Impl {
-  struct SessionState;
+  struct LiveSession;
 
   // One task of one session, as scheduled: a handle that lives in exactly
   // one worker's runqueue at a time. The worker whose queue holds it is
@@ -107,8 +111,7 @@ struct Engine::Impl {
   struct TaskRun {
     const mpsoc::TaskGraph* graph = nullptr;
     mpsoc::TaskId id = 0;
-    SessionState* sess = nullptr;
-    std::size_t session_index = 0;
+    LiveSession* sess = nullptr;
     std::size_t pe = 0;    // logical PE (mapping) — attribution key
     std::size_t home = 0;  // placement hint: pe mod pool size
     /// Worker whose runqueue currently holds this task. Read by firing
@@ -174,7 +177,10 @@ struct Engine::Impl {
     std::uint64_t ut_jitter_n = 0;
   };
 
-  struct SessionState {
+  /// Everything a session needs while it runs, and nothing it needs
+  /// after: close_session frees it and keeps only the session's report.
+  struct LiveSession {
+    std::size_t index = 0;
     const mpsoc::TaskGraph* graph = nullptr;
     mpsoc::Mapping mapping;
     std::uint64_t iterations = 0;
@@ -182,8 +188,9 @@ struct Engine::Impl {
     std::vector<std::unique_ptr<SpscQueue<mpsoc::Payload>>> channels;  // per edge
     std::vector<std::unique_ptr<TaskRun>> runs;  // filled when wired
     /// Firings not yet executed *or dropped by retirement*. Hits zero
-    /// exactly once — when the session stops consuming engine capacity —
-    /// which is the completion-callback trigger for both graceful ends.
+    /// exactly once, and the worker whose decrement gets it there makes
+    /// the last worker access to the session's tasks and channels: it
+    /// closes the session.
     std::atomic<std::uint64_t> outstanding{0};
     /// kLive until the first cancel wins the CAS; the winning code is the
     /// reported outcome. cancel_ns is CAS'd from zero *before* the code
@@ -206,12 +213,11 @@ struct Engine::Impl {
     std::uint64_t wd_last_outstanding = ~std::uint64_t{0};
     int wd_stagnant_periods = 0;
     bool wd_flagged = false;
+    bool degraded = false;  ///< on_degrade fired (guarded by sessions_mu)
     /// Boundary-failure record (guarded by sessions_mu; first failure
-    /// wins) and the rolling multi-error summary fed by record_io_error.
+    /// wins).
     common::Status failed_status;
     std::uint64_t failed_unit = 0;
-    IoErrorSummary io_errors;
-    SessionReport report;
   };
 
   /// One physical worker: a runqueue of task handles plus an eventcount.
@@ -228,6 +234,8 @@ struct Engine::Impl {
   /// Cache-line aligned so notifies don't false-share.
   struct alignas(64) Worker {
     std::mutex mu;
+    /// Unfinished tasks only: a task is requeued only while it has
+    /// iterations left, so a closed session's tasks are never here.
     std::vector<TaskRun*> queue;
     /// Tasks this worker popped for a firing batch / retirement and will
     /// re-queue (guarded by mu). Thieves add it to the queued count when
@@ -242,12 +250,18 @@ struct Engine::Impl {
   enum class RunState { kIdle, kStarting, kRunning, kJoining, kDone };
 
   EngineOptions options;
-  /// Guards the session table (grows under dynamic admission) and the
-  /// draining flag. Lock order: sessions_mu -> worker.mu / pool_mu /
-  /// dl_mu; workers never take sessions_mu (TaskRun carries its
-  /// SessionState pointer), so the firing path stays lock-cheap.
+  /// Guards the reports, the live set and the draining flag. Lock order:
+  /// hub->mu -> sessions_mu -> worker.mu / pool_mu / dl_mu. Workers take
+  /// sessions_mu only to close a session (TaskRun carries its
+  /// LiveSession pointer), so the firing path stays lock-cheap.
   mutable std::mutex sessions_mu;
-  std::vector<std::unique_ptr<SessionState>> sessions;
+  /// One report per session ever admitted, indexed by session id; a
+  /// deque so report() references survive later submits.
+  std::deque<SessionReport> reports;
+  /// The live-session registry: admitted and not yet closed. Everything
+  /// that acts on running sessions (deadlines, watchdog, cancel_all,
+  /// wakers, overload hooks) walks this set only.
+  std::map<std::size_t, std::unique_ptr<LiveSession>> live;
   std::atomic<std::size_t> session_count_{0};
   std::vector<Worker> workers_;
   std::size_t resolved_workers = 0;
@@ -310,6 +324,16 @@ struct Engine::Impl {
   mutable std::mutex stall_mu;
   std::vector<std::string> stall_reports_;
   std::vector<Engine::StallRecovery> stall_recoveries_;
+
+  /// One event of task `r` on a worker's ring.
+  static void emit(EventRing& ring, EventKind kind, const TaskRun& r,
+                   std::uint64_t begin_ns, std::uint64_t end_ns,
+                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
+    ring.emit(TelemetryEvent{
+        TelemetryEvent::pack0(kind, r.name_id,
+                              static_cast<std::uint32_t>(r.sess->index + 1)),
+        begin_ns, end_ns, arg0, arg1});
+  }
 
   EventRing* ring_of(std::size_t w) const {
     if (rings.empty()) return nullptr;
@@ -440,37 +464,46 @@ struct Engine::Impl {
     notify_all_workers();
   }
 
-  /// First cancel wins; subsequent calls (and cancels of finished
-  /// sessions) are no-ops. Safe from any thread at any lifecycle stage,
-  /// including concurrently with submit().
-  void cancel_session(std::size_t s, int code) {
-    std::lock_guard lock(sessions_mu);
-    cancel_session_locked(s, code);
+  static Status failure_status(const std::string& graph, std::uint64_t unit,
+                               const Status& cause) {
+    return Status(StatusCode::kUnavailable,
+                  "session '" + graph + "' failed at unit " +
+                      std::to_string(unit) + ": " + cause.message());
   }
 
   void fail_session(std::size_t s, std::uint64_t unit, Status status) {
     std::lock_guard lock(sessions_mu);
-    if (s >= sessions.size()) return;
-    auto& sess = *sessions[s];
-    if (sess.failed_status.is_ok()) {
-      sess.failed_status = std::move(status);
-      sess.failed_unit = unit;
+    if (const auto it = live.find(s); it != live.end()) {
+      auto& sess = *it->second;
+      if (sess.failed_status.is_ok()) {
+        sess.failed_status = std::move(status);
+        sess.failed_unit = unit;
+      }
+      cancel_session_locked(sess, kFailedByBoundary);
+    } else if (s < reports.size() &&
+               reports[s].outcome == SessionOutcome::kCompleted) {
+      // Closed, but a boundary op was still in flight (a sink write
+      // outlives the sink firing that queued it): amend the record. The
+      // output is not trustworthy, whatever the graph did.
+      auto& rep = reports[s];
+      rep.outcome = SessionOutcome::kFailed;
+      rep.failed_unit = unit;
+      rep.status = failure_status(rep.graph, unit, status);
     }
-    cancel_session_locked(s, kFailedByBoundary);
   }
 
+  /// Live or closed alike: the summary lives in the retained report.
   void record_io_error(std::size_t s, std::uint64_t unit, const Status& status,
                        bool will_retry) {
     std::lock_guard lock(sessions_mu);
-    if (s >= sessions.size()) return;
-    auto& sess = *sessions[s];
-    sess.io_errors.record(unit, status);
-    if (will_retry) ++sess.io_errors.retries;
+    if (s >= reports.size()) return;
+    auto& errors = reports[s].io_errors;
+    errors.record(unit, status);
+    if (will_retry) ++errors.retries;
   }
 
-  void cancel_session_locked(std::size_t s, int code) {
-    if (s >= sessions.size()) return;
-    auto& sess = *sessions[s];
+  /// First cancel wins; later calls are no-ops. Caller holds sessions_mu.
+  void cancel_session_locked(LiveSession& sess, int code) {
     // First cancel's timestamp sticks: a later cancel_all/destructor must
     // not inflate the wall clock of a session that died long before.
     Clock::rep expected_ns = 0;
@@ -530,28 +563,23 @@ struct Engine::Impl {
   }
 
   /// Session/global accounting for `n` firings leaving the system (fired
-  /// or dropped). Records session completion into `completed` (callback
-  /// runs later, outside the queue lock) and wakes the pool when the
-  /// engine drains dry while wait() is pending.
-  void account_done(TaskRun& r, std::uint64_t n, bool fired,
-                    std::size_t self, std::vector<std::size_t>& completed) {
+  /// or dropped). When this decrement is the session's last, no worker
+  /// touches its tasks or channels again and the session is returned for
+  /// the caller to close (outside the queue lock). Wakes the pool when
+  /// the engine drains dry while wait() is pending.
+  LiveSession* account_done(TaskRun& r, std::uint64_t n, std::size_t self) {
+    LiveSession* closing = nullptr;
     auto& sess = *r.sess;
     if (sess.outstanding.fetch_sub(n, std::memory_order_acq_rel) == n) {
-      if (fired && sess.cancel_code.load(std::memory_order_acquire) == kLive) {
+      if (sess.cancel_code.load(std::memory_order_acquire) == kLive) {
         sess.finish = Clock::now();
       }
-      completed.push_back(r.session_index);
+      closing = &sess;
       if (EventRing* ring = ring_of(self)) {
         const std::uint64_t now = Telemetry::now_ns();
-        TelemetryEvent ev;
-        ev.word0 = TelemetryEvent::pack0(
-            EventKind::kSessionEnd, r.name_id,
-            static_cast<std::uint32_t>(r.session_index + 1));
-        ev.begin_ns = ev.end_ns = now;
-        ev.arg0 = sess.iterations;
-        ev.arg1 = static_cast<std::uint64_t>(
-            sess.cancel_code.load(std::memory_order_relaxed));
-        ring->emit(ev);
+        emit(*ring, EventKind::kSessionEnd, r, now, now, sess.iterations,
+             static_cast<std::uint64_t>(
+                 sess.cancel_code.load(std::memory_order_relaxed)));
         m_sessions_completed->add(1);
       }
     }
@@ -559,6 +587,7 @@ struct Engine::Impl {
         draining.load(std::memory_order_acquire)) {
       notify_all_workers();
     }
+    return closing;
   }
 
   /// Fire up to kFiringQuantum consecutive iterations of a task the calling
@@ -566,18 +595,17 @@ struct Engine::Impl {
   /// to thieves, so the batch needs no lock; the channels' producer/
   /// consumer sides belong to this worker for the duration). Stops early
   /// on empty input, full output, closed gate, session cancel, or engine
-  /// stop. Accounting and the session-outstanding decrement happen ONCE
-  /// per batch, and the clock is read twice per batch, so busy_s
-  /// measures the batch wall — body time plus the wait-free intra-batch
-  /// channel hand-off (front/push/pop/acquire; no locks or waits inside
-  /// the window). Peer wakeups are coalesced to the batch end PLUS an
+  /// stop. The caller accounts the batch (one outstanding decrement,
+  /// after every access to the task); the clock is read twice per batch,
+  /// so busy_s measures the batch wall — body time plus the wait-free
+  /// intra-batch channel hand-off (front/push/pop/acquire; no locks or
+  /// waits inside the window). Peer wakeups are coalesced to the batch end PLUS an
   /// immediate notify whenever a firing unblocked a parked peer
   /// (empty->non-empty push or full->non-full pop), so slow bodies keep
   /// the pipeline overlapped while fast bodies still amortize; the
   /// eventcount protocol is safe at any coalescing granularity. Returns
   /// the number of firings.
-  std::uint64_t fire_batch(TaskRun& r, std::size_t self,
-                           std::vector<std::size_t>& completed, bool& fatal) {
+  std::uint64_t fire_batch(TaskRun& r, std::size_t self, bool& fatal) {
     auto& sess = *r.sess;
     auto& firing = r.scratch;
     const std::size_t n_out = r.out.size();
@@ -605,13 +633,7 @@ struct Engine::Impl {
         // per-track slices must stay non-overlapping for Perfetto.
         const std::uint64_t stall_ns =
             stall_s > 0.0 ? static_cast<std::uint64_t>(stall_s * 1e9) : 0;
-        TelemetryEvent ev;
-        ev.word0 = TelemetryEvent::pack0(
-            EventKind::kIoStall, r.name_id,
-            static_cast<std::uint32_t>(r.session_index + 1));
-        ev.begin_ns = ev.end_ns = to_ns(t0);
-        ev.arg0 = stall_ns;
-        ring->emit(ev);
+        emit(*ring, EventKind::kIoStall, r, to_ns(t0), to_ns(t0), stall_ns);
         m_io_stalls->add(1);  // exact; the ns histogram is drain-fed
       }
     }
@@ -621,12 +643,7 @@ struct Engine::Impl {
     std::call_once(sess.start_once, [&] {
       sess.start = t0;
       if (ring != nullptr) {
-        TelemetryEvent ev;
-        ev.word0 = TelemetryEvent::pack0(
-            EventKind::kSessionStart, r.name_id,
-            static_cast<std::uint32_t>(r.session_index + 1));
-        ev.begin_ns = ev.end_ns = to_ns(t0);
-        ring->emit(ev);
+        emit(*ring, EventKind::kSessionStart, r, to_ns(t0), to_ns(t0));
       }
     });
 
@@ -745,21 +762,14 @@ struct Engine::Impl {
         ch->pop();
       }
       if (sampled) {
-        TelemetryEvent ev;
         if (r.is_sink) {
           // The unit retires here: one kUnitComplete flow finish plus the
           // direct-fed latency metrics (direct so the histogram totals
           // agree exactly with sampled completions, per the CI check).
           const std::uint64_t latency =
               ut_t1 >= ut_origin ? ut_t1 - ut_origin : 0;
-          ev.word0 = TelemetryEvent::pack0(
-              EventKind::kUnitComplete, r.name_id,
-              static_cast<std::uint32_t>(r.session_index + 1));
-          ev.begin_ns = ut_origin;
-          ev.end_ns = ut_t1;
-          ev.arg0 = iter;
-          ev.arg1 = latency;
-          ring->emit(ev);
+          emit(*ring, EventKind::kUnitComplete, r, ut_origin, ut_t1, iter,
+               latency);
           if (sess.h_latency != nullptr) sess.h_latency->record(latency);
           h_unit_latency->record(latency);
           m_units_sampled->add(1);
@@ -777,15 +787,9 @@ struct Engine::Impl {
           r.ut_last_latency_ns = latency;
           r.ut_have_last = true;
         } else {
-          ev.word0 = TelemetryEvent::pack0(
-              EventKind::kUnitFlow, r.name_id,
-              static_cast<std::uint32_t>(r.session_index + 1));
-          ev.begin_ns = ut_ready;
-          ev.end_ns = ut_t1;
-          ev.arg0 = iter;
-          ev.arg1 = (ut_service << 1) |
-                    (r.is_source ? std::uint64_t{1} : std::uint64_t{0});
-          ring->emit(ev);
+          emit(*ring, EventKind::kUnitFlow, r, ut_ready, ut_t1, iter,
+               (ut_service << 1) |
+                   (r.is_source ? std::uint64_t{1} : std::uint64_t{0}));
         }
       }
       ++fired;
@@ -809,17 +813,9 @@ struct Engine::Impl {
         // counter add (firings must agree exactly with the post-mortem
         // reports); batch count and latency histogram are derived from
         // this event at drain time, off this thread.
-        TelemetryEvent ev;
-        ev.word0 = TelemetryEvent::pack0(
-            EventKind::kFiringBatch, r.name_id,
-            static_cast<std::uint32_t>(r.session_index + 1));
-        ev.begin_ns = to_ns(t0);
-        ev.end_ns = to_ns(t1);
-        ev.arg0 = fired;
-        ring->emit(ev);
+        emit(*ring, EventKind::kFiringBatch, r, to_ns(t0), to_ns(t1), fired);
         m_firings->add(fired);
       }
-      account_done(r, fired, /*fired=*/true, self, completed);
       // Coalesced precise wakeup: only the workers owning this task's
       // channel peers can have been unblocked by the batch (tokens
       // arrived / space freed), and one notify covers every firing.
@@ -838,15 +834,15 @@ struct Engine::Impl {
   /// Drop a cancelled task's remaining iterations and drain its input
   /// channels so a back-pressured upstream producer is never left parked
   /// against a dead consumer. Owner-worker only (consumer side of `in`).
-  void retire(TaskRun& r, std::size_t self,
-              std::vector<std::size_t>& completed) {
+  /// Returns the dropped iterations for the caller to account.
+  std::uint64_t retire(TaskRun& r, std::size_t self) {
     const std::uint64_t drop =
         r.limit - r.next_iteration.load(std::memory_order_relaxed);
     r.next_iteration.store(r.limit, std::memory_order_relaxed);
     r.stall_since = {};  // a cancelled boundary wait is not an I/O stall
     for (auto* ch : r.in) ch->clear();
-    account_done(r, drop, /*fired=*/false, self, completed);
     notify_peers(r, self);
+    return drop;
   }
 
   /// Pop the first actionable task out of this worker's runqueue: a task
@@ -869,8 +865,6 @@ struct Engine::Impl {
     std::size_t i = 0;
     for (; i < q.size() && pick == nullptr; ++i) {
       TaskRun* r = q[i];
-      if (r->next_iteration.load(std::memory_order_relaxed) >= r->limit)
-        continue;  // drop finished handle
       if (r->sess->cancel_code.load(std::memory_order_acquire) != kLive) {
         pick = r;
         retire_pick = true;
@@ -891,8 +885,6 @@ struct Engine::Impl {
     std::size_t runnable_left = 0;
     for (; i < q.size(); ++i) {
       TaskRun* r = q[i];
-      if (r->next_iteration.load(std::memory_order_relaxed) >= r->limit)
-        continue;
       if (runnable(*r)) {
         ++runnable_left;
       } else if (ready(*r) && r->stall_since == Clock::time_point{}) {
@@ -931,8 +923,6 @@ struct Engine::Impl {
       std::size_t pick_at = 0;
       for (std::size_t i = 0; i < victim.queue.size(); ++i) {
         TaskRun* r = victim.queue[i];
-        if (r->next_iteration.load(std::memory_order_relaxed) >= r->limit)
-          continue;
         if (r->sess->cancel_code.load(std::memory_order_acquire) != kLive) {
           continue;  // retirement stays with the current owner
         }
@@ -959,22 +949,13 @@ struct Engine::Impl {
       std::atomic_thread_fence(std::memory_order_seq_cst);
       total_steals.fetch_add(1, std::memory_order_relaxed);
       if (EventRing* ring = ring_of(self)) {
-        TelemetryEvent ev;
-        ev.word0 = TelemetryEvent::pack0(
-            EventKind::kSteal, pick->name_id,
-            static_cast<std::uint32_t>(pick->session_index + 1));
-        ev.begin_ns = ev.end_ns = Telemetry::now_ns();
-        ev.arg0 = v;
-        ring->emit(ev);  // steal counter is drain-fed from this event
+        const std::uint64_t now = Telemetry::now_ns();
+        // The steal counter is drain-fed from this event.
+        emit(*ring, EventKind::kSteal, *pick, now, now, v);
       }
       return true;
     }
     return false;
-  }
-
-  void flush_completed(const std::vector<std::size_t>& completed) {
-    if (!options.on_session_complete) return;
-    for (const std::size_t s : completed) options.on_session_complete(s);
   }
 
   bool drained_dry() {
@@ -988,7 +969,6 @@ struct Engine::Impl {
     // start() *before* any side effect, not after).
     released.wait(false, std::memory_order_acquire);
     auto& me = workers_[w];
-    std::vector<std::size_t> completed;
     std::size_t hint_rr = w;  // rotating target for come-steal hints
     unsigned depth_tick = 0;  // queue-depth histogram sampling (1 in 16)
     while (!stop.load(std::memory_order_acquire)) {
@@ -1029,37 +1009,33 @@ struct Engine::Impl {
           if (hint_rr == w) hint_rr = (hint_rr + 1) % workers_.size();
           notify_worker(hint_rr);
         }
-        completed.clear();
         bool fatal = false;
-        bool finished;
-        if (retire_pick) {
-          retire(*r, w, completed);
-          finished = true;
-          progressed = true;
-        } else {
-          const std::uint64_t fired =
-              fire_batch(*r, w, completed, fatal);
-          progressed = progressed || fired > 0;
-          finished =
-              r->next_iteration.load(std::memory_order_relaxed) >= r->limit;
-          // A cancel that landed mid-batch: retire now (drop + drain
-          // inputs) so back-pressured upstream peers unblock without
-          // waiting for the next pass to rediscover the task.
-          if (!fatal && !finished &&
-              r->sess->cancel_code.load(std::memory_order_acquire) != kLive) {
-            retire(*r, w, completed);
-            finished = true;
-          }
+        std::uint64_t done = 0;  // iterations this pick fired or dropped
+        if (!retire_pick) done = fire_batch(*r, w, fatal);
+        // A cancel seen at pick time or landed mid-batch: retire now (drop
+        // + drain inputs) so back-pressured upstream peers unblock without
+        // waiting for the next pass to rediscover the task.
+        if (!fatal &&
+            r->next_iteration.load(std::memory_order_relaxed) < r->limit &&
+            r->sess->cancel_code.load(std::memory_order_acquire) != kLive) {
+          done += retire(*r, w);
         }
+        const bool finished =
+            r->next_iteration.load(std::memory_order_relaxed) >= r->limit;
+        progressed = progressed || done > 0;
+        // The decrement comes last: after it, a finished task (and, on
+        // the session's last decrement, the whole session) is the
+        // closer's to free.
+        LiveSession* closing = done > 0 ? account_done(*r, done, w) : nullptr;
         {
           std::lock_guard lock(me.mu);
           --me.inflight;
           if (!fatal && !finished) me.queue.push_back(r);
         }
-        // Completion callbacks run outside the queue mutex so they may
+        // Closing runs outside the queue mutex: on_session_complete may
         // re-enter the engine (submit/cancel) or take caller locks
         // without deadlocking against admission.
-        flush_completed(completed);
+        if (closing != nullptr) close_session(*closing);
         if (fatal) return;
       }
       if (drained_dry()) return;
@@ -1072,15 +1048,28 @@ struct Engine::Impl {
       if (EventRing* ring = ring_of(w)) {
         const std::uint64_t park_t0 = Telemetry::now_ns();
         me.version.wait(v, std::memory_order_acquire);
-        TelemetryEvent ev;
-        ev.word0 = TelemetryEvent::pack0(EventKind::kPark, 0, 0);
-        ev.begin_ns = park_t0;
-        ev.end_ns = Telemetry::now_ns();
-        ring->emit(ev);  // park counter is drain-fed from this event
+        // The park counter is drain-fed from this event.
+        ring->emit(TelemetryEvent{TelemetryEvent::pack0(EventKind::kPark, 0, 0),
+                                  park_t0, Telemetry::now_ns()});
       } else {
         me.version.wait(v, std::memory_order_acquire);
       }
     }
+  }
+
+  /// The live, not yet cancelled session with the earliest deadline, or
+  /// nullopt. Caller holds sessions_mu.
+  std::optional<std::pair<std::size_t, Clock::time_point>>
+  earliest_deadline_locked() const {
+    std::optional<std::pair<std::size_t, Clock::time_point>> best;
+    for (const auto& [s, sess] : live) {
+      if (sess->deadline == Clock::time_point{} ||
+          sess->cancel_code.load(std::memory_order_acquire) != kLive) {
+        continue;
+      }
+      if (!best || sess->deadline < best->second) best.emplace(s, sess->deadline);
+    }
+    return best;
   }
 
   void deadline_main() {
@@ -1088,13 +1077,8 @@ struct Engine::Impl {
       Clock::time_point next = Clock::time_point::max();
       {
         std::lock_guard lock(sessions_mu);
-        for (const auto& sp : sessions) {
-          const auto& sess = *sp;
-          if (sess.deadline == Clock::time_point{}) continue;
-          if (sess.outstanding.load(std::memory_order_acquire) == 0) continue;
-          if (sess.cancel_code.load(std::memory_order_acquire) != kLive)
-            continue;
-          next = std::min(next, sess.deadline);
+        if (const auto due = earliest_deadline_locked()) {
+          next = due->second;
         }
       }
       {
@@ -1112,21 +1096,11 @@ struct Engine::Impl {
         dl_dirty = false;
       }
       const auto now = Clock::now();
-      std::vector<std::size_t> expired;
-      {
-        std::lock_guard lock(sessions_mu);
-        for (std::size_t s = 0; s < sessions.size(); ++s) {
-          const auto& sess = *sessions[s];
-          if (sess.deadline == Clock::time_point{} || now < sess.deadline)
-            continue;
-          if (sess.outstanding.load(std::memory_order_acquire) == 0) continue;
-          if (sess.cancel_code.load(std::memory_order_acquire) != kLive)
-            continue;
-          expired.push_back(s);
+      std::lock_guard lock(sessions_mu);
+      for (const auto& [s, sess] : live) {
+        if (sess->deadline != Clock::time_point{} && now >= sess->deadline) {
+          cancel_session_locked(*sess, kDeadlineExpired);
         }
-      }
-      for (const std::size_t s : expired) {
-        cancel_session(s, kDeadlineExpired);
       }
     }
   }
@@ -1149,8 +1123,8 @@ struct Engine::Impl {
     std::vector<Engine::StallRecovery> recoveries;
     {
       std::lock_guard lock(sessions_mu);
-      for (std::size_t s = 0; s < sessions.size(); ++s) {
-        auto& sess = *sessions[s];
+      for (auto& [s, sp] : live) {
+        auto& sess = *sp;
         if (sess.runs.empty()) continue;  // admitted but not wired yet
         const std::uint64_t out =
             sess.outstanding.load(std::memory_order_acquire);
@@ -1169,7 +1143,7 @@ struct Engine::Impl {
         }
         if (++sess.wd_stagnant_periods >= threshold && !sess.wd_flagged) {
           sess.wd_flagged = true;
-          dumps.push_back(dump_session_locked(s, sess, out));
+          dumps.push_back(dump_session_locked(sess, out));
         }
         // Escalation from detect to recover: a flagged session that
         // stays wedged for `quarantine` ADDITIONAL periods is cancelled
@@ -1182,9 +1156,9 @@ struct Engine::Impl {
           rec.session = s;
           rec.graph = sess.graph->name();
           rec.stagnant_periods = sess.wd_stagnant_periods;
-          rec.dump = dump_session_locked(s, sess, out);
+          rec.dump = dump_session_locked(sess, out);
           recoveries.push_back(std::move(rec));
-          cancel_session_locked(s, kQuarantinedByWatchdog);
+          cancel_session_locked(sess, kQuarantinedByWatchdog);
         }
       }
     }
@@ -1214,9 +1188,9 @@ struct Engine::Impl {
 
   /// Caller holds sessions_mu. Gates are thread-safe reads by contract;
   /// queue size() from a non-owning thread is documented-approximate.
-  std::string dump_session_locked(std::size_t index, const SessionState& sess,
+  std::string dump_session_locked(const LiveSession& sess,
                                   std::uint64_t outstanding) const {
-    std::string out = "session " + std::to_string(index) + " ('" +
+    std::string out = "session " + std::to_string(sess.index) + " ('" +
                       sess.graph->name() + "') stalled: " +
                       std::to_string(outstanding) +
                       " firings outstanding, no progress for " +
@@ -1275,7 +1249,8 @@ struct Engine::Impl {
   /// Build the session's TaskRuns, place each on its hint worker, and
   /// publish the work to the pool. Caller holds sessions_mu; the pool
   /// (workers_ + resolved_workers) must exist.
-  void wire_session_locked(SessionState& sess, std::size_t index) {
+  void wire_session_locked(LiveSession& sess) {
+    const std::size_t index = sess.index;
     const auto& graph = *sess.graph;
     const std::size_t tasks = graph.task_count();
     sess.runs.reserve(tasks);
@@ -1284,7 +1259,6 @@ struct Engine::Impl {
       run->graph = &graph;
       run->id = t;
       run->sess = &sess;
-      run->session_index = index;
       run->pe = sess.mapping[t];
       run->home = sess.mapping[t] % resolved_workers;
       run->owner.store(run->home, std::memory_order_relaxed);
@@ -1366,11 +1340,13 @@ struct Engine::Impl {
                                  "engine is starting; retry submit");
     }
 
-    auto sess = std::make_unique<SessionState>();
+    const std::size_t index = reports.size();
+    auto sess = std::make_unique<LiveSession>();
+    sess->index = index;
     sess->graph = &graph;
     sess->mapping = std::move(mapping);
     sess->iterations = iterations;
-    sess->options = session_options;
+    sess->options = std::move(session_options);
     // Per-slot unit ledgers ride along when frame-journey tracing can be
     // on for this engine (16 bytes per slot; read only on sampled units).
     const bool ledgers = options.telemetry != nullptr &&
@@ -1382,25 +1358,24 @@ struct Engine::Impl {
     }
     sess->outstanding.store(iterations * graph.task_count(),
                             std::memory_order_relaxed);
-    const std::size_t index = sessions.size();
-    sessions.push_back(std::move(sess));
-    session_count_.store(sessions.size(), std::memory_order_relaxed);
+    reports.emplace_back();
+    session_count_.store(reports.size(), std::memory_order_relaxed);
+    LiveSession& admitted = *live.emplace(index, std::move(sess)).first->second;
 
     if (st == RunState::kRunning) {
       // Dynamic admission: wire and publish immediately. sessions_mu
       // serializes this against wait()'s draining flip, so work admitted
       // here is always drained before wait() returns.
-      auto& live = *sessions[index];
-      live.admitted = Clock::now();
-      if (live.options.timeout.count() > 0) {
-        live.deadline = live.admitted + live.options.timeout;
+      admitted.admitted = Clock::now();
+      if (admitted.options.timeout.count() > 0) {
+        admitted.deadline = admitted.admitted + admitted.options.timeout;
         {
           std::lock_guard dl(dl_mu);
           dl_dirty = true;
         }
         dl_cv.notify_all();
       }
-      wire_session_locked(live, index);
+      wire_session_locked(admitted);
     }
     return index;
   }
@@ -1408,31 +1383,39 @@ struct Engine::Impl {
   Result<std::function<void()>> task_waker(std::size_t session,
                                            mpsoc::TaskId task) {
     std::lock_guard lock(sessions_mu);
-    if (session >= sessions.size()) {
+    if (session >= reports.size()) {
       return Result<std::function<void()>>(StatusCode::kInvalidArgument,
                                            "task_waker: no such session");
     }
-    auto& sess = *sessions[session];
-    if (sess.runs.empty()) {
+    // A session may close before its caller asks (a fast session admitted
+    // into a running engine): its waker is then a no-op, like any waker
+    // called after close.
+    const auto it = live.find(session);
+    const std::size_t tasks = it != live.end() ? it->second->runs.size()
+                                               : reports[session].tasks.size();
+    if (tasks == 0) {
       return Result<std::function<void()>>(
           StatusCode::kUnavailable,
-          "task_waker: session not wired yet; submit into a running engine");
+          "task_waker: session not wired (submit into a running engine)");
     }
-    if (task >= sess.runs.size()) {
+    if (task >= tasks) {
       return Result<std::function<void()>>(StatusCode::kInvalidArgument,
                                            "task_waker: no such task");
     }
-    TaskRun* run = sess.runs[task].get();
-    return std::function<void()>([hub = hub, run] {
+    return std::function<void()>([hub = hub, session, task] {
       std::lock_guard hub_lock(hub->mu);
       Impl* impl = hub->impl;
       if (impl == nullptr) return;  // engine died; straggling completion
+      std::lock_guard lock(impl->sessions_mu);
+      const auto it = impl->live.find(session);
+      if (it == impl->live.end()) return;  // closed: nothing left to wake
       // Same fence protocol as notify_peers: either this call reads the
       // post-migration owner, or the thief's first rescan (after its own
       // fence) reads the gate state the I/O thread published before
       // calling us — a migration can never swallow an I/O wakeup.
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      const std::size_t ow = run->owner.load(std::memory_order_relaxed);
+      const std::size_t ow =
+          it->second->runs[task]->owner.load(std::memory_order_relaxed);
       std::lock_guard pool_lock(impl->pool_mu);
       if (ow < impl->workers_.size()) impl->notify_worker(ow);
     });
@@ -1483,7 +1466,7 @@ struct Engine::Impl {
       if (workers == 0) {
         std::size_t max_pe = 0;
         bool any = false;
-        for (const auto& sess : sessions) {
+        for (const auto& [s, sess] : live) {
           for (const std::size_t pe : sess->mapping) {
             max_pe = std::max(max_pe, pe);
             any = true;
@@ -1500,13 +1483,12 @@ struct Engine::Impl {
       }
       init_telemetry_locked();
       run_start = Clock::now();
-      for (std::size_t s = 0; s < sessions.size(); ++s) {
-        auto& sess = *sessions[s];
-        sess.admitted = run_start;
-        if (sess.options.timeout.count() > 0) {
-          sess.deadline = run_start + sess.options.timeout;
+      for (auto& [s, sess] : live) {
+        sess->admitted = run_start;
+        if (sess->options.timeout.count() > 0) {
+          sess->deadline = run_start + sess->options.timeout;
         }
-        wire_session_locked(sess, s);
+        wire_session_locked(*sess);
       }
     }
 
@@ -1595,10 +1577,14 @@ struct Engine::Impl {
     dl_cv.notify_all();
     if (deadline_thread.joinable()) deadline_thread.join();
 
+    // Sessions that never drained (aborted by a body error) close here,
+    // through the same path the workers use.
+    std::vector<LiveSession*> unfinished;
     {
       std::lock_guard lock(sessions_mu);
-      assemble_reports();
+      for (auto& [s, sess] : live) unfinished.push_back(sess.get());
     }
+    for (LiveSession* sess : unfinished) close_session(*sess);
     // Capture the result *before* publishing kDone so the winner never
     // takes error_mu after a loser can already have returned. As with
     // any C++ type, destroying the engine still requires every wait()
@@ -1614,81 +1600,85 @@ struct Engine::Impl {
     return result;
   }
 
-  void assemble_reports() {
-    const auto now = Clock::now();
-    for (auto& sp : sessions) {
-      auto& sess = *sp;
-      auto& rep = sess.report;
-      rep.graph = sess.graph->name();
-      rep.iterations = sess.iterations;
-      rep.channel_capacity = options.channel_capacity;
-      rep.tasks.assign(sess.graph->task_count(), TaskStats{});
-      for (const auto& ch : sess.channels) {
-        rep.edge_peak_occupancy.push_back(ch->max_occupancy());
-        rep.max_channel_occupancy =
-            std::max(rep.max_channel_occupancy, ch->max_occupancy());
-        rep.payloads_recycled += ch->recycle_hits();
-      }
+  /// The one close path: fold the session's task and channel stats into
+  /// its report, unlink it from the live set, free its channels, free
+  /// rings and TaskRuns, and only then call on_session_complete. Runs on
+  /// the worker whose decrement took `outstanding` to zero (no worker
+  /// touches the session after that), or in wait() once the pool is
+  /// joined for a session that never got there. Never under a queue lock.
+  void close_session(LiveSession& sess) {
+    SessionReport rep;
+    rep.graph = sess.graph->name();
+    rep.iterations = sess.iterations;
+    rep.channel_capacity = options.channel_capacity;
+    rep.tasks.assign(sess.graph->task_count(), TaskStats{});
+    for (const auto& ch : sess.channels) {
+      rep.edge_peak_occupancy.push_back(ch->max_occupancy());
+      rep.max_channel_occupancy =
+          std::max(rep.max_channel_occupancy, ch->max_occupancy());
+      rep.payloads_recycled += ch->recycle_hits();
+    }
+    for (const auto& run : sess.runs) {
+      auto& stats = rep.tasks[run->id];
+      stats.name = run->graph->task(run->id).name;
+      stats.pe = run->pe;
+      stats.home_worker = run->home;
+      stats.worker = run->owner.load(std::memory_order_relaxed);
+      stats.migrations = run->migrations;
+      stats.firings = run->firings;
+      stats.busy_s = run->busy_s;
+      stats.io_stalls = run->io_stalls;
+      stats.io_stall_s = run->io_stall_s;
+      rep.completed_firings += run->firings;
+      rep.task_migrations += run->migrations;
+      rep.io_stall_s += run->io_stall_s;
+    }
+    auto& ut = rep.unit_trace;
+    ut.sample_period = tel != nullptr ? unit_period : 0;
+    if (ut.sample_period != 0) {
+      ut.stages.assign(sess.graph->task_count(), StageUnitTrace{});
+      double jitter_sum = 0.0;
+      std::uint64_t jitter_n = 0;
       for (const auto& run : sess.runs) {
-        auto& stats = rep.tasks[run->id];
-        stats.name = run->graph->task(run->id).name;
-        stats.pe = run->pe;
-        stats.home_worker = run->home;
-        stats.worker = run->owner.load(std::memory_order_relaxed);
-        stats.migrations = run->migrations;
-        stats.firings = run->firings;
-        stats.busy_s = run->busy_s;
-        stats.io_stalls = run->io_stalls;
-        stats.io_stall_s = run->io_stall_s;
-        rep.completed_firings += run->firings;
-        rep.task_migrations += run->migrations;
-        rep.io_stall_s += run->io_stall_s;
-      }
-      auto& ut = rep.unit_trace;
-      ut.sample_period = tel != nullptr ? unit_period : 0;
-      if (ut.sample_period != 0) {
-        ut.stages.assign(sess.graph->task_count(), StageUnitTrace{});
-        double jitter_sum = 0.0;
-        std::uint64_t jitter_n = 0;
-        for (const auto& run : sess.runs) {
-          auto& st = ut.stages[run->id];
-          st.name = run->graph->task(run->id).name;
-          st.sampled = run->ut_sampled;
-          st.queue_wait_s = static_cast<double>(run->ut_queue_wait_ns) * 1e-9;
-          st.gate_wait_s = run->ut_gate_wait_s;
-          st.service_s = static_cast<double>(run->ut_service_ns) * 1e-9;
-          if (run->ut_completed > 0) {
-            ut.sampled_completed += run->ut_completed;
-            ut.min_latency_s = std::isnan(ut.min_latency_s)
-                                   ? run->ut_min_latency_s
-                                   : std::min(ut.min_latency_s,
-                                              run->ut_min_latency_s);
-            ut.max_latency_s = std::isnan(ut.max_latency_s)
-                                   ? run->ut_max_latency_s
-                                   : std::max(ut.max_latency_s,
-                                              run->ut_max_latency_s);
-            jitter_sum += run->ut_jitter_sum_s;
-            jitter_n += run->ut_jitter_n;
-          }
+        auto& st = ut.stages[run->id];
+        st.name = run->graph->task(run->id).name;
+        st.sampled = run->ut_sampled;
+        st.queue_wait_s = static_cast<double>(run->ut_queue_wait_ns) * 1e-9;
+        st.gate_wait_s = run->ut_gate_wait_s;
+        st.service_s = static_cast<double>(run->ut_service_ns) * 1e-9;
+        if (run->ut_completed > 0) {
+          ut.sampled_completed += run->ut_completed;
+          ut.min_latency_s = std::isnan(ut.min_latency_s)
+                                 ? run->ut_min_latency_s
+                                 : std::min(ut.min_latency_s,
+                                            run->ut_min_latency_s);
+          ut.max_latency_s = std::isnan(ut.max_latency_s)
+                                 ? run->ut_max_latency_s
+                                 : std::max(ut.max_latency_s,
+                                            run->ut_max_latency_s);
+          jitter_sum += run->ut_jitter_sum_s;
+          jitter_n += run->ut_jitter_n;
         }
-        if (jitter_n > 0) {
-          ut.jitter_s = jitter_sum / static_cast<double>(jitter_n);
-        }
-        if (sess.h_latency != nullptr) ut.latency = sess.h_latency->snapshot();
       }
-      const std::uint64_t total = sess.iterations * sess.graph->task_count();
+      if (jitter_n > 0) {
+        ut.jitter_s = jitter_sum / static_cast<double>(jitter_n);
+      }
+      if (sess.h_latency != nullptr) ut.latency = sess.h_latency->snapshot();
+    }
+    const std::uint64_t total = sess.iterations * sess.graph->task_count();
+    std::unique_ptr<LiveSession> owned;
+    {
+      // The outcome is settled under the same lock that fail_session and
+      // cancel take, so a failure lands either here or as an amendment.
+      std::lock_guard lock(sessions_mu);
       const int code = sess.cancel_code.load(std::memory_order_acquire);
-      rep.io_errors = sess.io_errors;
       rep.failed_unit = sess.failed_unit;
       if (code == kFailedByBoundary) {
         // The failure is authoritative even if the graph drained to
         // completion on empty payloads — the output is not trustworthy.
         rep.outcome = SessionOutcome::kFailed;
-        rep.status = Status(
-            StatusCode::kUnavailable,
-            "session '" + rep.graph + "' failed at unit " +
-                std::to_string(sess.failed_unit) + ": " +
-                sess.failed_status.message());
+        rep.status =
+            failure_status(rep.graph, sess.failed_unit, sess.failed_status);
       } else if (code == kQuarantinedByWatchdog) {
         rep.outcome = SessionOutcome::kQuarantined;
         rep.status = Status(
@@ -1723,10 +1713,19 @@ struct Engine::Impl {
       if (until == Clock::time_point{}) {
         const auto cancel_ns = sess.cancel_ns.load(std::memory_order_relaxed);
         until = cancel_ns != 0 ? Clock::time_point(Clock::duration(cancel_ns))
-                               : now;
+                               : Clock::now();
       }
       rep.wall_s = std::max(0.0, seconds_between(from, until));
+      SessionReport& rec = reports[sess.index];
+      rep.io_errors = std::move(rec.io_errors);
+      rec = std::move(rep);
+      const auto it = live.find(sess.index);
+      owned = std::move(it->second);
+      live.erase(it);
     }
+    const std::size_t index = owned->index;
+    owned.reset();  // outside the lock: frees channels, rings, TaskRuns
+    if (options.on_session_complete) options.on_session_complete(index);
   }
 };
 
@@ -1747,7 +1746,8 @@ Result<std::size_t> Engine::submit(const mpsoc::TaskGraph& graph,
                                    mpsoc::Mapping mapping,
                                    std::uint64_t iterations,
                                    SessionOptions session_options) {
-  return impl_->submit(graph, std::move(mapping), iterations, session_options);
+  return impl_->submit(graph, std::move(mapping), iterations,
+                       std::move(session_options));
 }
 
 Result<std::function<void()>> Engine::task_waker(std::size_t session,
@@ -1766,13 +1766,17 @@ Status Engine::run() {
 }
 
 void Engine::cancel(std::size_t session) {
-  impl_->cancel_session(session, kCancelledByUser);
+  std::lock_guard lock(impl_->sessions_mu);
+  const auto it = impl_->live.find(session);
+  if (it != impl_->live.end()) {
+    impl_->cancel_session_locked(*it->second, kCancelledByUser);
+  }
 }
 
 void Engine::cancel_all() {
   std::lock_guard lock(impl_->sessions_mu);
-  for (std::size_t s = 0; s < impl_->sessions.size(); ++s) {
-    impl_->cancel_session_locked(s, kCancelledByUser);
+  for (auto& [s, sess] : impl_->live) {
+    impl_->cancel_session_locked(*sess, kCancelledByUser);
   }
 }
 
@@ -1787,7 +1791,27 @@ std::size_t Engine::session_count() const noexcept {
 
 const SessionReport& Engine::report(std::size_t session) const {
   std::lock_guard lock(impl_->sessions_mu);
-  return impl_->sessions.at(session)->report;
+  return impl_->reports.at(session);
+}
+
+std::size_t Engine::degrade_live_sessions() {
+  std::vector<std::pair<std::function<void(std::size_t)>, std::size_t>> hooks;
+  {
+    std::lock_guard lock(impl_->sessions_mu);
+    for (auto& [s, sess] : impl_->live) {
+      if (sess->degraded || !sess->options.on_degrade) continue;
+      sess->degraded = true;
+      hooks.emplace_back(sess->options.on_degrade, s);
+    }
+  }
+  for (auto& [hook, s] : hooks) hook(s);
+  return hooks.size();
+}
+
+std::optional<std::pair<std::size_t, std::chrono::steady_clock::time_point>>
+Engine::earliest_live_deadline() const {
+  std::lock_guard lock(impl_->sessions_mu);
+  return impl_->earliest_deadline_locked();
 }
 
 std::size_t Engine::worker_count() const noexcept {

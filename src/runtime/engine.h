@@ -80,6 +80,19 @@
 // against a dead consumer. Per-session deadlines are enforced by a
 // monitor thread that sleeps until the earliest pending deadline and
 // cancels expired sessions with kDeadlineExceeded.
+//
+// Session lifecycle: a session closes exactly once — on the worker whose
+// accounting retires its last firing (fired, or dropped after a cancel),
+// outside the queue locks, or in wait() if it never got there. Closing
+// folds the task and channel stats into its SessionReport, unlinks it
+// from the live set, frees its channels, payload free rings and task
+// state, and only then calls on_session_complete. A finished session
+// keeps only its report; the deadline monitor, the stall watchdog,
+// cancel_all, task wakers and overload hooks walk live sessions only,
+// and a waker called after close is a no-op. A report is final once its
+// session closed and its boundaries were flushed: a boundary failure or
+// device error landing after close (a sink write still in flight)
+// amends it.
 #pragma once
 
 #include <chrono>
@@ -88,7 +101,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -129,11 +144,12 @@ struct EngineOptions {
   /// shard workers land on disjoint CPU subsets. Ignored unless
   /// pin_workers is set.
   std::size_t pin_cpu_offset = 0;
-  /// Invoked from a worker thread each time a session stops consuming
-  /// capacity: its last firing completed or, after a cancel, its last
-  /// task was retired. Runs with no engine lock held, so it may call
-  /// Engine::submit/cancel — but it must stay cheap (it is on the firing
-  /// path) and must not block on Engine::wait().
+  /// Invoked once per session, right after it closed (see "Session
+  /// lifecycle" above): from the worker that retired its last firing, or
+  /// from wait() for a session that never finished. Its report is
+  /// already in place. Runs with no engine lock held, so it may call
+  /// Engine::submit/cancel/report — but it must stay cheap (it is on the
+  /// firing path) and must not block on Engine::wait().
   std::function<void(std::size_t session)> on_session_complete;
   /// Telemetry sink (see runtime/telemetry.h): each worker registers an
   /// event ring track at start() and emits batch / steal / park / stall /
@@ -155,19 +171,20 @@ struct SessionOptions {
   /// zero = unlimited. An expired session is cancelled exactly like
   /// Engine::cancel, but its report carries kDeadlineExceeded.
   std::chrono::nanoseconds timeout{0};
-  /// Graceful-degradation hook: an overloaded sharded front-end (see
-  /// ShardedEngineOptions::overload) invokes this — at most once per
-  /// session — asking it to shrink its footprint (bump the encoder
-  /// qscale, drop enhancement layers, halve the frame rate). The Engine
-  /// itself never calls it. Runs on whichever thread hit the overload
-  /// with front-end locks held: keep it cheap (flip an atomic the
-  /// session's task bodies read) and never call back into the engine.
+  /// Graceful-degradation hook, fired at most once per live session by
+  /// Engine::degrade_live_sessions — which an overloaded sharded
+  /// front-end calls (see ShardedEngineOptions::overload) — asking it to
+  /// shrink its footprint (bump the encoder qscale, drop enhancement
+  /// layers, halve the frame rate). Runs on the caller's thread outside
+  /// the engine's locks, but with the front-end's admission lock held:
+  /// keep it cheap (flip an atomic the session's task bodies read) and
+  /// never call back into the front-end.
   std::function<void(std::size_t session)> on_degrade;
 };
 
 /// How a session ended.
 enum class SessionOutcome {
-  kPending,           ///< engine not run yet
+  kPending,           ///< session not closed yet
   kCompleted,         ///< every task fired every iteration
   kCancelled,         ///< Engine::cancel / cancel_all / destructor
   kDeadlineExceeded,  ///< per-session timeout expired
@@ -372,9 +389,10 @@ class Engine {
   /// first submit() arrives.
   [[nodiscard]] common::Status start();
   /// Close admission (further submits are rejected), block until every
-  /// admitted session completed or was cancelled, then assemble
-  /// per-session reports. Returns the first *error* (a body throwing);
-  /// cancellation and deadline expiry are reported per-session instead.
+  /// admitted session completed or was cancelled, then close any session
+  /// still live (aborted by a body error). Returns the first *error* (a
+  /// body throwing); cancellation and deadline expiry are reported
+  /// per-session instead.
   [[nodiscard]] common::Status wait();
   /// start() + wait(). May be called once.
   [[nodiscard]] common::Status run();
@@ -414,16 +432,28 @@ class Engine {
   /// enqueued) so the parked worker rescans; calling it spuriously is
   /// harmless. Valid only once the session is wired onto live workers —
   /// i.e. the engine is running (dynamic admission). The callable may
-  /// outlive the Engine: after destruction it degrades to a no-op (the
-  /// shared hub behind it is detached), so a straggling I/O completion
-  /// can never touch a dead pool.
+  /// outlive the session and the Engine: it looks the task up in the
+  /// live set per call and is a no-op after close or destruction (also
+  /// when the session closed before it was asked for), so a straggling
+  /// I/O completion never touches freed task state or a dead pool.
   [[nodiscard]] common::Result<std::function<void()>> task_waker(
       std::size_t session, mpsoc::TaskId task);
 
   [[nodiscard]] bool running() const noexcept;
   [[nodiscard]] std::size_t session_count() const noexcept;
-  /// Valid after wait()/run().
+  /// Final once the session closed (by the time on_session_complete
+  /// fires or wait() returns) and its boundaries were flushed.
   [[nodiscard]] const SessionReport& report(std::size_t session) const;
+
+  /// Fire SessionOptions::on_degrade of every live session not asked
+  /// before (at most once per session); returns how many hooks fired.
+  std::size_t degrade_live_sessions();
+  /// The live, not yet cancelled session with the earliest deadline, and
+  /// that deadline; nullopt when no such session carries one. What a
+  /// deadline-aware load shedder cancels first.
+  [[nodiscard]] std::optional<
+      std::pair<std::size_t, std::chrono::steady_clock::time_point>>
+  earliest_live_deadline() const;
   /// Workers the pool resolved to (valid after start(); before, the
   /// configured value, which may be 0 = auto).
   [[nodiscard]] std::size_t worker_count() const noexcept;

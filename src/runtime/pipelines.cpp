@@ -177,7 +177,11 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
                    mv.push_back(static_cast<std::int16_t>(b.mv.dy));
                  }
                  f.store_array(0, mv.data(), mv.size());
-                 st->ref = std::move(cur);
+                 // Copy, not move: the reference keeps the storage it was
+                 // built with, so stage state that outlives the session
+                 // never pins a plane a worker allocated mid-run (that
+                 // fragments the heap across back-to-back sessions).
+                 st->ref = cur;
                });
   }
 
@@ -200,7 +204,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
       }
       f.store_array(0, residual.data(), residual.size());
       store_plane_packed(f, 1, pred);
-      st->ref = std::move(cur);
+      st->ref = cur;  // copy: see the motion estimator
     });
   }
 

@@ -188,7 +188,8 @@ struct BoundarySession {
   [[nodiscard]] common::Result<SessionTicket> submit_to(
       ShardedEngine& sharded, const mpsoc::Mapping& mapping,
       SessionOptions options = {});
-  /// Drain the device side of the sink boundary (call after wait()).
+  /// Drain the device side of the sink boundary (call once the session
+  /// closed). The session's report is final when this returns.
   void finish();
 };
 

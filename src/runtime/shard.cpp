@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,30 +17,11 @@ using common::Status;
 using common::StatusCode;
 
 struct ShardedEngine::Impl {
-  /// Overload-policy bookkeeping for one admitted session that the
-  /// policy might act on (it carries a deadline, a degrade hook, or
-  /// both). Guarded by live_mu — a mutex *separate* from `mu` so the
-  /// engine completion callback may mark retirement without touching
-  /// the admission lock (lock order: mu -> live_mu; the callback only
-  /// ever takes live_mu).
-  struct LiveSession {
-    std::size_t shard = 0;
-    std::size_t session = 0;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
-    std::function<void(std::size_t)> on_degrade;
-    bool degraded = false;  ///< hook fired (at most once per session)
-    bool shed = false;      ///< cancelled by the load shedder
-    bool done = false;      ///< retired; record is garbage-collectable
-  };
-
   ShardedEngineOptions options;
   mutable std::mutex mu;  // guards admission decisions and stats
   AdmissionStats admission;
   bool running = false;
   bool done = false;
-  std::mutex live_mu;  // guards `live` (see LiveSession)
-  std::vector<LiveSession> live;
   // Lock-free load accounting: decremented from worker threads via the
   // engine completion callback, so it must never take `mu` (submit holds
   // mu while calling into the engine). Declared before `engines` so the
@@ -71,44 +52,28 @@ struct ShardedEngine::Impl {
     adm_ring->emit(ev);
   }
 
-  /// Fire every live session's on_degrade that has not fired yet.
-  /// Called under mu; the hooks themselves run outside live_mu so a
-  /// hook can never deadlock against the completion callback.
+  /// Ask every shard to fire its live sessions' on_degrade hooks (each
+  /// engine fires a session's hook at most once). Called under mu.
   void degrade_live() {
-    std::vector<std::pair<std::function<void(std::size_t)>, std::size_t>> fire;
-    {
-      std::lock_guard lk(live_mu);
-      for (auto& r : live) {
-        if (r.done || r.degraded || !r.on_degrade) continue;
-        r.degraded = true;
-        fire.emplace_back(r.on_degrade, r.session);
-      }
-    }
-    for (auto& [hook, session] : fire) hook(session);
-    admission.degraded += fire.size();
-    if (m_degraded != nullptr && !fire.empty()) m_degraded->add(fire.size());
+    std::size_t fired = 0;
+    for (auto& engine : engines) fired += engine->degrade_live_sessions();
+    admission.degraded += fired;
+    if (m_degraded != nullptr && fired > 0) m_degraded->add(fired);
   }
 
   /// Cancel the live deadline-bearing session closest to missing its
-  /// deadline. Called under mu. Returns the victim's shard, or
-  /// SIZE_MAX when no sheddable session exists.
+  /// deadline, across all shards. Called under mu. Returns the victim's
+  /// shard, or SIZE_MAX when no sheddable session exists.
   std::size_t shed_one() {
     constexpr std::size_t kNone = ~std::size_t{0};
     std::size_t victim_shard = kNone;
     std::size_t victim_session = 0;
-    {
-      std::lock_guard lk(live_mu);
-      LiveSession* best_victim = nullptr;
-      for (auto& r : live) {
-        if (r.done || r.shed || !r.has_deadline) continue;
-        if (best_victim == nullptr || r.deadline < best_victim->deadline) {
-          best_victim = &r;
-        }
-      }
-      if (best_victim != nullptr) {
-        best_victim->shed = true;
-        victim_shard = best_victim->shard;
-        victim_session = best_victim->session;
+    std::chrono::steady_clock::time_point victim_deadline;
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      const auto due = engines[i]->earliest_live_deadline();
+      if (due && (victim_shard == kNone || due->second < victim_deadline)) {
+        victim_shard = i;
+        std::tie(victim_session, victim_deadline) = *due;
       }
     }
     if (victim_shard == kNone) return kNone;
@@ -160,21 +125,9 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
       engine_options.pin_workers = true;
       engine_options.pin_cpu_offset = i * engine_options.workers;
     }
-    // Retire-on-complete load accounting: the slot frees the moment the
-    // session stops consuming capacity, whether it completed or was
-    // cancelled and fully retired.
-    engine_options.on_session_complete = [impl = impl_.get(), i](std::size_t s) {
-      {
-        // Retire the overload-policy record so the shedder / degrader
-        // skips it. live_mu only — never `mu` (see LiveSession).
-        std::lock_guard lk(impl->live_mu);
-        for (auto& r : impl->live) {
-          if (r.shard == i && r.session == s) {
-            r.done = true;
-            break;
-          }
-        }
-      }
+    // Load accounting: the slot frees the moment the session closes,
+    // however it ended.
+    engine_options.on_session_complete = [impl = impl_.get(), i](std::size_t) {
       impl->inflight[i].fetch_sub(1, std::memory_order_acq_rel);
       impl->completed.fetch_add(1, std::memory_order_relaxed);
       if (impl->m_completed != nullptr) {
@@ -265,7 +218,8 @@ Result<SessionTicket> ShardedEngine::submit(const mpsoc::TaskGraph& graph,
   // completion (the callback's decrement must never precede this).
   impl_->inflight[best].fetch_add(1, std::memory_order_acq_rel);
   auto added = impl_->engines[best]->submit(graph, std::move(mapping),
-                                            iterations, session_options);
+                                            iterations,
+                                            std::move(session_options));
   if (!added.is_ok()) {
     impl_->inflight[best].fetch_sub(1, std::memory_order_acq_rel);
     ++impl_->admission.failed;  // invalid graph/mapping, not overload
@@ -276,26 +230,6 @@ Result<SessionTicket> ShardedEngine::submit(const mpsoc::TaskGraph& graph,
   if (impl_->m_accepted != nullptr) {
     impl_->m_accepted->add(1);
     impl_->g_inflight->add(1);
-  }
-  // Sessions the overload policy can act on (deadline to shed against,
-  // hook to fire) get a live record; pure best-effort sessions don't
-  // need one. Retired records are GC'd here, so the list stays bounded
-  // by the in-flight count.
-  if (session_options.timeout.count() > 0 || session_options.on_degrade) {
-    std::lock_guard lk(impl_->live_mu);
-    impl_->live.erase(
-        std::remove_if(impl_->live.begin(), impl_->live.end(),
-                       [](const Impl::LiveSession& r) { return r.done; }),
-        impl_->live.end());
-    Impl::LiveSession rec;
-    rec.shard = best;
-    rec.session = added.value();
-    rec.has_deadline = session_options.timeout.count() > 0;
-    if (rec.has_deadline) {
-      rec.deadline = std::chrono::steady_clock::now() + session_options.timeout;
-    }
-    rec.on_degrade = std::move(session_options.on_degrade);
-    impl_->live.push_back(std::move(rec));
   }
   impl_->emit_admission(EventKind::kAdmit, best);
   return SessionTicket{best, added.value()};

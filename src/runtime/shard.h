@@ -19,7 +19,9 @@
 // retired after a cancel) via the engine's completion callback, so
 // least-loaded placement and the admission bound track reality under
 // long-running mixes — a slot freed by a finished transcode is
-// immediately available to the next submit.
+// immediately available to the next submit. The front-end keeps no
+// session registry of its own: the overload policy asks each shard's
+// engine for its live sessions' degrade hooks and earliest deadline.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +98,8 @@ struct AdmissionStats {
   /// metric.
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
-  /// Sessions that finished consuming capacity (completed, or fully
-  /// retired after cancel/deadline) and returned their admission slot.
+  /// Sessions that closed (completed, retired after cancel/deadline, or
+  /// closed unfinished by wait()) and returned their admission slot.
   std::uint64_t completed = 0;
   /// Sessions currently consuming capacity across all shards. In a
   /// ShardedEngine::stats() snapshot the books balance:
@@ -162,7 +164,7 @@ class ShardedEngine {
   /// per-shard atomic reads are.
   [[nodiscard]] AdmissionStats stats() const noexcept;
 
-  /// Valid after wait()/run().
+  /// Same contract as Engine::report.
   [[nodiscard]] const SessionReport& report(SessionTicket ticket) const;
   /// The underlying shard Engine (e.g. for worker_count()).
   [[nodiscard]] const Engine& shard(std::size_t index) const;

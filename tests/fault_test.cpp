@@ -633,7 +633,7 @@ TEST(FaultRaces, EngineTeardownDuringSinkRetryBackoffQuiesces) {
     wire(engine, sid.value(), source, src, 6);
     sink.set_failure_handler(
         [&engine, s = sid.value()](std::uint64_t unit, const Status& status) {
-          engine.fail_session(s, unit, status);  // retired session: no-op
+          engine.fail_session(s, unit, status);  // closed: amends the report
         });
     sink.set_error_observer([&engine, s = sid.value()](std::uint64_t unit,
                                                        const Status& status,
@@ -648,7 +648,7 @@ TEST(FaultRaces, EngineTeardownDuringSinkRetryBackoffQuiesces) {
         << "round " << round << ": graph drain must not wait on the device";
     std::this_thread::sleep_for(std::chrono::microseconds(150 * round));
     // No flush(): destruction order is sink first (quiesces through the
-    // pending retry while the engine is still alive to take the no-op
+    // pending retry while the engine is still alive to take the late
     // fail_session), then source, then engine, then context.
   }
 }

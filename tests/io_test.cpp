@@ -395,8 +395,12 @@ TEST(RtpIngress, TailGapFlushesReceivedPacketsInsteadOfDroppingThem) {
 
 TEST(TaskWaker, LifecycleErrorsAndSpuriousCallsAreSafe) {
   auto pipe = make_synthetic_chain(2, 100.0);
+  std::atomic<bool> gate{false};  // holds the session live until opened
+  pipe.graph.set_gate(0, [&gate] { return gate.load(); });
+  std::atomic<bool> closed{false};
   EngineOptions eopts;
   eopts.workers = 1;
+  eopts.on_session_complete = [&closed](std::size_t) { closed.store(true); };
   Engine engine(eopts);
   // Pre-start sessions are not wired yet: no waker to hand out.
   auto sid = engine.submit(pipe.graph, {0, 0}, 4);
@@ -408,6 +412,16 @@ TEST(TaskWaker, LifecycleErrorsAndSpuriousCallsAreSafe) {
   auto waker = engine.task_waker(sid.value(), 0);
   ASSERT_TRUE(waker.is_ok());
   waker.value()();  // spurious wake while running: harmless
+  gate.store(true);
+  waker.value()();
+  while (!closed.load()) std::this_thread::yield();
+  // The session closed (its task state is freed) while the engine keeps
+  // running: the waker must be a no-op, and so is one asked for now.
+  waker.value()();
+  auto late = engine.task_waker(sid.value(), 0);
+  ASSERT_TRUE(late.is_ok());
+  late.value()();
+  EXPECT_FALSE(engine.task_waker(sid.value(), 2).is_ok()) << "no such task";
   ASSERT_TRUE(engine.wait().is_ok());
   waker.value()();  // after drain: harmless
 }
@@ -606,6 +620,7 @@ struct TranscodeRun {
   SessionOutcome outcome = SessionOutcome::kPending;
   Status status;
   std::uint64_t failed_unit = 0;
+  std::uint64_t io_errors = 0;
   std::uint32_t out_crc = 0;
   std::uint64_t bytes_out = 0;
   std::uint64_t bytes_on_disk = 0;
@@ -638,6 +653,7 @@ TranscodeRun run_transcode(
   return TranscodeRun{rep.outcome,
                       rep.status,
                       rep.failed_unit,
+                      rep.io_errors.errors,
                       session.state->out_crc,
                       session.state->bytes_out,
                       out.is_ok() ? out.value().size() : 0};
@@ -685,6 +701,23 @@ TEST(TranscodeSession, FullVolumeFailsInsteadOfReportingEmptySuccess) {
   EXPECT_NE(r.status.message().find("device write"), std::string::npos)
       << r.status.to_text();
   EXPECT_EQ(r.bytes_on_disk, 0u);
+}
+
+// The last unit's write fails on a slow disk, typically after the
+// session closed (the sink firing only queued it): the failure must
+// still fail the session.
+TEST(TranscodeSession, LastUnitWriteFailureFailsTheSession) {
+  for (const std::size_t workers : {1, 2}) {
+    FaultInjector injector(/*seed=*/1);
+    auto cfg = small_transcode(10);
+    cfg.time_scale = 1.0;
+    cfg.fault = &injector;
+    cfg.write_faults.fail_at_unit = 9;
+    const TranscodeRun r = run_transcode(cfg, workers);
+    EXPECT_EQ(r.outcome, SessionOutcome::kFailed) << workers << " workers";
+    EXPECT_EQ(r.failed_unit, 9u) << workers << " workers";
+    EXPECT_GE(r.io_errors, 1u) << workers << " workers";
+  }
 }
 
 // The inline reference calls the same endpoint functions: a device error
