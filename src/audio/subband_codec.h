@@ -6,6 +6,11 @@
 // steering the quantizer and ANCILLARY DATA multiplexed into the frame.
 // One frame codes a granule of 12 subband samples per band (384 PCM
 // samples), in the style of MPEG-1 Layer I.
+//
+// Each Fig. 2 box is one stage function — map_granule (MAPPER),
+// quantize_granule (QUANTIZER/CODER), pack_granule (FRAME PACKER), with
+// granule_bit_pool sizing the quantizer's budget — so SubbandEncoder and
+// the runtime's Fig. 2 graph run the same code and emit the same bytes.
 #pragma once
 
 #include <array>
@@ -40,6 +45,37 @@ struct AudioEncoderConfig {
   bool use_psycho = true;
 };
 
+/// Everything the frame packer writes for one granule.
+struct QuantizedGranule {
+  Allocation allocation{};
+  std::array<std::uint8_t, kSubbands> scalefactor{};  ///< index per band
+  std::array<std::int16_t, kGranuleSamples> levels{}; ///< signed, time-major
+  double worst_mnr_db = 0.0;  ///< min mask-to-noise ratio after allocation
+};
+
+/// Bits per granule the quantizer may spend after the side information.
+/// Throws std::invalid_argument unless both rates are finite and > 0 and
+/// a granule's bit budget fits in an int.
+[[nodiscard]] int granule_bit_pool(double sample_rate, double bitrate_bps);
+
+/// MAPPER: one granule through `analyzer`'s streaming 32-band transform;
+/// the subband samples come out time-major (block by block).
+[[nodiscard]] std::array<double, kGranuleSamples> map_granule(
+    SubbandAnalyzer& analyzer,
+    std::span<const double, kGranuleSamples> samples) noexcept;
+
+/// QUANTIZER/CODER: a scalefactor per band from its peak, a greedy
+/// allocation of `bit_pool` against `smr_db` (leftover bits spent on SNR
+/// by the peaks' signal levels), and the signed level of every sample.
+[[nodiscard]] QuantizedGranule quantize_granule(
+    std::span<const double, kGranuleSamples> bands,
+    std::span<const double, kSubbands> smr_db, int bit_pool) noexcept;
+
+/// FRAME PACKER: sync word, side info, time-major levels, then the
+/// ancillary data (Fig. 2's second input) behind a 16-bit length.
+[[nodiscard]] std::vector<std::uint8_t> pack_granule(
+    const QuantizedGranule& granule, std::span<const std::uint8_t> ancillary);
+
 struct EncodedGranule {
   std::vector<std::uint8_t> bytes;
   AudioStageOps ops;
@@ -49,10 +85,12 @@ struct EncodedGranule {
 
 class SubbandEncoder {
  public:
+  /// Throws std::invalid_argument for rates granule_bit_pool rejects.
   explicit SubbandEncoder(const AudioEncoderConfig& config);
 
-  /// Encode one granule of PCM in [-1, 1]; `ancillary` rides along in the
-  /// frame (Fig. 2's ancillary-data input), e.g. DRM rights markers.
+  /// Encode one granule of PCM in [-1, 1] through the stage functions in
+  /// Fig. 2 order; `ancillary` rides along in the frame (Fig. 2's
+  /// ancillary-data input), e.g. DRM rights markers.
   EncodedGranule encode(std::span<const double, kGranuleSamples> samples,
                         std::span<const std::uint8_t> ancillary = {});
 
@@ -82,7 +120,8 @@ class SubbandDecoder {
   SubbandSynthesizer synthesizer_;
 };
 
-/// The shared scalefactor table (63 entries, ISO-style 2 dB ladder).
+/// The shared scalefactor table (63 entries, ISO-style 2 dB ladder);
+/// out-of-range indices clamp.
 [[nodiscard]] double scalefactor_value(int index) noexcept;
 
 /// Smallest scalefactor index whose value covers `magnitude`.

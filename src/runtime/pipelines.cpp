@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "audio/allocation.h"
 #include "audio/filterbank.h"
 #include "audio/psycho.h"
 #include "audio/subband_codec.h"
@@ -38,15 +37,7 @@ using mpsoc::TaskId;
 // Bodies emit through TaskFiring::store/store_array wherever possible:
 // the engine hands outputs as recycled channel buffers (cleared, with
 // warmed-up capacity), so an in-place fill keeps the steady-state data
-// plane allocation-free. to_payload remains for the few spots that build
-// a vector anyway (e.g. a BitWriter's take()).
-
-template <typename T>
-Payload to_payload(const T* data, std::size_t count) {
-  Payload p(count * sizeof(T));
-  std::memcpy(p.data(), data, p.size());
-  return p;
-}
+// plane allocation-free.
 
 // Payload storage comes from operator new and is max-aligned, so viewing
 // it as the element type it was serialized from is safe.
@@ -331,6 +322,8 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
 // ---------------------------------------------------------------------------
 
 AudioPipeline make_audio_encoder_pipeline(const AudioPipelineConfig& config) {
+  const int bit_pool =
+      audio::granule_bit_pool(config.sample_rate, config.bitrate_bps);
   audio::AudioStageOps ops;
   ops.mapper_macs = static_cast<std::uint64_t>(audio::kBlocksPerGranule) *
                     audio::kSubbands * (2 * audio::kSubbands);
@@ -364,122 +357,49 @@ AudioPipeline make_audio_encoder_pipeline(const AudioPipelineConfig& config) {
                f.store_array(1, pcm.data(), pcm.size());  // -> psycho model
              });
 
+  // The stage bodies below are SubbandEncoder::encode split at the Fig. 2
+  // boxes, so the sink's stream is the encoder's, byte for byte.
+  const auto granule = [](const Payload& p) {
+    return std::span<const double, audio::kGranuleSamples>(
+        payload_as<double>(p), audio::kGranuleSamples);
+  };
+
   // MAPPER: streaming 32-band analysis (stateful lapped transform).
-  {
-    auto analyzer = std::make_shared<audio::SubbandAnalyzer>();
-    g.set_body(find_task(g, "mapper-filterbank"), [analyzer](TaskFiring& f) {
-      const auto* pcm = payload_as<double>(*f.inputs[0]);
-      std::array<double, audio::kGranuleSamples> bands{};
-      for (int t = 0; t < audio::kBlocksPerGranule; ++t) {
-        const auto block = analyzer->analyze(std::span<const double, audio::kSubbands>(
-            pcm + t * audio::kSubbands, audio::kSubbands));
-        std::copy(block.begin(), block.end(),
-                  bands.begin() + t * audio::kSubbands);
-      }
-      f.store_array(0, bands.data(), bands.size());
-    });
-  }
+  g.set_body(find_task(g, "mapper-filterbank"),
+             [granule, analyzer = std::make_shared<audio::SubbandAnalyzer>()](
+                 TaskFiring& f) {
+               const auto bands = audio::map_granule(*analyzer, granule(*f.inputs[0]));
+               f.store_array(0, bands.data(), bands.size());
+             });
 
-  // PSYCHOACOUSTIC MODEL: SMR + signal level per subband.
-  {
-    auto model = std::make_shared<audio::PsychoModel>(config.sample_rate);
-    g.set_body(find_task(g, "psychoacoustic-model"), [model](TaskFiring& f) {
-      const auto* pcm = payload_as<double>(*f.inputs[0]);
-      const auto psy = model->analyze(
-          std::span<const double>(pcm, audio::kGranuleSamples));
-      std::array<double, 2 * audio::kSubbands> out{};
-      std::copy(psy.smr_db.begin(), psy.smr_db.end(), out.begin());
-      std::copy(psy.signal_db.begin(), psy.signal_db.end(),
-                out.begin() + audio::kSubbands);
-      f.store_array(0, out.data(), out.size());
-    });
-  }
+  // PSYCHOACOUSTIC MODEL: the per-band SMRs.
+  g.set_body(find_task(g, "psychoacoustic-model"),
+             [granule, model = audio::PsychoModel(config.sample_rate)](TaskFiring& f) {
+               const auto psy = model.analyze(granule(*f.inputs[0]));
+               f.store_array(0, psy.smr_db.data(), psy.smr_db.size());
+             });
 
-  // QUANTIZER/CODER: greedy masking-driven bit allocation, then uniform
-  // scalefactor quantization of every subband sample.
-  {
-    const double granule_seconds =
-        static_cast<double>(audio::kGranuleSamples) / config.sample_rate;
-    const int bit_pool = std::max(
-        0, static_cast<int>(config.bitrate_bps * granule_seconds) -
-               (12 + 4 * audio::kSubbands + 16 + 6 * audio::kSubbands));
-    g.set_body(find_task(g, "quantizer-coder"), [bit_pool](TaskFiring& f) {
-      const auto* bands = payload_as<double>(*f.inputs[0]);
-      const auto* psy = payload_as<double>(*f.inputs[1]);
-      std::array<double, audio::kSubbands> smr{};
-      std::array<double, audio::kSubbands> signal_db{};
-      std::copy(psy, psy + audio::kSubbands, smr.begin());
-      std::copy(psy + audio::kSubbands, psy + 2 * audio::kSubbands,
-                signal_db.begin());
-      const auto alloc = audio::allocate_bits(smr, bit_pool,
-                                              audio::kBlocksPerGranule,
-                                              signal_db);
-      // Serialized frame plan: alloc[32], sf_idx[32], levels[32*12] i16.
-      std::vector<std::uint8_t> plan(2 * audio::kSubbands);
-      std::vector<std::int16_t> levels(
-          static_cast<std::size_t>(audio::kSubbands) * audio::kBlocksPerGranule);
-      for (int k = 0; k < audio::kSubbands; ++k) {
-        double peak = 0.0;
-        for (int t = 0; t < audio::kBlocksPerGranule; ++t) {
-          peak = std::max(peak, std::abs(bands[t * audio::kSubbands + k]));
-        }
-        const int sf = audio::scalefactor_index_for(peak);
-        plan[static_cast<std::size_t>(k)] = alloc[static_cast<std::size_t>(k)];
-        plan[static_cast<std::size_t>(audio::kSubbands + k)] =
-            static_cast<std::uint8_t>(sf);
-        const int bits = alloc[static_cast<std::size_t>(k)];
-        if (bits == 0) continue;
-        const double scale = audio::scalefactor_value(sf);
-        const int max_level = (1 << bits) - 1;
-        for (int t = 0; t < audio::kBlocksPerGranule; ++t) {
-          const double normalized =
-              scale > 0.0 ? bands[t * audio::kSubbands + k] / scale : 0.0;
-          const double unit = (std::clamp(normalized, -1.0, 1.0) + 1.0) / 2.0;
-          levels[static_cast<std::size_t>(k) * audio::kBlocksPerGranule + t] =
-              static_cast<std::int16_t>(std::lround(unit * max_level));
-        }
-      }
-      // Serialized in place: plan bytes, then the level words. insert
-      // grows within the recycled buffer's warmed capacity.
-      f.store(0, plan.data(), plan.size());
-      const auto* lv = reinterpret_cast<const std::uint8_t*>(levels.data());
-      f.outputs[0].insert(f.outputs[0].end(), lv,
-                          lv + levels.size() * sizeof(std::int16_t));
-    });
-  }
+  // QUANTIZER/CODER: scalefactors, bit allocation and signed levels.
+  g.set_body(find_task(g, "quantizer-coder"), [granule, bit_pool](TaskFiring& f) {
+    const auto q = audio::quantize_granule(
+        granule(*f.inputs[0]),
+        std::span<const double, audio::kSubbands>(payload_as<double>(*f.inputs[1]),
+                                                  audio::kSubbands),
+        bit_pool);
+    f.store(0, &q, sizeof q);
+  });
 
-  // FRAME PACKER: bit-pack allocation, scalefactors and samples.
-  {
-    auto st = std::make_shared<CrcState>();
-    g.set_body(find_task(g, "frame-packer"), [st, sink](TaskFiring& f) {
-      const auto& in = *f.inputs[0];
-      const std::uint8_t* alloc = in.data();
-      const std::uint8_t* sf = in.data() + audio::kSubbands;
-      const auto* levels =
-          reinterpret_cast<const std::int16_t*>(in.data() + 2 * audio::kSubbands);
-      common::BitWriter writer;
-      writer.put_bits(0xFFF, 12);  // sync
-      for (int k = 0; k < audio::kSubbands; ++k) writer.put_bits(alloc[k], 4);
-      for (int k = 0; k < audio::kSubbands; ++k) {
-        if (alloc[k] > 0) writer.put_bits(sf[k], 6);
-      }
-      for (int k = 0; k < audio::kSubbands; ++k) {
-        const int bits = alloc[k];
-        if (bits == 0) continue;
-        for (int t = 0; t < audio::kBlocksPerGranule; ++t) {
-          writer.put_bits(
-              static_cast<std::uint64_t>(
-                  levels[static_cast<std::size_t>(k) * audio::kBlocksPerGranule + t]),
-              static_cast<unsigned>(bits));
-        }
-      }
-      const auto bytes = writer.take();
-      st->crc.update(bytes);
-      sink->frame_crc = st->crc.value();
-      sink->frame_bytes += bytes.size();
-      ++sink->granules_packed;
-    });
-  }
+  // FRAME PACKER: the decodable frame, chained into the sink's digest.
+  g.set_body(find_task(g, "frame-packer"),
+             [st = std::make_shared<CrcState>(), sink](TaskFiring& f) {
+               audio::QuantizedGranule q;
+               std::memcpy(&q, f.inputs[0]->data(), sizeof q);
+               const auto bytes = audio::pack_granule(q, {});
+               st->crc.update(bytes);
+               sink->frame_crc = st->crc.value();
+               sink->frame_bytes += bytes.size();
+               ++sink->granules_packed;
+             });
 
   return pipe;
 }

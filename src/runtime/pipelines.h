@@ -9,9 +9,10 @@
 //    open-loop prediction (reference = previous source frame), which
 //    keeps every stage's state task-local so output is bit-identical for
 //    any worker count.
-//  * Audio encoder (Fig. 2): sine-mix PCM source -> 32-band subband
-//    mapper -> psychoacoustic model -> bit-allocated quantizer -> frame
-//    packer.
+//  * Audio encoder (Fig. 2): sine-mix PCM source -> audio::SubbandEncoder's
+//    stages (32-band mapper, psychoacoustic model, quantizer/coder, frame
+//    packer), so the stream equals the encoder's byte for byte and
+//    decodes with audio::SubbandDecoder.
 //  * Synthetic bodies: calibrated spin loops proportional to each task's
 //    modeled work_ops, for scaling benches and engine tests.
 //  * Boundary sessions (async I/O): a *streaming* session (RTP in ->
@@ -97,6 +98,9 @@ struct AudioPipeline {
   std::shared_ptr<AudioSinkState> sink;
 };
 
+/// Build an executable Fig. 2 encoder graph (one per session, like the
+/// video pipeline). Throws std::invalid_argument for rates that
+/// audio::granule_bit_pool rejects.
 [[nodiscard]] AudioPipeline make_audio_encoder_pipeline(
     const AudioPipelineConfig& config);
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "audio/allocation.h"
@@ -323,6 +326,41 @@ TEST(SubbandCodec, StageOpsPopulated) {
   EXPECT_GT(e.ops.psycho_ops, 0u);
   EXPECT_GT(e.ops.quant_ops, 0u);
   EXPECT_EQ(e.ops.packer_bits, e.bytes.size() * 8);
+}
+
+TEST(SubbandCodec, ScalefactorTableMatchesPowLadder) {
+  const auto value = [](int i) {
+    return 32.0 * std::pow(2.0, -static_cast<double>(std::clamp(i, 0, 62)) / 3.0);
+  };
+  const auto index_for = [&](double m) {
+    for (int i = 62; i >= 0; --i) {
+      if (value(i) >= m) return i;
+    }
+    return 0;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int i = -2; i <= 64; ++i) {
+    ASSERT_EQ(scalefactor_value(i), value(i)) << "index " << i;
+    const double v = value(i);
+    for (const double m : {std::nextafter(v, 0.0), v, std::nextafter(v, inf)}) {
+      EXPECT_EQ(scalefactor_index_for(m), index_for(m)) << "magnitude " << m;
+    }
+  }
+  for (const double m : {0.0, 33.0, 1e9, inf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(scalefactor_index_for(m), index_for(m)) << "magnitude " << m;
+  }
+}
+
+TEST(SubbandCodec, RejectsBadRates) {
+  for (const auto& [rate, bitrate] :
+       {std::pair{0.0, 192000.0}, std::pair{32000.0, -5.0},
+        std::pair{std::nan(""), 192000.0}, std::pair{32000.0, 1e12}}) {
+    AudioEncoderConfig cfg = codec_config(bitrate);
+    cfg.sample_rate = rate;
+    EXPECT_THROW(SubbandEncoder{cfg}, std::invalid_argument)
+        << rate << " Hz, " << bitrate << " bit/s";
+  }
 }
 
 TEST(SubbandCodec, PsychoModelStarvesMaskedProbeBand) {

@@ -9,10 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "audio/metrics.h"
+#include "audio/subband_codec.h"
+#include "common/crc32.h"
 #include "core/appgraphs.h"
 #include "core/profiles.h"
 #include "mpsoc/mapping.h"
@@ -1021,14 +1026,29 @@ TEST(VideoPipeline, RejectsFramesThatAreNotWholeMacroblocks) {
   EXPECT_TRUE(make_video_encoder_pipeline(cfg).graph.fully_executable());
 }
 
+// The Fig. 2 graph runs SubbandEncoder's stages: its stream equals the
+// encoder's on the same PCM at every worker count, and every frame
+// decodes.
 TEST(AudioPipeline, BitIdenticalAcrossWorkerCounts) {
   constexpr std::uint64_t kGranules = 12;
+  constexpr auto kSamples = static_cast<std::size_t>(audio::kGranuleSamples);
   AudioPipelineConfig cfg;
 
-  std::uint32_t ref_crc = 0;
-  for (const std::size_t workers : {1u, 3u}) {
+  for (const std::size_t workers : {1u, 2u, 3u}) {
     auto pipe = make_audio_encoder_pipeline(cfg);
     ASSERT_TRUE(pipe.graph.fully_executable());
+    // Record each granule's PCM as the source emits it.
+    std::vector<double> pcm(kGranules * kSamples);
+    for (mpsoc::TaskId t = 0; t < pipe.graph.task_count(); ++t) {
+      if (pipe.graph.task(t).name != "pcm-input") continue;
+      pipe.graph.set_body(t, [inner = pipe.graph.task(t).body,
+                              &pcm](mpsoc::TaskFiring& f) {
+        inner(f);
+        ASSERT_EQ(f.outputs[0].size(), kSamples * sizeof(double));
+        std::memcpy(pcm.data() + f.iteration * kSamples, f.outputs[0].data(),
+                    f.outputs[0].size());
+      });
+    }
     EngineOptions opts;
     opts.workers = workers;
     mpsoc::Mapping mapping(pipe.graph.task_count(), 0);
@@ -1036,13 +1056,54 @@ TEST(AudioPipeline, BitIdenticalAcrossWorkerCounts) {
     auto report = run_pipeline(pipe.graph, mapping, kGranules, opts);
     ASSERT_TRUE(report.is_ok()) << report.status().to_text();
     EXPECT_EQ(pipe.sink->granules_packed, kGranules);
-    EXPECT_GT(pipe.sink->frame_bytes, 0u);
-    if (workers == 1) {
-      ref_crc = pipe.sink->frame_crc;
-    } else {
-      EXPECT_EQ(pipe.sink->frame_crc, ref_crc);
+
+    audio::SubbandEncoder enc({});
+    audio::SubbandDecoder dec;
+    common::Crc32 crc;
+    std::uint64_t bytes = 0;
+    std::vector<double> decoded;
+    for (std::uint64_t g = 0; g < kGranules; ++g) {
+      const auto e = enc.encode(std::span<const double, audio::kGranuleSamples>(
+          pcm.data() + g * kSamples, kSamples));
+      crc.update(e.bytes);
+      bytes += e.bytes.size();
+      auto d = dec.decode(e.bytes);
+      ASSERT_TRUE(d.is_ok()) << "granule " << g;
+      decoded.insert(decoded.end(), d.value().samples.begin(),
+                     d.value().samples.end());
     }
+    EXPECT_EQ(pipe.sink->frame_crc, crc.value()) << workers << " workers";
+    EXPECT_EQ(pipe.sink->frame_bytes, bytes) << workers << " workers";
+    EXPECT_EQ(pipe.sink->frame_crc, 0xC32BC44Fu) << "golden";
+
+    // The filterbank delays the output by one block; skip the first
+    // granule while the transform fills.
+    const std::span<const double> ref(pcm.data(), pcm.size() - audio::kSubbands);
+    const std::span<const double> out(decoded.data() + audio::kSubbands,
+                                      decoded.size() - audio::kSubbands);
+    EXPECT_GT(audio::snr_db(ref.subspan(kSamples), out.subspan(kSamples)), 15.0);
   }
+}
+
+TEST(AudioPipeline, RejectsBadRates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double sample_rate;
+    double bitrate_bps;
+  } bad[] = {{0.0, 192000.0},     {-44100.0, 192000.0}, {nan, 192000.0},
+             {44100.0, 0.0},      {44100.0, -5.0},      {44100.0, nan},
+             {44100.0, 1e12},     {1e-300, 192000.0},
+             {std::numeric_limits<double>::infinity(), 192000.0}};
+  for (const auto& r : bad) {
+    AudioPipelineConfig cfg;
+    cfg.sample_rate = r.sample_rate;
+    cfg.bitrate_bps = r.bitrate_bps;
+    EXPECT_THROW((void)make_audio_encoder_pipeline(cfg), std::invalid_argument)
+        << r.sample_rate << " Hz, " << r.bitrate_bps << " bit/s";
+  }
+  AudioPipelineConfig low;
+  low.bitrate_bps = 1.0;  // no room beyond the side info: empty allocations
+  EXPECT_TRUE(make_audio_encoder_pipeline(low).graph.fully_executable());
 }
 
 // ---------------------------------------------------------------------------
