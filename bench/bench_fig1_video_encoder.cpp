@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/appgraphs.h"
 #include "video/codec.h"
 #include "video/metrics.h"
 #include "video/source.h"
@@ -26,24 +27,16 @@ std::vector<video::Frame> make_frames(int n) {
   return frames;
 }
 
-double stage_ops_total(const video::StageOps& ops) {
-  // RISC-normalized op costs, matching core::VideoCosts defaults.
-  return static_cast<double>(ops.me_sad_ops) +
-         2.0 * static_cast<double>(ops.mc_pixels) +
-         1024.0 * static_cast<double>(ops.dct_blocks) +
-         2.0 * static_cast<double>(ops.quant_coeffs) +
-         8.0 * static_cast<double>(ops.vlc_symbols) +
-         1024.0 * static_cast<double>(ops.idct_blocks);
-}
-
 void print_breakdown(const char* label, const video::StageOps& ops) {
-  const double total = stage_ops_total(ops);
-  const double me = static_cast<double>(ops.me_sad_ops);
-  const double mc = 2.0 * static_cast<double>(ops.mc_pixels);
-  const double dct = 1024.0 * static_cast<double>(ops.dct_blocks);
-  const double q = 2.0 * static_cast<double>(ops.quant_coeffs);
-  const double vlc = 8.0 * static_cast<double>(ops.vlc_symbols);
-  const double idct = 1024.0 * static_cast<double>(ops.idct_blocks);
+  // RISC-normalized op costs: the weights the MPSoC task graphs use.
+  const core::VideoCosts c{};
+  const double total = c.weigh(ops);
+  const double me = c.per_sad_op * static_cast<double>(ops.me_sad_ops);
+  const double mc = c.per_mc_pixel * static_cast<double>(ops.mc_pixels);
+  const double dct = c.per_dct_block * static_cast<double>(ops.dct_blocks);
+  const double q = c.per_quant_coeff * static_cast<double>(ops.quant_coeffs);
+  const double vlc = c.per_vlc_symbol * static_cast<double>(ops.vlc_symbols);
+  const double idct = c.per_dct_block * static_cast<double>(ops.idct_blocks);
   std::printf("%-8s %10.0f %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",
               label, total, 100 * me / total, 100 * mc / total,
               100 * dct / total, 100 * q / total, 100 * vlc / total,

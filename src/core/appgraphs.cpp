@@ -35,6 +35,14 @@ Task accelerated(const char* name, double ops, double dsp_speedup,
 
 }  // namespace
 
+double VideoCosts::weigh(const video::StageOps& ops) const noexcept {
+  return static_cast<double>(ops.me_sad_ops) * per_sad_op +
+         static_cast<double>(ops.mc_pixels) * per_mc_pixel +
+         static_cast<double>(ops.dct_blocks + ops.idct_blocks) * per_dct_block +
+         static_cast<double>(ops.quant_coeffs) * per_quant_coeff +
+         static_cast<double>(ops.vlc_symbols) * per_vlc_symbol;
+}
+
 TaskGraph video_encoder_graph(int width, int height,
                               const video::StageOps& ops,
                               const VideoCosts& costs) {
@@ -64,10 +72,12 @@ TaskGraph video_encoder_graph(int width, int height,
   const TaskId recon = g.add_task(dsp_friendly("reconstruct", luma_bytes, 3.0));
   const TaskId buffer = g.add_task(make_task("rate-buffer", 2000.0));
 
+  const double mv_bytes = 2.0 * (width / 16.0) * (height / 16.0);
+
   // Forward path.
   (void)g.add_edge(capture, me, frame_bytes);
   (void)g.add_edge(capture, mc, frame_bytes);
-  (void)g.add_edge(me, mc, 2.0 * (width / 16.0) * (height / 16.0));
+  (void)g.add_edge(me, mc, mv_bytes);
   (void)g.add_edge(mc, dct, frame_bytes);
   (void)g.add_edge(dct, quant, frame_bytes * 2.0);   // 16-bit coefficients
   (void)g.add_edge(quant, vlc, frame_bytes * 2.0);
@@ -76,6 +86,11 @@ TaskGraph video_encoder_graph(int width, int height,
   (void)g.add_edge(quant, idct, frame_bytes * 2.0);
   (void)g.add_edge(idct, recon, frame_bytes);
   (void)g.add_edge(mc, recon, frame_bytes);
+  (void)g.add_edge(me, vlc, mv_bytes);  // motion vectors are coded
+  // Loop-carried: frame i searches and predicts against the
+  // reconstruction of frame i-1.
+  (void)g.add_edge(recon, me, frame_bytes, /*delay=*/1);
+  (void)g.add_edge(recon, mc, frame_bytes, /*delay=*/1);
   return g;
 }
 
@@ -127,10 +142,10 @@ TaskGraph videoconference_graph(int width, int height,
     dec_map.push_back(g.add_task(std::move(task)));
   }
   for (const auto& e : enc.edges()) {
-    (void)g.add_edge(enc_map[e.src], enc_map[e.dst], e.bytes);
+    (void)g.add_edge(enc_map[e.src], enc_map[e.dst], e.bytes, e.delay);
   }
   for (const auto& e : dec.edges()) {
-    (void)g.add_edge(dec_map[e.src], dec_map[e.dst], e.bytes);
+    (void)g.add_edge(dec_map[e.src], dec_map[e.dst], e.bytes, e.delay);
   }
   return g;
 }
@@ -189,7 +204,7 @@ TaskGraph dvr_analysis_graph(int width, int height,
     dec_map.push_back(g.add_task(dec.task(t)));
   }
   for (const auto& e : dec.edges()) {
-    (void)g.add_edge(dec_map[e.src], dec_map[e.dst], e.bytes);
+    (void)g.add_edge(dec_map[e.src], dec_map[e.dst], e.bytes, e.delay);
   }
   const double luma_bytes = static_cast<double>(width) * height;
   // §5 analysis stages: per-pixel features then a tiny classifier.

@@ -20,11 +20,17 @@ struct VideoCosts {
   double per_mc_pixel = 2.0;       ///< fetch + clamp/add
   double per_quant_coeff = 2.0;    ///< scale + round
   double per_vlc_symbol = 8.0;     ///< table lookup + bit pack
+
+  /// RISC-normalized ops of `ops`: each Fig. 1 box's count times its
+  /// weight (the IDCT weighs like the DCT), summed.
+  [[nodiscard]] double weigh(const video::StageOps& ops) const noexcept;
 };
 
 /// Fig. 1 encoder as a task graph: MOTION ESTIMATOR -> MOTION COMPENSATED
 /// PREDICTOR -> (residual) DCT -> QUANTIZER -> {VLC -> BUFFER, INVERSE DCT
-/// -> reconstruction}. Frame dimensions size the inter-stage edges.
+/// -> reconstruction}, with the motion vectors coded by the VLC and the
+/// reconstruction of frame i-1 fed back to the estimator and predictor of
+/// frame i over delay-1 edges. Frame dimensions size the edges.
 [[nodiscard]] mpsoc::TaskGraph video_encoder_graph(
     int width, int height, const video::StageOps& ops,
     const VideoCosts& costs = VideoCosts{});

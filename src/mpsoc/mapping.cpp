@@ -92,7 +92,7 @@ MappingResult heft(const TaskGraph& graph, const Platform& platform) {
       // chosen (standard HEFT approximation).
       double ready = 0.0;
       for (const auto& e : graph.edges()) {
-        if (e.dst != t) continue;
+        if (e.dst != t || e.delay != 0) continue;
         double arrival = finish[e.src];
         if (r.mapping[e.src] != p && e.bytes > 0.0) {
           arrival += e.bytes / ic.bandwidth_bytes_per_s + ic.latency_s;

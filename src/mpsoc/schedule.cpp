@@ -6,7 +6,7 @@
 namespace mmsoc::mpsoc {
 
 double Schedule::initiation_interval_s() const noexcept {
-  double ii = interconnect_busy_s;
+  double ii = std::max(interconnect_busy_s, recurrence_s);
   for (const double b : pe_busy_s) ii = std::max(ii, b);
   return ii;
 }
@@ -38,7 +38,7 @@ std::vector<double> upward_ranks(const TaskGraph& graph,
     const TaskId t = *it;
     double best_succ = 0.0;
     for (const auto& e : graph.edges()) {
-      if (e.src != t) continue;
+      if (e.src != t || e.delay != 0) continue;
       const double comm = 0.5 * (e.bytes / bw + platform.interconnect.latency_s);
       best_succ = std::max(best_succ, comm + rank[e.dst]);
     }
@@ -64,7 +64,7 @@ Schedule list_schedule(const TaskGraph& graph, const Platform& platform,
 
   // Priority order: decreasing upward rank, ties by topological position
   // (processing in this order guarantees predecessors are placed first
-  // because rank(pred) > rank(succ) along every edge).
+  // because rank(pred) > rank(succ) along every delay-free edge).
   const auto ranks = upward_ranks(graph, platform);
   std::vector<TaskId> order = order_result.value();
   std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
@@ -78,44 +78,53 @@ Schedule list_schedule(const TaskGraph& graph, const Platform& platform,
   std::vector<double> link_busy(static_cast<std::size_t>(links), 0.0);
   std::vector<double> pe_free(platform.pes.size(), 0.0);
   std::vector<double> finish(graph.task_count(), 0.0);
-  std::vector<bool> placed(graph.task_count(), false);
   s.intervals.resize(graph.task_count());
 
   double comm_bytes = 0.0;
+  // When edge e's data reaches its consumer: a cross-PE transfer waits
+  // for its link and occupies it.
+  const auto arrival = [&](const Edge& e) {
+    const double done = finish[e.src];
+    if (mapping[e.src] == mapping[e.dst] || !(e.bytes > 0.0)) return done;
+    const std::size_t link =
+        ic.kind == InterconnectKind::kSharedBus
+            ? 0
+            : (mapping[e.src] * 31 + mapping[e.dst]) %
+                  static_cast<std::size_t>(links);
+    const double duration = e.bytes / ic.bandwidth_bytes_per_s + ic.latency_s;
+    const double start = std::max(done, link_free[link]);
+    link_free[link] = start + duration;
+    link_busy[link] += duration;
+    comm_bytes += e.bytes;
+    return start + duration;
+  };
 
   for (const TaskId t : order) {
     const std::size_t pe = mapping[t];
     double ready = 0.0;
     for (const auto& e : graph.edges()) {
-      if (e.dst != t) continue;
-      // Predecessors always precede t in the priority order (rank
-      // dominance along edges), so finish[] is final here.
-      double arrival = finish[e.src];
-      if (mapping[e.src] != pe && e.bytes > 0.0) {
-        const std::size_t link =
-            ic.kind == InterconnectKind::kSharedBus
-                ? 0
-                : (mapping[e.src] * 31 + pe) % static_cast<std::size_t>(links);
-        const double duration = e.bytes / ic.bandwidth_bytes_per_s + ic.latency_s;
-        const double start = std::max(arrival, link_free[link]);
-        link_free[link] = start + duration;
-        link_busy[link] += duration;
-        arrival = start + duration;
-        comm_bytes += e.bytes;
-      }
-      ready = std::max(ready, arrival);
+      // Delay-free predecessors always precede t in the priority order
+      // (rank dominance along those edges), so finish[] is final here.
+      if (e.dst == t && e.delay == 0) ready = std::max(ready, arrival(e));
     }
     const double exec = platform.pes[pe].exec_seconds(graph.task(t));
     const double start = std::max(ready, pe_free[pe]);
     const double end = start + exec;
     pe_free[pe] = end;
     finish[t] = end;
-    placed[t] = true;
     s.pe_busy_s[pe] += exec;
     s.intervals[t] = TaskInterval{t, pe, start, end};
     s.makespan_s = std::max(s.makespan_s, end);
   }
 
+  // A delay edge feeds a later iteration: its transfer still loads the
+  // interconnect, and the loop it closes bounds the initiation interval.
+  for (const auto& e : graph.edges()) {
+    if (e.delay == 0) continue;
+    s.recurrence_s = std::max(
+        s.recurrence_s,
+        (arrival(e) - s.intervals[e.dst].start_s) / static_cast<double>(e.delay));
+  }
   s.interconnect_busy_s = *std::max_element(link_busy.begin(), link_busy.end());
 
   // Energy: active during execution, idle for the rest of the iteration,

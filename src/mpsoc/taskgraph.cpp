@@ -13,14 +13,15 @@ TaskId TaskGraph::add_task(Task task) {
   return tasks_.size() - 1;
 }
 
-Status TaskGraph::add_edge(TaskId src, TaskId dst, double bytes) {
+Status TaskGraph::add_edge(TaskId src, TaskId dst, double bytes,
+                          std::size_t delay) {
   if (src >= tasks_.size() || dst >= tasks_.size()) {
     return Status(StatusCode::kInvalidArgument, "edge endpoint out of range");
   }
   if (src == dst) {
     return Status(StatusCode::kInvalidArgument, "self edge");
   }
-  edges_.push_back(Edge{src, dst, bytes});
+  edges_.push_back(Edge{src, dst, bytes, delay});
   return Status::ok();
 }
 
@@ -50,7 +51,7 @@ std::vector<std::size_t> TaskGraph::out_edges(TaskId id) const {
 std::vector<TaskId> TaskGraph::predecessors(TaskId id) const {
   std::vector<TaskId> out;
   for (const auto& e : edges_) {
-    if (e.dst == id) out.push_back(e.src);
+    if (e.dst == id && e.delay == 0) out.push_back(e.src);
   }
   return out;
 }
@@ -58,14 +59,16 @@ std::vector<TaskId> TaskGraph::predecessors(TaskId id) const {
 std::vector<TaskId> TaskGraph::successors(TaskId id) const {
   std::vector<TaskId> out;
   for (const auto& e : edges_) {
-    if (e.src == id) out.push_back(e.dst);
+    if (e.src == id && e.delay == 0) out.push_back(e.dst);
   }
   return out;
 }
 
 Result<std::vector<TaskId>> TaskGraph::topological_order() const {
   std::vector<std::size_t> indegree(tasks_.size(), 0);
-  for (const auto& e : edges_) ++indegree[e.dst];
+  for (const auto& e : edges_) {
+    if (e.delay == 0) ++indegree[e.dst];
+  }
   // Kahn's algorithm with a min-heap for deterministic order.
   std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready;
   for (TaskId t = 0; t < tasks_.size(); ++t) {
@@ -78,14 +81,15 @@ Result<std::vector<TaskId>> TaskGraph::topological_order() const {
     ready.pop();
     order.push_back(t);
     for (const auto& e : edges_) {
-      if (e.src == t && --indegree[e.dst] == 0) {
+      if (e.src == t && e.delay == 0 && --indegree[e.dst] == 0) {
         ready.push(e.dst);
       }
     }
   }
   if (order.size() != tasks_.size()) {
-    return Result<std::vector<TaskId>>(StatusCode::kInvalidArgument,
-                                       "task graph has a cycle");
+    return Result<std::vector<TaskId>>(
+        StatusCode::kInvalidArgument,
+        "task graph has a cycle without a delay token");
   }
   return order;
 }

@@ -3,10 +3,13 @@
 // The paper's thesis is that multimedia applications are "sophisticated
 // collections [of] multiple algorithms" (§8) running on multiprocessor
 // systems-on-chips (§1). A TaskGraph captures one iteration (one frame /
-// granule) of such an application as a DAG: nodes are algorithm stages
-// with an operation count and per-processor-kind affinities; edges carry
-// the data volumes flowing between stages (e.g. the reference frame into
-// the motion estimator in Fig. 1).
+// granule) of such an application: nodes are algorithm stages with an
+// operation count and per-processor-kind affinities; edges carry the data
+// volumes flowing between stages. A *delay edge* (SDF: a channel that
+// starts out holding `delay` tokens) carries data from one iteration into
+// a later one, e.g. the reconstructed frame i-1 into the motion estimator
+// of frame i in Fig. 1. Delay edges are traffic, not same-iteration
+// precedence: the graph must be acyclic once they are cut.
 #pragma once
 
 #include <cstdint>
@@ -140,7 +143,8 @@ struct Task {
 struct Edge {
   TaskId src = 0;
   TaskId dst = 0;
-  double bytes = 0.0;  ///< data transferred per iteration
+  double bytes = 0.0;      ///< data transferred per iteration
+  std::size_t delay = 0;   ///< initial tokens: dst's iteration i reads src's i - delay
 };
 
 class TaskGraph {
@@ -148,7 +152,8 @@ class TaskGraph {
   explicit TaskGraph(std::string name) : name_(std::move(name)) {}
 
   TaskId add_task(Task task);
-  common::Status add_edge(TaskId src, TaskId dst, double bytes);
+  common::Status add_edge(TaskId src, TaskId dst, double bytes,
+                          std::size_t delay = 0);
 
   /// Attach (or replace) the executable body of `id`.
   void set_body(TaskId id, TaskBody body) { tasks_[id].body = std::move(body); }
@@ -169,15 +174,17 @@ class TaskGraph {
   [[nodiscard]] const Task& task(TaskId id) const { return tasks_[id]; }
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept { return edges_; }
 
+  /// Same-iteration neighbours: delay edges are skipped.
   [[nodiscard]] std::vector<TaskId> predecessors(TaskId id) const;
   [[nodiscard]] std::vector<TaskId> successors(TaskId id) const;
 
-  /// Indices into edges() of the edges into / out of `id`, in insertion
-  /// order — the payload order a TaskBody sees.
+  /// Indices into edges() of the edges into / out of `id`, delay edges
+  /// included, in insertion order — the payload order a TaskBody sees.
   [[nodiscard]] std::vector<std::size_t> in_edges(TaskId id) const;
   [[nodiscard]] std::vector<std::size_t> out_edges(TaskId id) const;
 
-  /// Topological order; empty + error if the graph has a cycle.
+  /// Topological order over the delay-free edges; empty + error if a
+  /// cycle carries no delay token.
   [[nodiscard]] common::Result<std::vector<TaskId>> topological_order() const;
 
   [[nodiscard]] bool is_acyclic() const {
@@ -187,7 +194,7 @@ class TaskGraph {
   /// Total work across all tasks (RISC-normalized ops).
   [[nodiscard]] double total_work() const noexcept;
 
-  /// Total bytes across all edges.
+  /// Total bytes across all edges, delay edges included.
   [[nodiscard]] double total_traffic() const noexcept;
 
  private:

@@ -61,15 +61,19 @@ constexpr std::size_t kFiringQuantum = 8;
 constexpr double kChannelByteBudget = 256.0 * 1024.0;
 
 // Slots of one edge's channel: `channel_capacity`, cut to the byte budget
-// for large tokens but never below double buffering. bytes == 0 means the
-// graph declared no size.
+// for large tokens but never below double buffering, and always one more
+// than a delay edge's initial tokens. bytes == 0 means the graph declared
+// no size.
 std::size_t edge_capacity(const mpsoc::Edge& edge,
                           std::size_t channel_capacity) {
-  if (!(edge.bytes > 0.0)) return channel_capacity;
-  const auto min_slots = std::min<std::size_t>(2, channel_capacity);
-  return static_cast<std::size_t>(std::clamp(
-      std::floor(kChannelByteBudget / edge.bytes),
-      static_cast<double>(min_slots), static_cast<double>(channel_capacity)));
+  std::size_t slots = channel_capacity;
+  if (edge.bytes > 0.0) {
+    const auto min_slots = std::min<std::size_t>(2, channel_capacity);
+    slots = static_cast<std::size_t>(std::clamp(
+        std::floor(kChannelByteBudget / edge.bytes),
+        static_cast<double>(min_slots), static_cast<double>(channel_capacity)));
+  }
+  return std::max(slots, edge.delay + 1);
 }
 
 }  // namespace
@@ -124,7 +128,7 @@ struct Engine::Impl {
     /// Unit-origin hook of the underlying task (frame-journey tracing),
     /// or null. Points into the session's graph.
     const mpsoc::UnitOriginFn* origin = nullptr;
-    bool is_source = false;  ///< no in-edges: stamps origins
+    bool is_source = false;  ///< no delay-free in-edges: stamps origins
     bool is_sink = false;    ///< no out-edges: retires units, records latency
     /// First instant the owning worker saw this task channel-ready but
     /// gate-closed; zero while not stalled. Owner-only, handed off with
@@ -134,6 +138,12 @@ struct Engine::Impl {
     double io_stall_s = 0.0;
     std::vector<SpscQueue<mpsoc::Payload>*> in;   // channel per in-edge
     std::vector<SpscQueue<mpsoc::Payload>*> out;  // channel per out-edge
+    /// The delay-free subsets of in/out: only their slot ledgers carry
+    /// the unit a firing works on. A delay edge's slot belongs to an
+    /// earlier unit (or to none, for the initial tokens), so frame-journey
+    /// tracing neither reads nor stamps it.
+    std::vector<SpscQueue<mpsoc::Payload>*> traced_in;
+    std::vector<SpscQueue<mpsoc::Payload>*> traced_out;
     /// Tasks at the far end of this task's channels (deduped, self
     /// removed). The wakeup set after a batch is their *current* owners.
     std::vector<TaskRun*> peers;
@@ -660,10 +670,11 @@ struct Engine::Impl {
     bool unblocked_peer = false;
     // Frame-journey sampling: in this runtime every edge carries exactly
     // one token per graph iteration and channels are FIFO, so iteration
-    // index == unit index at every stage. Sampledness is therefore
-    // locally computable everywhere — only timestamps travel through the
-    // channel ledgers. Tracing off (period 0 / no telemetry) costs one
-    // bool test per firing.
+    // index == unit index at every stage (a delay edge's token belongs
+    // to an earlier unit, so its ledger is never read or stamped).
+    // Sampledness is therefore locally computable everywhere — only
+    // timestamps travel through the channel ledgers. Tracing off (period
+    // 0 / no telemetry) costs one bool test per firing.
     const std::size_t period = unit_period;
     const bool tracing = period != 0 && ring != nullptr;
     while (fired < kFiringQuantum && ready(r) && gate_open(r)) {
@@ -682,7 +693,7 @@ struct Engine::Impl {
       std::uint64_t ut_t0 = 0;      // firing start (sampled only)
       if (sampled) {
         r.ut_next_sample = iter + period;
-        for (auto* ch : r.in) {
+        for (auto* ch : r.traced_in) {
           const UnitLedger& l = ch->front_ledger();
           ut_ready = std::max(ut_ready, l.enqueue_ns);
           if (l.origin_ns != 0 &&
@@ -745,14 +756,18 @@ struct Engine::Impl {
           pending_gate_stall_s = 0.0;
         }
       }
+      // Sampled units hand their origin + completion stamps to the
+      // consumer through the slot ledger; the stamp publishes with the
+      // push's tail release store.
+      if (sampled) {
+        for (auto* ch : r.traced_out) {
+          ch->stamp_next(UnitLedger{ut_origin, ut_t1});
+        }
+      }
       for (std::size_t k = 0; k < n_out; ++k) {
         // Empty-check from the producer side is exact whenever the
         // consumer is parked — the only case the wakeup matters.
         if (r.out[k]->empty()) unblocked_peer = true;
-        // Sampled units hand their origin + completion stamps to the
-        // consumer through the slot ledger; the stamp publishes with the
-        // push's tail release store.
-        if (sampled) r.out[k]->stamp_next(UnitLedger{ut_origin, ut_t1});
         // Space was checked in ready(); this worker is the only
         // producer, so the push cannot fail.
         (void)r.out[k]->try_push(std::move(firing.outputs[k]));
@@ -1234,7 +1249,8 @@ struct Engine::Impl {
                     "mapping size != task count");
     }
     if (!graph.is_acyclic()) {
-      return Status(StatusCode::kInvalidArgument, "graph has a cycle");
+      return Status(StatusCode::kInvalidArgument,
+                    "graph has a cycle without a delay token");
     }
     for (mpsoc::TaskId t = 0; t < graph.task_count(); ++t) {
       if (!graph.task(t).has_body()) {
@@ -1271,11 +1287,17 @@ struct Engine::Impl {
       }
       for (const std::size_t e : graph.in_edges(t)) {
         run->in.push_back(sess.channels[e].get());
+        if (graph.edges()[e].delay == 0) {
+          run->traced_in.push_back(run->in.back());
+        }
       }
       for (const std::size_t e : graph.out_edges(t)) {
         run->out.push_back(sess.channels[e].get());
+        if (graph.edges()[e].delay == 0) {
+          run->traced_out.push_back(run->out.back());
+        }
       }
-      run->is_source = run->in.empty();
+      run->is_source = run->traced_in.empty();
       run->is_sink = run->out.empty();
       sess.runs.push_back(std::move(run));
     }
@@ -1352,9 +1374,14 @@ struct Engine::Impl {
     const bool ledgers = options.telemetry != nullptr &&
                          options.telemetry->options().unit_sample_period != 0;
     for (const auto& edge : graph.edges()) {
-      sess->channels.push_back(std::make_unique<SpscQueue<mpsoc::Payload>>(
-          edge_capacity(edge, options.channel_capacity),
-          /*recycle=*/true, ledgers));
+      auto& ch = sess->channels.emplace_back(
+          std::make_unique<SpscQueue<mpsoc::Payload>>(
+              edge_capacity(edge, options.channel_capacity),
+              /*recycle=*/true, ledgers));
+      // A delay edge starts with its initial tokens: empty payloads.
+      for (std::size_t k = 0; k < edge.delay; ++k) {
+        (void)ch->try_push(mpsoc::Payload{});
+      }
     }
     sess->outstanding.store(iterations * graph.task_count(),
                             std::memory_order_relaxed);

@@ -375,11 +375,14 @@ class Engine {
   /// iterations. Legal before start() (the session launches with the
   /// pool) and — dynamic admission — while the engine is running, in
   /// which case its tasks are enqueued on live workers immediately.
-  /// Rejected once wait() began draining or the engine finished. The
-  /// graph must be acyclic, fully executable (every task has a body),
-  /// and must outlive the engine; each session needs its own graph
-  /// instance when bodies carry mutable closure state. Thread-safe
-  /// against other submits, cancels, and the running workers.
+  /// Rejected once wait() began draining or the engine finished. Every
+  /// cycle of the graph must carry a delay token (mpsoc::Edge::delay: a
+  /// delay edge's channel starts with `delay` empty payloads, which its
+  /// consumer's first `delay` firings see). The graph must be fully
+  /// executable (every task has a body) and must outlive the engine;
+  /// each session needs its own graph instance when bodies carry mutable
+  /// closure state. Thread-safe against other submits, cancels, and the
+  /// running workers.
   [[nodiscard]] common::Result<std::size_t> submit(
       const mpsoc::TaskGraph& graph, mpsoc::Mapping mapping,
       std::uint64_t iterations, SessionOptions session_options = {});

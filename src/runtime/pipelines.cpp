@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,15 +14,11 @@
 #include "audio/subband_codec.h"
 #include "common/bitstream.h"
 #include "common/crc32.h"
-#include "common/mathutil.h"
 #include "common/rng.h"
 #include "core/appgraphs.h"
-#include "dsp/dct.h"
 #include "video/codec.h"
 #include "video/frame.h"
-#include "video/quantizer.h"
 #include "video/source.h"
-#include "video/vlc.h"
 
 namespace mmsoc::runtime {
 
@@ -34,16 +31,23 @@ using mpsoc::TaskId;
 
 // ---- payload (de)serialization -------------------------------------------
 //
-// Bodies emit through TaskFiring::store/store_array wherever possible:
-// the engine hands outputs as recycled channel buffers (cleared, with
-// warmed-up capacity), so an in-place fill keeps the steady-state data
-// plane allocation-free.
+// Bodies emit through TaskFiring::store/store_array or output_as wherever
+// possible: the engine hands outputs as recycled channel buffers (cleared,
+// with warmed-up capacity), so an in-place fill keeps the steady-state
+// data plane allocation-free.
 
 // Payload storage comes from operator new and is max-aligned, so viewing
 // it as the element type it was serialized from is safe.
 template <typename T>
-const T* payload_as(const Payload& p) {
-  return reinterpret_cast<const T*>(p.data());
+std::span<const T> payload_as(const Payload& p) {
+  return {reinterpret_cast<const T*>(p.data()), p.size() / sizeof(T)};
+}
+
+// Out-edge `k` sized to `n` elements of T, for the body to fill in place.
+template <typename T>
+std::span<T> output_as(TaskFiring& f, std::size_t k, std::size_t n) {
+  f.outputs[k].resize(n * sizeof(T));
+  return {reinterpret_cast<T*>(f.outputs[k].data()), n};
 }
 
 // Pipeline construction binds bodies by stage name; a rename in the
@@ -57,15 +61,7 @@ TaskId find_task(const TaskGraph& g, const char* name) {
                          name + "' in graph '" + g.name() + "'");
 }
 
-// ---- video stage states ---------------------------------------------------
-
-struct RefPlaneState {
-  video::Plane ref;
-};
-
-struct CrcState {
-  common::Crc32 crc;
-};
+// ---- video payloads -------------------------------------------------------
 
 video::Plane plane_from_payload(const Payload& p, int w, int h) {
   video::Plane plane(w, h);
@@ -86,12 +82,15 @@ void store_plane_packed(TaskFiring& f, std::size_t k,
   f.store(k, scratch.data(), n);
 }
 
+// Motion fields travel as (dx, dy) int16 pairs in raster order; an I
+// frame's payload is empty.
 video::MotionField field_from_payload(const Payload& p, int w, int h) {
   video::MotionField field;
+  if (p.empty()) return field;
   field.blocks_x = w / video::kMacroblockSize;
   field.blocks_y = h / video::kMacroblockSize;
-  const auto* mv = payload_as<std::int16_t>(p);
-  field.blocks.resize(static_cast<std::size_t>(field.blocks_x) * field.blocks_y);
+  const auto mv = payload_as<std::int16_t>(p);
+  field.blocks.resize(mv.size() / 2);
   for (std::size_t i = 0; i < field.blocks.size(); ++i) {
     field.blocks[i].mv.dx = mv[2 * i];
     field.blocks[i].mv.dy = mv[2 * i + 1];
@@ -119,22 +118,27 @@ video::StageOps analytic_video_ops(int w, int h) {
 VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   const int w = config.width;
   const int h = config.height;
-  // The stage bodies count whole blocks (w / 8, w / 16); a partial
-  // macroblock would be dropped and misalign the motion-field stride.
-  if (w <= 0 || h <= 0 || w % video::kMacroblockSize != 0 ||
-      h % video::kMacroblockSize != 0) {
-    throw std::invalid_argument(
-        "video encoder pipeline: frame " + std::to_string(w) + "x" +
-        std::to_string(h) + " is not a positive multiple of 16");
+  if (const auto st = video::check_frame_size(w, h); !st.is_ok()) {
+    throw std::invalid_argument(st.message());
   }
-  const int bx = w / 8;
-  const int by = h / 8;
-  const std::size_t blocks = static_cast<std::size_t>(bx) * by;
+  const std::size_t n = static_cast<std::size_t>(w) * h;  // luma samples
 
   VideoPipeline pipe{core::video_encoder_graph(w, h, analytic_video_ops(w, h)),
                      std::make_shared<VideoSinkState>()};
   TaskGraph& g = pipe.graph;
   auto sink = pipe.sink;
+
+  // The bodies below are VideoEncoder::encode split at the Fig. 1 boxes
+  // and run on luma: frame i is intra every EncoderConfig::gop_size
+  // frames, otherwise predicted from the reconstruction of frame i-1,
+  // which the reconstruct stage feeds back over the graph's delay edges
+  // (an empty payload before frame 0).
+  constexpr int kGop = video::EncoderConfig{}.gop_size;
+  const auto header = [w, h, q = config.qscale](std::uint64_t frame) {
+    return video::FrameHeader{frame % kGop == 0 ? video::FrameType::kIntra
+                                                : video::FrameType::kPredicted,
+                              q, w, h, false};
+  };
 
   // CAPTURE: deterministic synthetic scene, one luma frame per iteration
   // rendered into a session-owned plane, broadcast to the motion
@@ -150,169 +154,83 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     });
   }
 
-  // MOTION ESTIMATOR: real block search against the previous source frame
-  // (open-loop reference, kept task-local for determinism).
-  {
-    auto st = std::make_shared<RefPlaneState>();
-    st->ref = video::Plane(w, h, 16);
-    g.set_body(find_task(g, "motion-estimator"),
-               [w, h, st, range = config.search_range,
-                algo = config.algo](TaskFiring& f) {
-                 video::Plane cur = plane_from_payload(*f.inputs[0], w, h);
-                 const auto field =
-                     video::estimate_frame(cur, st->ref, range, algo);
-                 std::vector<std::int16_t> mv;
-                 mv.reserve(field.blocks.size() * 2);
-                 for (const auto& b : field.blocks) {
-                   mv.push_back(static_cast<std::int16_t>(b.mv.dx));
-                   mv.push_back(static_cast<std::int16_t>(b.mv.dy));
-                 }
-                 f.store_array(0, mv.data(), mv.size());
-                 // Copy, not move: the reference keeps the storage it was
-                 // built with, so stage state that outlives the session
-                 // never pins a plane a worker allocated mid-run (that
-                 // fragments the heap across back-to-back sessions).
-                 st->ref = cur;
-               });
-  }
+  // MOTION ESTIMATOR: block search against the reconstructed reference;
+  // vectors to the MC predictor and the VLC (none on I frames).
+  g.set_body(find_task(g, "motion-estimator"),
+             [w, h, header, range = config.search_range,
+              algo = config.algo](TaskFiring& f) {
+               if (header(f.iteration).intra()) return;
+               const auto field = video::estimate_frame(
+                   plane_from_payload(*f.inputs[0], w, h),
+                   plane_from_payload(*f.inputs[1], w, h), range, algo);
+               const auto mv = output_as<std::int16_t>(f, 0, 2 * field.blocks.size());
+               for (std::size_t i = 0; i < field.blocks.size(); ++i) {
+                 mv[2 * i] = static_cast<std::int16_t>(field.blocks[i].mv.dx);
+                 mv[2 * i + 1] = static_cast<std::int16_t>(field.blocks[i].mv.dy);
+               }
+               f.store_array(1, mv.data(), mv.size());
+             });
 
-  // MC PREDICTOR: build the prediction, emit the residual (to DCT) and
-  // the prediction itself (to the reconstruction adder).
-  {
-    auto st = std::make_shared<RefPlaneState>();
-    st->ref = video::Plane(w, h, 16);
-    g.set_body(find_task(g, "mc-predictor"), [w, h, st](TaskFiring& f) {
-      video::Plane cur = plane_from_payload(*f.inputs[0], w, h);
-      const auto field = field_from_payload(*f.inputs[1], w, h);
-      const video::Plane pred = video::compensate(st->ref, field);
-      std::vector<std::int16_t> residual(static_cast<std::size_t>(w) * h);
-      for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-          residual[static_cast<std::size_t>(y) * w + x] =
-              static_cast<std::int16_t>(static_cast<int>(cur.at(x, y)) -
-                                        static_cast<int>(pred.at(x, y)));
-        }
-      }
-      f.store_array(0, residual.data(), residual.size());
-      store_plane_packed(f, 1, pred);
-      st->ref = cur;  // copy: see the motion estimator
-    });
-  }
-
-  // DCT: separable 8x8 forward transform of each residual block,
-  // block-linear float coefficients out.
-  g.set_body(find_task(g, "dct"), [w, bx, by, blocks](TaskFiring& f) {
-    const auto* residual = payload_as<std::int16_t>(*f.inputs[0]);
-    std::vector<float> coeffs(blocks * 64);
-    dsp::Block in{}, out{};
-    for (int byi = 0; byi < by; ++byi) {
-      for (int bxi = 0; bxi < bx; ++bxi) {
-        for (int y = 0; y < 8; ++y) {
-          for (int x = 0; x < 8; ++x) {
-            in[static_cast<std::size_t>(y) * 8 + x] = static_cast<float>(
-                residual[(static_cast<std::size_t>(byi) * 8 + y) * w + bxi * 8 + x]);
-          }
-        }
-        dsp::dct2d(in, out);
-        std::memcpy(&coeffs[(static_cast<std::size_t>(byi) * bx + bxi) * 64],
-                    out.data(), 64 * sizeof(float));
-      }
-    }
-    f.store_array(0, coeffs.data(), coeffs.size());
+  // MC PREDICTOR: the residual (to the DCT) and the prediction (to the
+  // reconstruction adder).
+  g.set_body(find_task(g, "mc-predictor"), [w, h, n, header](TaskFiring& f) {
+    const video::Plane pred = video::predict(
+        header(f.iteration), plane_from_payload(*f.inputs[0], w, h),
+        plane_from_payload(*f.inputs[2], w, h),
+        field_from_payload(*f.inputs[1], w, h), /*chroma=*/false,
+        output_as<std::int16_t>(f, 0, n));
+    store_plane_packed(f, 1, pred);
   });
 
-  // QUANTIZER: perceptual quantization, levels broadcast to VLC and IDCT.
-  {
-    const video::Quantizer quant(video::default_inter_matrix(), config.qscale);
-    g.set_body(find_task(g, "quantizer"), [quant, blocks](TaskFiring& f) {
-      const auto* coeffs = payload_as<float>(*f.inputs[0]);
-      std::vector<std::int16_t> levels(blocks * 64);
-      for (std::size_t b = 0; b < blocks; ++b) {
-        quant.quantize(std::span<const float, 64>(coeffs + b * 64, 64),
-                       std::span<std::int16_t, 64>(&levels[b * 64], 64));
-      }
-      f.store_array(0, levels.data(), levels.size());  // -> vlc
-      f.store_array(1, levels.data(), levels.size());  // -> inverse dct
-    });
-  }
-
-  // VLC: (run, level) Huffman coding, one bitstream chunk per frame.
-  g.set_body(find_task(g, "vlc"), [blocks, sink](TaskFiring& f) {
-    const auto* levels = payload_as<std::int16_t>(*f.inputs[0]);
-    common::BitWriter writer;
-    std::int16_t dc_pred = 0;
-    std::uint64_t symbols = 0;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const auto stats = video::encode_block(
-          std::span<const std::int16_t, 64>(levels + b * 64, 64), true,
-          dc_pred, writer);
-      symbols += stats.symbols;
-    }
-    sink->vlc_symbols += symbols;
-    f.outputs[0] = writer.take();
+  g.set_body(find_task(g, "dct"), [n](TaskFiring& f) {
+    video::forward_dct(payload_as<std::int16_t>(*f.inputs[0]),
+                       output_as<float>(f, 0, n));
   });
 
-  // INVERSE DCT: dequantize + inverse transform back to a residual.
-  {
-    const video::Quantizer quant(video::default_inter_matrix(), config.qscale);
-    g.set_body(find_task(g, "inverse-dct"),
-               [quant, w, bx, by, blocks](TaskFiring& f) {
-                 const auto* levels = payload_as<std::int16_t>(*f.inputs[0]);
-                 std::vector<std::int16_t> residual(
-                     static_cast<std::size_t>(w) * (by * 8));
-                 dsp::Block coeffs{}, pixels{};
-                 for (int byi = 0; byi < by; ++byi) {
-                   for (int bxi = 0; bxi < bx; ++bxi) {
-                     const std::size_t base =
-                         (static_cast<std::size_t>(byi) * bx + bxi) * 64;
-                     std::array<float, 64> fc{};
-                     quant.dequantize(
-                         std::span<const std::int16_t, 64>(levels + base, 64),
-                         std::span<float, 64>(fc));
-                     std::copy(fc.begin(), fc.end(), coeffs.begin());
-                     dsp::idct2d(coeffs, pixels);
-                     for (int y = 0; y < 8; ++y) {
-                       for (int x = 0; x < 8; ++x) {
-                         residual[(static_cast<std::size_t>(byi) * 8 + y) * w +
-                                  bxi * 8 + x] =
-                             static_cast<std::int16_t>(common::round_half_away(
-                                 pixels[static_cast<std::size_t>(y) * 8 + x]));
-                       }
-                     }
-                   }
-                 }
-                 f.store_array(0, residual.data(), residual.size());
-               });
-  }
+  // QUANTIZER: levels broadcast to the VLC and the inverse DCT.
+  g.set_body(find_task(g, "quantizer"), [n, header](TaskFiring& f) {
+    const auto levels = output_as<std::int16_t>(f, 0, n);
+    video::quantize(header(f.iteration), payload_as<float>(*f.inputs[0]), levels);
+    f.store_array(1, levels.data(), levels.size());
+  });
 
-  // RECONSTRUCT: prediction + decoded residual, clamped; CRC-chained so
-  // the whole reconstructed sequence is summarized in one word.
-  {
-    auto st = std::make_shared<CrcState>();
-    g.set_body(find_task(g, "reconstruct"), [w, h, st, sink](TaskFiring& f) {
-      const auto* residual = payload_as<std::int16_t>(*f.inputs[0]);
-      const auto* pred = f.inputs[1]->data();
-      std::vector<std::uint8_t> recon(static_cast<std::size_t>(w) * h);
-      for (std::size_t i = 0; i < recon.size(); ++i) {
-        recon[i] = static_cast<std::uint8_t>(
-            std::clamp(static_cast<int>(pred[i]) + residual[i], 0, 255));
-      }
-      st->crc.update(recon);
-      sink->recon_crc = st->crc.value();
-      ++sink->frames_reconstructed;
-    });
-  }
+  // VLC: frame header, motion vectors and luma blocks, one chunk per frame.
+  g.set_body(find_task(g, "vlc"), [w, h, header, sink](TaskFiring& f) {
+    common::BitWriter out;
+    sink->vlc_symbols += video::entropy_code(
+        header(f.iteration), field_from_payload(*f.inputs[1], w, h),
+        {payload_as<std::int16_t>(*f.inputs[0])}, out);
+    f.outputs[0] = out.take();
+  });
+
+  g.set_body(find_task(g, "inverse-dct"), [n, header](TaskFiring& f) {
+    video::inverse_dct(header(f.iteration), payload_as<std::int16_t>(*f.inputs[0]),
+                       output_as<float>(f, 0, n));
+  });
+
+  // RECONSTRUCT: prediction + decoded residual, fed back to the motion
+  // estimator and the MC predictor of the next frame; CRC-chained so the
+  // whole reconstructed sequence is summarized in one word.
+  g.set_body(find_task(g, "reconstruct"),
+             [w, h, crc = std::make_shared<common::Crc32>(), sink](TaskFiring& f) {
+               video::Plane recon(w, h);
+               video::reconstruct(payload_as<float>(*f.inputs[0]),
+                                  plane_from_payload(*f.inputs[1], w, h), recon);
+               store_plane_packed(f, 0, recon);
+               f.store(1, f.outputs[0].data(), f.outputs[0].size());
+               crc->update(f.outputs[0]);
+               sink->recon_crc = crc->value();
+               ++sink->frames_reconstructed;
+             });
 
   // RATE BUFFER: the bitstream sink.
-  {
-    auto st = std::make_shared<CrcState>();
-    g.set_body(find_task(g, "rate-buffer"), [st, sink](TaskFiring& f) {
-      st->crc.update(*f.inputs[0]);
-      sink->bitstream_crc = st->crc.value();
-      sink->bitstream_bytes += f.inputs[0]->size();
-      ++sink->frames_coded;
-    });
-  }
+  g.set_body(find_task(g, "rate-buffer"),
+             [crc = std::make_shared<common::Crc32>(), sink](TaskFiring& f) {
+               crc->update(*f.inputs[0]);
+               sink->bitstream_crc = crc->value();
+               sink->bitstream_bytes += f.inputs[0]->size();
+               ++sink->frames_coded;
+             });
 
   return pipe;
 }
@@ -360,8 +278,7 @@ AudioPipeline make_audio_encoder_pipeline(const AudioPipelineConfig& config) {
   // The stage bodies below are SubbandEncoder::encode split at the Fig. 2
   // boxes, so the sink's stream is the encoder's, byte for byte.
   const auto granule = [](const Payload& p) {
-    return std::span<const double, audio::kGranuleSamples>(
-        payload_as<double>(p), audio::kGranuleSamples);
+    return payload_as<double>(p).first<audio::kGranuleSamples>();
   };
 
   // MAPPER: streaming 32-band analysis (stateful lapped transform).
@@ -383,20 +300,19 @@ AudioPipeline make_audio_encoder_pipeline(const AudioPipelineConfig& config) {
   g.set_body(find_task(g, "quantizer-coder"), [granule, bit_pool](TaskFiring& f) {
     const auto q = audio::quantize_granule(
         granule(*f.inputs[0]),
-        std::span<const double, audio::kSubbands>(payload_as<double>(*f.inputs[1]),
-                                                  audio::kSubbands),
+        payload_as<double>(*f.inputs[1]).first<audio::kSubbands>(),
         bit_pool);
     f.store(0, &q, sizeof q);
   });
 
   // FRAME PACKER: the decodable frame, chained into the sink's digest.
   g.set_body(find_task(g, "frame-packer"),
-             [st = std::make_shared<CrcState>(), sink](TaskFiring& f) {
+             [crc = std::make_shared<common::Crc32>(), sink](TaskFiring& f) {
                audio::QuantizedGranule q;
                std::memcpy(&q, f.inputs[0]->data(), sizeof q);
                const auto bytes = audio::pack_granule(q, {});
-               st->crc.update(bytes);
-               sink->frame_crc = st->crc.value();
+               crc->update(bytes);
+               sink->frame_crc = crc->value();
                sink->frame_bytes += bytes.size();
                ++sink->granules_packed;
              });
@@ -504,15 +420,9 @@ SyntheticPipeline make_blocking_skewed_chain(std::size_t stages,
 
 namespace {
 
-void store_luma(TaskFiring& f, std::size_t k, const video::Frame& frame) {
-  store_plane_packed(f, k, frame.y());
-}
-
 video::Frame frame_from_luma(const Payload& p, int w, int h) {
   video::Frame frame(w, h);
-  const std::size_t n =
-      std::min(p.size(), static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
-  frame.y().copy_packed_from(p.data(), n);
+  frame.y().copy_packed_from(p.data(), p.size());
   return frame;
 }
 
@@ -526,22 +436,14 @@ TaskId add_stage(TaskGraph& g, const char* name, double work_ops) {
 // Stage costs come from the same per-op weights (core::VideoCosts) the
 // analytic Fig. 1 graphs use, so model and runtime agree on one source.
 double analytic_decode_ops(int w, int h) {
-  const auto ops = analytic_video_ops(w, h);
-  const core::VideoCosts costs{};
-  return static_cast<double>(ops.idct_blocks) * costs.per_dct_block +
-         static_cast<double>(ops.quant_coeffs) * costs.per_quant_coeff +
-         static_cast<double>(ops.vlc_symbols) * costs.per_vlc_symbol +
-         static_cast<double>(ops.mc_pixels) * costs.per_mc_pixel;
+  auto ops = analytic_video_ops(w, h);
+  ops.me_sad_ops = 0;  // a decoder searches no motion and runs no DCT
+  ops.dct_blocks = 0;
+  return core::VideoCosts{}.weigh(ops);
 }
 
 double analytic_encode_ops(int w, int h) {
-  const auto ops = analytic_video_ops(w, h);
-  const core::VideoCosts costs{};
-  return static_cast<double>(ops.me_sad_ops) * costs.per_sad_op +
-         static_cast<double>(ops.dct_blocks) * costs.per_dct_block +
-         static_cast<double>(ops.quant_coeffs) * costs.per_quant_coeff +
-         static_cast<double>(ops.vlc_symbols) * costs.per_vlc_symbol +
-         analytic_decode_ops(w, h);
+  return core::VideoCosts{}.weigh(analytic_video_ops(w, h));
 }
 
 /// DECODE: the Fig. 1 decode loop (VLD -> dequant -> IDCT -> MC
@@ -569,7 +471,7 @@ mpsoc::TaskBody decode_body(std::shared_ptr<State> state, int w, int h) {
     }
     if (!decoded) ++state->decode_conceals;
     ++state->frames_decoded;
-    store_luma(f, 0, st->last);
+    store_plane_packed(f, 0, st->last.y());
   };
 }
 
@@ -774,6 +676,9 @@ common::Result<FileTranscodeSession> make_file_transcode_session(
   using common::Result;
   const int w = config.width;
   const int h = config.height;
+  if (auto st = video::check_frame_size(w, h); !st.is_ok()) {
+    return Result<FileTranscodeSession>(st);
+  }
 
   // Prep: encode the input stream and lay it down on a fresh FAT volume.
   video::EncoderConfig ec;

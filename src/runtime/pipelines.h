@@ -2,13 +2,16 @@
 // the analytic task graphs, so the dataflow runtime runs the paper's
 // Fig. 1 / Fig. 2 applications for real.
 //
-//  * Video encoder (Fig. 1): synthetic capture -> three-step motion
-//    estimation -> motion-compensated prediction -> 8x8 DCT of the
-//    residual -> perceptual quantization -> (run,level) Huffman VLC ->
-//    rate buffer, with the inverse-DCT reconstruction branch. Luma-only,
-//    open-loop prediction (reference = previous source frame), which
-//    keeps every stage's state task-local so output is bit-identical for
-//    any worker count.
+//  * Video encoder (Fig. 1): synthetic capture -> video::VideoEncoder's
+//    stages on luma (three-step motion estimation, motion-compensated
+//    prediction, 8x8 DCT, quantization, VLC of header, vectors and
+//    blocks -> rate buffer; inverse DCT and reconstruction). Closed loop:
+//    the reconstruction of frame i-1 feeds the estimator and predictor
+//    of frame i over delay edges. I frames every 12 (EncoderConfig's
+//    default). Each coded frame is a prefix of VideoEncoder's frame
+//    (header, vectors, Y); the chroma planes, and with them a stream
+//    video::VideoDecoder can decode, are not produced. State travels in
+//    payloads, so output is bit-identical for any worker count.
 //  * Audio encoder (Fig. 2): sine-mix PCM source -> audio::SubbandEncoder's
 //    stages (32-band mapper, psychoacoustic model, quantizer/coder, frame
 //    packer), so the stream equals the encoder's byte for byte and
@@ -56,7 +59,7 @@ struct VideoPipelineConfig {
 /// Everything the sink stages observed; lives behind a shared_ptr so the
 /// caller can read it after the engine finishes.
 struct VideoSinkState {
-  std::uint32_t bitstream_crc = 0;   ///< chained CRC-32 over all frames' VLC bytes
+  std::uint32_t bitstream_crc = 0;   ///< chained CRC-32 over all coded frames
   std::uint64_t bitstream_bytes = 0;
   std::uint64_t vlc_symbols = 0;
   std::uint32_t recon_crc = 0;       ///< chained CRC-32 over reconstructed luma
@@ -72,8 +75,7 @@ struct VideoPipeline {
 /// Build a fully executable Fig. 1 encoder graph. Each call returns an
 /// independent pipeline instance (bodies carry per-instance state), so a
 /// multi-session engine needs one per session. Throws
-/// std::invalid_argument unless width and height are positive multiples
-/// of 16 (whole macroblocks).
+/// std::invalid_argument for a size video::check_frame_size rejects.
 [[nodiscard]] VideoPipeline make_video_encoder_pipeline(
     const VideoPipelineConfig& config);
 
@@ -257,7 +259,8 @@ struct StreamingSession : RtpSessionEndpoints, BoundarySession {
 /// feed, and binds ingress -> decode -> display -> egress. The decode
 /// stage is the Fig. 1 decode loop (VLD, dequant, IDCT, MC predictor,
 /// reconstruction) realized by video::VideoDecoder; its reference-frame
-/// state keeps the whole loop in one task for determinism.
+/// state keeps the whole loop in one task for determinism. Throws
+/// std::invalid_argument for a size video::check_frame_size rejects.
 [[nodiscard]] StreamingSession make_streaming_session(
     IoContext& io, const StreamingSessionConfig& config = {});
 
@@ -318,7 +321,9 @@ struct FileTranscodeSession : FileSessionEndpoints, BoundarySession {
 /// "/in.bit" (recording a unit index), and binds block-read -> decode ->
 /// re-encode(out_qscale) -> block-write("/out.bit"). Device stats are
 /// reset after the prep writes so modeled I/O time measures the
-/// transcode only. Fails only on device/volume errors.
+/// transcode only. Fails with kInvalidArgument for a size
+/// video::check_frame_size rejects, otherwise only on device/volume
+/// errors.
 [[nodiscard]] common::Result<FileTranscodeSession> make_file_transcode_session(
     IoContext& io, const TranscodeSessionConfig& config = {});
 

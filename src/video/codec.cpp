@@ -1,9 +1,11 @@
 #include "video/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
-#include "common/bitstream.h"
 #include "common/mathutil.h"
 #include "dsp/dct.h"
 #include "video/vlc.h"
@@ -17,121 +19,30 @@ using common::Result;
 using common::StatusCode;
 
 constexpr int kBlock = dsp::kDctSize;  // 8
+constexpr std::size_t kCoeffs = kBlock * kBlock;
 
-// Extract an 8x8 block (minus a bias) from a plane into float.
-void load_block(const Plane& p, int bx, int by, float bias, dsp::Block& out) {
-  for (int y = 0; y < kBlock; ++y)
-    for (int x = 0; x < kBlock; ++x)
-      out[static_cast<std::size_t>(y) * kBlock + x] =
-          static_cast<float>(p.at(bx + x, by + y)) - bias;
-}
-
-// Extract the residual between a plane and its prediction.
-void load_residual(const Plane& cur, const Plane& pred, int bx, int by,
-                   dsp::Block& out) {
-  for (int y = 0; y < kBlock; ++y)
-    for (int x = 0; x < kBlock; ++x)
-      out[static_cast<std::size_t>(y) * kBlock + x] =
-          static_cast<float>(cur.at(bx + x, by + y)) -
-          static_cast<float>(pred.at(bx + x, by + y));
-}
-
-// Write a reconstructed intra block back (adding the bias).
-void store_block(Plane& p, int bx, int by, float bias, const dsp::Block& in) {
-  for (int y = 0; y < kBlock; ++y)
-    for (int x = 0; x < kBlock; ++x)
-      p.set(bx + x, by + y,
-            common::clamp_u8(common::round_half_away(
-                in[static_cast<std::size_t>(y) * kBlock + x] + bias)));
-}
-
-// Add a residual block onto a prediction and store.
-void store_residual(Plane& p, const Plane& pred, int bx, int by,
-                    const dsp::Block& in) {
-  for (int y = 0; y < kBlock; ++y)
-    for (int x = 0; x < kBlock; ++x)
-      p.set(bx + x, by + y,
-            common::clamp_u8(common::round_half_away(
-                in[static_cast<std::size_t>(y) * kBlock + x] +
-                pred.at(bx + x, by + y))));
-}
-
-// Encode one plane (intra path). Updates ops and reconstructs into recon.
-void encode_plane_intra(const Plane& src, Plane& recon, const Quantizer& q,
-                        StageOps& ops, BitWriter& out) {
-  std::int16_t dc_pred = 0;
-  alignas(32) dsp::Block blk, coeffs;
-  alignas(32) std::array<std::int16_t, 64> levels;
-  for (int by = 0; by < src.height(); by += kBlock) {
-    for (int bx = 0; bx < src.width(); bx += kBlock) {
-      load_block(src, bx, by, 128.0f, blk);
-      dsp::dct2d(blk, coeffs);
-      ++ops.dct_blocks;
-      q.quantize(coeffs, levels);
-      ops.quant_coeffs += 64;
-      const auto st = encode_block(levels, /*code_dc=*/true, dc_pred, out);
-      ops.vlc_symbols += st.symbols;
-      // Local decode loop: dequantize + IDCT to build the reference.
-      q.dequantize(levels, coeffs);
-      dsp::idct2d(coeffs, blk);
-      ++ops.idct_blocks;
-      store_block(recon, bx, by, 128.0f, blk);
-    }
+// Visit the 8x8 blocks of a w x h plane in raster order: fn(bx, by, i),
+// where i is the block's first entry in a block-linear array.
+template <typename Fn>
+void for_each_block(int w, int h, Fn&& fn) {
+  std::size_t i = 0;
+  for (int by = 0; by < h; by += kBlock) {
+    for (int bx = 0; bx < w; bx += kBlock, i += kCoeffs) fn(bx, by, i);
   }
 }
 
-// Encode one plane (inter path) given its prediction.
-void encode_plane_inter(const Plane& src, const Plane& pred, Plane& recon,
-                        const Quantizer& q, StageOps& ops, BitWriter& out) {
-  std::int16_t dc_pred = 0;  // unused in inter mode (code_dc = false)
-  alignas(32) dsp::Block blk, coeffs;
-  alignas(32) std::array<std::int16_t, 64> levels;
-  for (int by = 0; by < src.height(); by += kBlock) {
-    for (int bx = 0; bx < src.width(); bx += kBlock) {
-      load_residual(src, pred, bx, by, blk);
-      dsp::dct2d(blk, coeffs);
-      ++ops.dct_blocks;
-      q.quantize(coeffs, levels);
-      ops.quant_coeffs += 64;
-      const auto st = encode_block(levels, /*code_dc=*/false, dc_pred, out);
-      ops.vlc_symbols += st.symbols;
-      q.dequantize(levels, coeffs);
-      dsp::idct2d(coeffs, blk);
-      ++ops.idct_blocks;
-      store_residual(recon, pred, bx, by, blk);
-    }
-  }
+std::array<const Plane*, 3> planes_of(const Frame& f) {
+  return {&f.y(), &f.cb(), &f.cr()};
 }
 
-bool decode_plane_intra(BitReader& in, Plane& out, const Quantizer& q) {
-  std::int16_t dc_pred = 0;
-  alignas(32) dsp::Block coeffs, blk;
-  alignas(32) std::array<std::int16_t, 64> levels;
-  for (int by = 0; by < out.height(); by += kBlock) {
-    for (int bx = 0; bx < out.width(); bx += kBlock) {
-      if (!decode_block(in, /*code_dc=*/true, dc_pred, levels)) return false;
-      q.dequantize(levels, coeffs);
-      dsp::idct2d(coeffs, blk);
-      store_block(out, bx, by, 128.0f, blk);
-    }
-  }
-  return true;
-}
+std::array<Plane*, 3> planes_of(Frame& f) { return {&f.y(), &f.cb(), &f.cr()}; }
 
-bool decode_plane_inter(BitReader& in, const Plane& pred, Plane& out,
-                        const Quantizer& q) {
-  std::int16_t dc_pred = 0;
-  alignas(32) dsp::Block coeffs, blk;
-  alignas(32) std::array<std::int16_t, 64> levels;
-  for (int by = 0; by < out.height(); by += kBlock) {
-    for (int bx = 0; bx < out.width(); bx += kBlock) {
-      if (!decode_block(in, /*code_dc=*/false, dc_pred, levels)) return false;
-      q.dequantize(levels, coeffs);
-      dsp::idct2d(coeffs, blk);
-      store_residual(out, pred, bx, by, blk);
-    }
-  }
-  return true;
+// The MC prediction of a plane of `ref`'s size: flat 128 on I frames
+// (`ref` only gives the size), else `ref` compensated by `field`.
+Plane prediction(const FrameHeader& h, const Plane& ref,
+                 const MotionField& field, bool chroma) {
+  if (h.intra()) return Plane(ref.width(), ref.height(), 128);
+  return chroma ? compensate_chroma(ref, field) : compensate(ref, field);
 }
 
 void write_motion_field(const MotionField& field, BitWriter& out) {
@@ -167,6 +78,17 @@ bool read_motion_field(BitReader& in, MotionField& field) {
   return true;
 }
 
+// The variable length decode of one plane's blocks (entropy_code's
+// inverse for one plane).
+bool decode_levels(BitReader& in, bool intra, std::span<std::int16_t> levels) {
+  std::int16_t dc_pred = 0;
+  for (std::size_t b = 0; b < levels.size(); b += kCoeffs) {
+    if (!decode_block(in, intra, dc_pred, levels.subspan(b).first<kCoeffs>()))
+      return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 StageOps& StageOps::operator+=(const StageOps& o) noexcept {
@@ -179,13 +101,116 @@ StageOps& StageOps::operator+=(const StageOps& o) noexcept {
   return *this;
 }
 
+common::Status check_frame_size(int width, int height) {
+  if (width > 0 && height > 0 && width % kMacroblockSize == 0 &&
+      height % kMacroblockSize == 0) {
+    return common::Status::ok();
+  }
+  return common::Status(StatusCode::kInvalidArgument,
+                        "video codec: frame " + std::to_string(width) + "x" +
+                            std::to_string(height) +
+                            " is not a positive multiple of 16");
+}
+
+Quantizer FrameHeader::quantizer() const noexcept {
+  if (!intra()) return Quantizer(default_inter_matrix(), qscale);
+  return Quantizer(
+      alternate_standard ? alternate_intra_matrix() : default_intra_matrix(),
+      qscale);
+}
+
+Plane predict(const FrameHeader& h, const Plane& cur, const Plane& ref,
+              const MotionField& field, bool chroma,
+              std::span<std::int16_t> residual) {
+  Plane pred = prediction(h, ref, field, chroma);
+  for_each_block(cur.width(), cur.height(), [&](int bx, int by, std::size_t i) {
+    for (int y = 0; y < kBlock; ++y) {
+      const std::uint8_t* c = cur.row(by + y) + bx;
+      const std::uint8_t* p = pred.row(by + y) + bx;
+      for (int x = 0; x < kBlock; ++x) {
+        residual[i++] = static_cast<std::int16_t>(c[x] - p[x]);
+      }
+    }
+  });
+  return pred;
+}
+
+void forward_dct(std::span<const std::int16_t> residual,
+                 std::span<float> coeffs) {
+  alignas(32) dsp::Block in, out;
+  for (std::size_t b = 0; b < residual.size(); b += kCoeffs) {
+    std::copy_n(residual.begin() + b, kCoeffs, in.begin());
+    dsp::dct2d(in, out);
+    std::copy(out.begin(), out.end(), coeffs.begin() + b);
+  }
+}
+
+void quantize(const FrameHeader& h, std::span<const float> coeffs,
+              std::span<std::int16_t> levels) {
+  const Quantizer q = h.quantizer();
+  for (std::size_t b = 0; b < coeffs.size(); b += kCoeffs) {
+    q.quantize(coeffs.subspan(b).first<kCoeffs>(),
+               levels.subspan(b).first<kCoeffs>());
+  }
+}
+
+std::uint64_t entropy_code(
+    const FrameHeader& h, const MotionField& field,
+    std::initializer_list<std::span<const std::int16_t>> planes,
+    BitWriter& out) {
+  // Frame header: type, qscale, dimensions in macroblocks, standard flag.
+  out.put_bits(static_cast<std::uint64_t>(h.type), 1);
+  out.put_bits(static_cast<std::uint64_t>(h.qscale), 5);
+  out.put_ue(static_cast<std::uint32_t>(h.width / kMacroblockSize));
+  out.put_ue(static_cast<std::uint32_t>(h.height / kMacroblockSize));
+  out.put_bit(h.alternate_standard ? 1 : 0);
+  if (!h.intra()) write_motion_field(field, out);
+  std::uint64_t symbols = 0;
+  for (const auto levels : planes) {
+    std::int16_t dc_pred = 0;  // per plane; unused on P frames
+    for (std::size_t b = 0; b < levels.size(); b += kCoeffs) {
+      symbols += encode_block(levels.subspan(b).first<kCoeffs>(), h.intra(),
+                              dc_pred, out)
+                     .symbols;
+    }
+  }
+  return symbols;
+}
+
+void inverse_dct(const FrameHeader& h, std::span<const std::int16_t> levels,
+                 std::span<float> residual) {
+  const Quantizer q = h.quantizer();
+  alignas(32) dsp::Block coeffs, out;
+  for (std::size_t b = 0; b < levels.size(); b += kCoeffs) {
+    q.dequantize(levels.subspan(b).first<kCoeffs>(), coeffs);
+    dsp::idct2d(coeffs, out);
+    std::copy(out.begin(), out.end(), residual.begin() + b);
+  }
+}
+
+void reconstruct(std::span<const float> residual, const Plane& pred,
+                 Plane& out) {
+  for_each_block(pred.width(), pred.height(), [&](int bx, int by, std::size_t i) {
+    for (int y = 0; y < kBlock; ++y) {
+      const std::uint8_t* p = pred.row(by + y) + bx;
+      std::uint8_t* o = out.row(by + y) + bx;
+      for (int x = 0; x < kBlock; ++x) {
+        o[x] = common::clamp_u8(common::round_half_away(residual[i++] + p[x]));
+      }
+    }
+  });
+}
+
 VideoEncoder::VideoEncoder(const EncoderConfig& config)
     : config_(config),
       buffer_(static_cast<std::uint64_t>(
                   std::max(1.0, config.bitrate_bps * 0.5)),  // 0.5 s vbv
               static_cast<std::uint64_t>(
-                  std::max(1.0, config.bitrate_bps / std::max(1.0, config.fps)))),
-      recon_(config.width, config.height) {}
+                  std::max(1.0, config.bitrate_bps / std::max(1.0, config.fps)))) {
+  const auto st = check_frame_size(config.width, config.height);
+  if (!st.is_ok()) throw std::invalid_argument(st.message());
+  recon_ = Frame(config.width, config.height);
+}
 
 int VideoEncoder::pick_qscale() noexcept {
   if (!config_.rate_control) return config_.qscale;
@@ -193,55 +218,56 @@ int VideoEncoder::pick_qscale() noexcept {
 }
 
 EncodedFrame VideoEncoder::encode(const Frame& frame) {
+  if (frame.width() != config_.width || frame.height() != config_.height) {
+    throw std::invalid_argument("video encoder: frame is not the configured size");
+  }
   EncodedFrame result;
   const bool intra = force_intra_ || !have_reference_ ||
                      (config_.gop_size > 0 &&
                       frame_index_ % std::max(1, config_.gop_size) == 0);
   force_intra_ = false;
-  result.type = intra ? FrameType::kIntra : FrameType::kPredicted;
-  result.qscale = pick_qscale();
+  const FrameHeader h{intra ? FrameType::kIntra : FrameType::kPredicted,
+                      pick_qscale(), config_.width, config_.height,
+                      config_.alternate_standard};
+  result.type = h.type;
+  result.qscale = h.qscale;
 
-  const QuantMatrix& intra_m = config_.alternate_standard
-                                   ? alternate_intra_matrix()
-                                   : default_intra_matrix();
-  const Quantizer qi(intra_m, result.qscale);
-  const Quantizer qp(default_inter_matrix(), result.qscale);
-
-  BitWriter out;
-  // Frame header: type, qscale, dimensions in macroblocks, standard flag.
-  out.put_bits(static_cast<std::uint64_t>(result.type), 1);
-  out.put_bits(static_cast<std::uint64_t>(result.qscale), 5);
-  out.put_ue(static_cast<std::uint32_t>(config_.width / kMacroblockSize));
-  out.put_ue(static_cast<std::uint32_t>(config_.height / kMacroblockSize));
-  out.put_bit(config_.alternate_standard ? 1 : 0);
-
-  if (intra) {
-    encode_plane_intra(frame.y(), recon_.y(), qi, result.ops, out);
-    encode_plane_intra(frame.cb(), recon_.cb(), qi, result.ops, out);
-    encode_plane_intra(frame.cr(), recon_.cr(), qi, result.ops, out);
-  } else {
-    // MOTION ESTIMATOR: search against the reconstructed reference.
-    MotionField field = estimate_frame(frame.y(), recon_.y(),
-                                       config_.search_range, config_.me_algo);
+  // MOTION ESTIMATOR: search against the reconstructed reference.
+  MotionField field;
+  if (!intra) {
+    field = estimate_frame(frame.y(), recon_.y(), config_.search_range,
+                           config_.me_algo);
     result.ops.me_sad_ops =
         field.total_evaluations() * kMacroblockSize * kMacroblockSize;
-    write_motion_field(field, out);
-
-    // MOTION COMPENSATED PREDICTOR.
-    const Plane pred_y = compensate(recon_.y(), field);
-    const Plane pred_cb = compensate_chroma(recon_.cb(), field);
-    const Plane pred_cr = compensate_chroma(recon_.cr(), field);
-    result.ops.mc_pixels =
-        static_cast<std::uint64_t>(pred_y.width()) * pred_y.height() +
-        2ull * static_cast<std::uint64_t>(pred_cb.width()) * pred_cb.height();
-
-    Frame new_recon(config_.width, config_.height);
-    encode_plane_inter(frame.y(), pred_y, new_recon.y(), qp, result.ops, out);
-    encode_plane_inter(frame.cb(), pred_cb, new_recon.cb(), qp, result.ops, out);
-    encode_plane_inter(frame.cr(), pred_cr, new_recon.cr(), qp, result.ops, out);
-    recon_ = std::move(new_recon);
   }
 
+  // Each plane through the local decode loop. A plane's reconstruction
+  // replaces its reference only after its prediction was built.
+  std::array<std::vector<std::int16_t>, 3> levels;
+  std::vector<std::int16_t> residual;
+  std::vector<float> coeffs;
+  const auto src = planes_of(frame);
+  const auto rec = planes_of(recon_);
+  for (std::size_t p = 0; p < 3; ++p) {
+    const std::size_t n =
+        static_cast<std::size_t>(src[p]->width()) * src[p]->height();
+    residual.resize(n);
+    coeffs.resize(n);
+    levels[p].resize(n);
+    const Plane pred = predict(h, *src[p], *rec[p], field, p > 0, residual);
+    forward_dct(residual, coeffs);
+    quantize(h, coeffs, levels[p]);
+    inverse_dct(h, levels[p], coeffs);
+    reconstruct(coeffs, pred, *rec[p]);
+    if (!intra) result.ops.mc_pixels += n;
+    result.ops.dct_blocks += n / kCoeffs;
+    result.ops.quant_coeffs += n;
+    result.ops.idct_blocks += n / kCoeffs;
+  }
+
+  BitWriter out;
+  result.ops.vlc_symbols =
+      entropy_code(h, field, {levels[0], levels[1], levels[2]}, out);
   result.bytes = out.take();
   buffer_.add_frame(result.bytes.size() * 8);
   result.buffer_fullness = buffer_.fullness_ratio();
@@ -252,49 +278,49 @@ EncodedFrame VideoEncoder::encode(const Frame& frame) {
 
 Result<Frame> VideoDecoder::decode(std::span<const std::uint8_t> bytes) {
   BitReader in(bytes);
-  const auto type = static_cast<FrameType>(in.get_bits(1));
-  const int qscale = static_cast<int>(in.get_bits(5));
+  FrameHeader h;
+  h.type = static_cast<FrameType>(in.get_bits(1));
+  h.qscale = static_cast<int>(in.get_bits(5));
   const int mbs_x = static_cast<int>(in.get_ue());
   const int mbs_y = static_cast<int>(in.get_ue());
-  const bool alternate = in.get_bit() != 0;
+  h.alternate_standard = in.get_bit() != 0;
   if (!in.ok() || mbs_x <= 0 || mbs_y <= 0 || mbs_x > 1024 || mbs_y > 1024) {
     return Result<Frame>(StatusCode::kCorruptData, "bad frame header");
   }
-  const int width = mbs_x * kMacroblockSize;
-  const int height = mbs_y * kMacroblockSize;
+  h.width = mbs_x * kMacroblockSize;
+  h.height = mbs_y * kMacroblockSize;
 
-  const QuantMatrix& intra_m =
-      alternate ? alternate_intra_matrix() : default_intra_matrix();
-  const Quantizer qi(intra_m, qscale);
-  const Quantizer qp(default_inter_matrix(), qscale);
-
-  Frame out(width, height);
-  if (type == FrameType::kIntra) {
-    if (!decode_plane_intra(in, out.y(), qi) ||
-        !decode_plane_intra(in, out.cb(), qi) ||
-        !decode_plane_intra(in, out.cr(), qi)) {
-      return Result<Frame>(StatusCode::kCorruptData, "intra plane decode failed");
-    }
-  } else {
-    if (!ref_.has_value() || ref_->width() != width ||
-        ref_->height() != height) {
+  MotionField field;
+  if (!h.intra()) {
+    if (!ref_.has_value() || ref_->width() != h.width ||
+        ref_->height() != h.height) {
       return Result<Frame>(StatusCode::kInvalidArgument,
                            "P frame without matching reference");
     }
-    MotionField field;
     field.blocks_x = mbs_x;
     field.blocks_y = mbs_y;
     if (!read_motion_field(in, field)) {
       return Result<Frame>(StatusCode::kCorruptData, "motion field decode failed");
     }
-    const Plane pred_y = compensate(ref_->y(), field);
-    const Plane pred_cb = compensate_chroma(ref_->cb(), field);
-    const Plane pred_cr = compensate_chroma(ref_->cr(), field);
-    if (!decode_plane_inter(in, pred_y, out.y(), qp) ||
-        !decode_plane_inter(in, pred_cb, out.cb(), qp) ||
-        !decode_plane_inter(in, pred_cr, out.cr(), qp)) {
-      return Result<Frame>(StatusCode::kCorruptData, "inter plane decode failed");
+  }
+
+  Frame out(h.width, h.height);
+  const auto dst = planes_of(out);
+  std::vector<std::int16_t> levels;
+  std::vector<float> residual;
+  for (std::size_t p = 0; p < 3; ++p) {
+    const std::size_t n =
+        static_cast<std::size_t>(dst[p]->width()) * dst[p]->height();
+    levels.resize(n);
+    residual.resize(n);
+    if (!decode_levels(in, h.intra(), levels)) {
+      return Result<Frame>(StatusCode::kCorruptData,
+                           h.intra() ? "intra plane decode failed"
+                                     : "inter plane decode failed");
     }
+    inverse_dct(h, levels, residual);
+    const Plane& ref = h.intra() ? *dst[p] : *planes_of(*ref_)[p];
+    reconstruct(residual, prediction(h, ref, field, p > 0), *dst[p]);
   }
   ref_ = out;
   return out;

@@ -8,15 +8,25 @@
 // bit-exact copy of the decoder's reference frame so predictions never
 // drift.
 //
+// Each Fig. 1 box is one stage function: predict (MC predictor plus the
+// residual), forward_dct, quantize, entropy_code (VLC), inverse_dct and
+// reconstruct, with estimate_frame (video/motion.h) as the motion
+// estimator. VideoEncoder::encode runs them on Y, Cb and Cr, VideoDecoder
+// shares inverse_dct and reconstruct, and the runtime's Fig. 1 graph
+// (runtime/pipelines.h) runs one per task on luma.
+//
 // Every stage reports operation counts (StageOps) so the Fig. 1 breakdown
 // bench and the MPSoC task-graph builder can both use measured, not
 // assumed, per-stage costs.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "common/bitstream.h"
 #include "common/status.h"
 #include "entropy/rate_buffer.h"
 #include "video/frame.h"
@@ -38,6 +48,60 @@ struct StageOps {
 
   StageOps& operator+=(const StageOps& o) noexcept;
 };
+
+/// Frame sizes the codec takes: positive multiples of kMacroblockSize
+/// (the frame header carries macroblock counts), else kInvalidArgument.
+[[nodiscard]] common::Status check_frame_size(int width, int height);
+
+/// What a frame header carries; the stage functions below read it.
+struct FrameHeader {
+  FrameType type = FrameType::kIntra;
+  int qscale = 8;
+  int width = 0;  ///< luma pixels
+  int height = 0;
+  bool alternate_standard = false;
+
+  [[nodiscard]] bool intra() const noexcept { return type == FrameType::kIntra; }
+  /// The intra matrix (the alternate standard's when set) on I frames,
+  /// the flat inter matrix on P frames, at qscale.
+  [[nodiscard]] Quantizer quantizer() const noexcept;
+};
+
+// ---- Fig. 1 stage functions, one plane at a time --------------------------
+// Per-block arrays (residual, coefficients, levels) are block-linear: 64
+// entries per 8x8 block, blocks in raster order.
+
+/// MOTION COMPENSATED PREDICTOR: returns the prediction of `cur` (flat
+/// 128 on I frames, else `ref` compensated by `field`, vectors halved on
+/// `chroma` planes) and fills `residual` = cur - prediction.
+[[nodiscard]] Plane predict(const FrameHeader& h, const Plane& cur,
+                            const Plane& ref, const MotionField& field,
+                            bool chroma, std::span<std::int16_t> residual);
+
+/// DCT: forward 8x8 DCT of each residual block.
+void forward_dct(std::span<const std::int16_t> residual,
+                 std::span<float> coeffs);
+
+/// QUANTIZER: h.quantizer() over each block.
+void quantize(const FrameHeader& h, std::span<const float> coeffs,
+              std::span<std::int16_t> levels);
+
+/// VARIABLE LENGTH ENCODE: the frame header, the motion field on P
+/// frames, then each plane's blocks (DC coded differentially on I
+/// frames). Returns the Huffman symbols emitted.
+std::uint64_t entropy_code(
+    const FrameHeader& h, const MotionField& field,
+    std::initializer_list<std::span<const std::int16_t>> planes,
+    common::BitWriter& out);
+
+/// INVERSE DCT: dequantize and inverse-transform each block.
+void inverse_dct(const FrameHeader& h, std::span<const std::int16_t> levels,
+                 std::span<float> residual);
+
+/// Reconstruction adder: round_half_away(residual + pred), clamped to
+/// 8 bits, into `out` (pred's size).
+void reconstruct(std::span<const float> residual, const Plane& pred,
+                 Plane& out);
 
 /// Result of encoding one frame.
 struct EncodedFrame {
@@ -64,9 +128,11 @@ struct EncoderConfig {
 
 class VideoEncoder {
  public:
+  /// Throws std::invalid_argument for a size check_frame_size rejects.
   explicit VideoEncoder(const EncoderConfig& config);
 
-  /// Encode the next frame in display order.
+  /// Encode the next frame in display order. Throws
+  /// std::invalid_argument unless the frame has the configured size.
   EncodedFrame encode(const Frame& frame);
 
   /// The decoder-identical reconstruction of the last encoded frame.

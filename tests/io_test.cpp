@@ -8,6 +8,8 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -667,6 +669,26 @@ TEST(TranscodeSession, DefaultMatchesGoldenAtEveryWorkerCount) {
     EXPECT_EQ(r.out_crc, 0xd9d2cb09u) << workers << " workers";
     EXPECT_EQ(r.bytes_out, 5585u) << workers << " workers";
     EXPECT_EQ(r.bytes_on_disk, 5585u) << workers << " workers";
+  }
+}
+
+// Both sessions pre-encode through video::VideoEncoder, which takes
+// whole macroblocks only: the streaming builder throws, the transcode
+// builder returns the error.
+TEST(BoundarySessions, RejectFramesThatAreNotWholeMacroblocks) {
+  IoContext io(IoContextOptions{.threads = 1});
+  for (const auto& [w, h] : {std::pair{72, 72}, {72, 64}, {64, 72}, {0, 16}}) {
+    StreamingSessionConfig scfg;
+    scfg.width = w;
+    scfg.height = h;
+    EXPECT_THROW((void)make_streaming_session(io, scfg), std::invalid_argument)
+        << w << "x" << h;
+    TranscodeSessionConfig tcfg;
+    tcfg.width = w;
+    tcfg.height = h;
+    const auto made = make_file_transcode_session(io, tcfg);
+    ASSERT_FALSE(made.is_ok()) << w << "x" << h;
+    EXPECT_EQ(made.status().code(), common::StatusCode::kInvalidArgument);
   }
 }
 

@@ -20,11 +20,14 @@
 #include "common/crc32.h"
 #include "core/appgraphs.h"
 #include "core/profiles.h"
+#include "dsp/dispatch.h"
 #include "mpsoc/mapping.h"
 #include "runtime/engine.h"
 #include "runtime/pipelines.h"
 #include "runtime/queue.h"
 #include "runtime/trace.h"
+#include "video/codec.h"
+#include "video/source.h"
 
 namespace mmsoc::runtime {
 namespace {
@@ -138,6 +141,49 @@ TEST(Engine, RejectsInvalidSessions) {
   (void)cyclic.add_edge(x, y, 1);
   (void)cyclic.add_edge(y, x, 1);
   EXPECT_FALSE(engine.submit(cyclic, mpsoc::Mapping(2, 0), 1).is_ok());
+}
+
+// A loop closed by a delay edge runs: a's first firing sees the edge's
+// initial empty payload, every later one c's output of the iteration
+// before. Without the delay token the same loop is rejected.
+TEST(Engine, DelayEdgeClosesALoop) {
+  constexpr std::uint64_t kIters = 20;
+  for (const std::size_t delay : {0u, 1u}) {
+    mpsoc::TaskGraph g("loop");
+    std::vector<int> seen;  // what a read from c, per iteration
+    mpsoc::Task t;
+    t.name = "a";
+    t.body = [&seen](mpsoc::TaskFiring& f) {
+      seen.push_back(f.inputs[0]->empty() ? -1 : (*f.inputs[0])[0]);
+      f.outputs[0] = {static_cast<std::uint8_t>(f.iteration)};
+    };
+    const auto a = g.add_task(t);
+    t.name = "b";
+    t.body = [](mpsoc::TaskFiring& f) { f.outputs[0] = *f.inputs[0]; };
+    const auto b = g.add_task(t);
+    t.name = "c";
+    const auto c = g.add_task(t);
+    (void)g.add_edge(a, b, 1);
+    (void)g.add_edge(b, c, 1);
+    (void)g.add_edge(c, a, 1, delay);
+
+    if (delay == 0) {
+      Engine engine;
+      const auto added = engine.submit(g, {0, 1, 2}, kIters);
+      ASSERT_FALSE(added.is_ok());
+      EXPECT_EQ(added.status().code(), common::StatusCode::kInvalidArgument);
+      continue;
+    }
+    EngineOptions opts;
+    opts.workers = 3;
+    const auto report = run_pipeline(g, {0, 1, 2}, kIters, opts);
+    ASSERT_TRUE(report.is_ok()) << report.status().to_text();
+    ASSERT_EQ(seen.size(), kIters);
+    EXPECT_EQ(seen[0], -1);
+    for (std::uint64_t i = 1; i < kIters; ++i) {
+      EXPECT_EQ(seen[i], static_cast<int>(i - 1)) << "iteration " << i;
+    }
+  }
 }
 
 TEST(Engine, DeterministicAcrossWorkerCounts) {
@@ -946,45 +992,98 @@ TEST(Engine, ReportExposesPerTaskMeanServiceTime) {
 // Real-kernel pipelines
 // ---------------------------------------------------------------------------
 
+// The Fig. 1 graph runs VideoEncoder's stages on luma around a closed
+// reconstruction loop. At every size, worker count and SIMD level, each
+// frame's reconstruction is the encoder's luma reconstruction, and each
+// coded frame, minus its last (padded) byte, begins the encoder's frame,
+// which goes on with the chroma planes.
 TEST(VideoPipeline, BitIdenticalAcrossWorkerCounts) {
-  constexpr std::uint64_t kFrames = 8;
-  VideoPipelineConfig cfg;
-  cfg.width = 32;
-  cfg.height = 32;
+  constexpr std::uint64_t kFrames = 25;  // I frames at 0, 12 and 24
+  struct RestoreSimd {
+    dsp::SimdLevel level = dsp::active_simd_level();
+    ~RestoreSimd() { dsp::set_simd_level(level); }
+  } restore;
+  const struct {
+    int width, height;
+  } sizes[] = {{64, 64}, {176, 144}, {352, 288}};
+  for (const auto size : sizes) {
+    VideoPipelineConfig cfg;
+    cfg.width = size.width;
+    cfg.height = size.height;
+    video::EncoderConfig ec;
+    ec.width = cfg.width;
+    ec.height = cfg.height;
+    ec.qscale = cfg.qscale;
+    ec.search_range = cfg.search_range;
+    ec.me_algo = cfg.algo;
+    video::VideoEncoder enc(ec);
+    const auto scene = video::scene_high_motion(cfg.seed);
+    const std::size_t luma = static_cast<std::size_t>(cfg.width) * cfg.height;
+    std::vector<std::vector<std::uint8_t>> ref_bytes, ref_recon;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      ref_bytes.push_back(
+          enc.encode(video::SyntheticVideo::render(cfg.width, cfg.height, scene,
+                                                   static_cast<int>(i)))
+              .bytes);
+      ref_recon.emplace_back(luma);
+      enc.reconstructed().y().copy_packed_to(ref_recon.back().data());
+    }
 
-  std::uint32_t ref_bits = 0, ref_recon = 0;
-  std::uint64_t ref_bytes = 0;
-  for (const std::size_t workers : {1u, 4u}) {
-    auto pipe = make_video_encoder_pipeline(cfg);
-    ASSERT_TRUE(pipe.graph.fully_executable());
-    EngineOptions opts;
-    opts.workers = workers;
-    const mpsoc::Mapping mapping(pipe.graph.task_count(),
-                                 0);  // PEs resolved mod pool anyway
-    mpsoc::Mapping spread = mapping;
-    for (std::size_t i = 0; i < spread.size(); ++i) spread[i] = i % 4;
-    auto report = run_pipeline(pipe.graph, spread, kFrames, opts);
-    ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-
-    EXPECT_EQ(pipe.sink->frames_coded, kFrames);
-    EXPECT_EQ(pipe.sink->frames_reconstructed, kFrames);
-    EXPECT_GT(pipe.sink->bitstream_bytes, 0u);
-    if (workers == 1) {
-      ref_bits = pipe.sink->bitstream_crc;
-      ref_recon = pipe.sink->recon_crc;
-      ref_bytes = pipe.sink->bitstream_bytes;
-    } else {
-      EXPECT_EQ(pipe.sink->bitstream_crc, ref_bits)
-          << "bitstream must be bit-identical at " << workers << " workers";
-      EXPECT_EQ(pipe.sink->recon_crc, ref_recon);
-      EXPECT_EQ(pipe.sink->bitstream_bytes, ref_bytes);
+    for (const dsp::SimdLevel level : dsp::compiled_levels()) {
+      if (!dsp::set_simd_level(level)) continue;  // CPU lacks it
+      for (const std::size_t workers : {1u, 2u, 3u}) {
+        auto pipe = make_video_encoder_pipeline(cfg);
+        std::vector<mpsoc::Payload> bytes(kFrames), recon(kFrames);
+        for (mpsoc::TaskId t = 0; t < pipe.graph.task_count(); ++t) {
+          const std::string& name = pipe.graph.task(t).name;
+          auto inner = pipe.graph.task(t).body;
+          if (name == "reconstruct") {
+            pipe.graph.set_body(t, [inner, &recon](mpsoc::TaskFiring& f) {
+              inner(f);
+              recon[f.iteration] = f.outputs[0];
+            });
+          } else if (name == "rate-buffer") {
+            pipe.graph.set_body(t, [inner, &bytes](mpsoc::TaskFiring& f) {
+              bytes[f.iteration] = *f.inputs[0];
+              inner(f);
+            });
+          }
+        }
+        EngineOptions opts;
+        opts.workers = workers;
+        auto report = run_pipeline(
+            pipe.graph, round_robin_mapping(pipe.graph, workers), kFrames, opts);
+        ASSERT_TRUE(report.is_ok()) << report.status().to_text();
+        EXPECT_EQ(pipe.sink->frames_coded, kFrames);
+        EXPECT_EQ(pipe.sink->frames_reconstructed, kFrames);
+        common::Crc32 crc;
+        std::uint64_t total = 0;
+        for (const auto& frame : bytes) {
+          crc.update(frame);
+          total += frame.size();
+        }
+        EXPECT_EQ(pipe.sink->bitstream_crc, crc.value());
+        EXPECT_EQ(pipe.sink->bitstream_bytes, total);
+        const std::string where =
+            std::to_string(cfg.width) + "x" + std::to_string(cfg.height) + " " +
+            std::string(dsp::simd_level_name(level)) + " " +
+            std::to_string(workers) + " workers, frame ";
+        for (std::uint64_t i = 0; i < kFrames; ++i) {
+          EXPECT_TRUE(recon[i] == ref_recon[i]) << where << i;
+          ASSERT_FALSE(bytes[i].empty()) << where << i;
+          ASSERT_LT(bytes[i].size(), ref_bytes[i].size()) << where << i;
+          EXPECT_TRUE(std::equal(bytes[i].begin(), bytes[i].end() - 1,
+                                 ref_bytes[i].begin()))
+              << where << i;
+        }
+      }
     }
   }
 }
 
 TEST(VideoPipeline, CifStreamMatchesRecordedGolden) {
-  // Recorded from the original per-pixel scene renderer: the capture
-  // stage's luma-only render must leave the encoded stream unchanged.
+  // Recorded from the closed-loop graph: VideoEncoder's luma stream,
+  // which BitIdenticalAcrossWorkerCounts checks frame by frame.
   VideoPipelineConfig cfg;
   cfg.width = 352;
   cfg.height = 288;
@@ -996,9 +1095,9 @@ TEST(VideoPipeline, CifStreamMatchesRecordedGolden) {
   auto report = run_pipeline(pipe.graph, mapping, 8, opts);
   ASSERT_TRUE(report.is_ok()) << report.status().to_text();
   EXPECT_EQ(pipe.sink->frames_coded, 8u);
-  EXPECT_EQ(pipe.sink->bitstream_crc, 0x6C26C690u);
-  EXPECT_EQ(pipe.sink->recon_crc, 0x35DDE574u);
-  EXPECT_EQ(pipe.sink->bitstream_bytes, 13478u);
+  EXPECT_EQ(pipe.sink->bitstream_crc, 0x5EF90BE5u);
+  EXPECT_EQ(pipe.sink->recon_crc, 0x76524A0Fu);
+  EXPECT_EQ(pipe.sink->bitstream_bytes, 20263u);
   // Frame-sized edges (a CIF plane or residual, over half the 256 KiB
   // channel byte budget) are double-buffered; the small motion-vector and
   // bitstream edges may fill their whole channel.

@@ -576,6 +576,53 @@ TEST(FrameJourney, ChainLatencyMatchesClosedForm) {
   EXPECT_EQ(ph_by_stage.at("emit"), "f");
 }
 
+TEST(FrameJourney, Fig1LoopKeepsEachUnitsOrigin) {
+  // The Fig. 1 graph's delay edges carry the previous frame's
+  // reconstruction, so their slots belong to another unit (or, at first,
+  // to none): they must not set this unit's origin. Every unit's
+  // completion must date from its own capture firing.
+  constexpr std::uint64_t kFrames = 16;
+  TelemetryOptions topts;
+  topts.collect_period_ms = 0;
+  topts.unit_sample_period = 1;
+  Telemetry tel(topts);
+  auto pipe = runtime::make_video_encoder_pipeline({});  // 64x64
+  runtime::EngineOptions opts;
+  opts.workers = 2;
+  opts.telemetry = &tel;
+  opts.telemetry_prefix = "fig1";
+  const auto rep = runtime::run_pipeline(
+      pipe.graph, runtime::round_robin_mapping(pipe.graph, 2), kFrames, opts);
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_text();
+  EXPECT_EQ(rep.value().unit_trace.sampled_completed, kFrames);
+
+  JsonValue root;
+  ASSERT_TRUE(JsonReader(tel.trace_json()).parse(root));
+  std::map<std::string, double> begin_ns, origin_ns;  // by flow id
+  for (const JsonValue& e : root.get("traceEvents")->arr) {
+    const std::string& ph = e.get("ph")->str;
+    if (ph != "s" && ph != "f") continue;
+    const JsonValue& args = *e.get("args");
+    const double end_ns = e.get("ts")->num * 1000.0;
+    if (ph == "s") {  // the source (capture): begin = end - wait - service
+      EXPECT_EQ(args.get("stage")->str, "capture");
+      begin_ns[e.get("id")->str] =
+          end_ns - args.get("wait_ns")->num - args.get("service_ns")->num;
+    } else {  // kUnitComplete at the rate buffer: origin = end - latency
+      EXPECT_EQ(args.get("stage")->str, "rate-buffer");
+      origin_ns[e.get("id")->str] = end_ns - args.get("latency_ns")->num;
+    }
+  }
+  ASSERT_EQ(begin_ns.size(), kFrames);
+  ASSERT_EQ(origin_ns.size(), kFrames);
+  for (const auto& [id, origin] : origin_ns) {
+    ASSERT_EQ(begin_ns.count(id), 1u) << id;
+    // Trace timestamps are exact ns printed as us; allow the double
+    // parse a few ns.
+    EXPECT_NEAR(origin, begin_ns.at(id), 4.0) << "unit " << id;
+  }
+}
+
 TEST(FrameJourney, SamplingPeriodsCountAndPreserveOutput) {
   // Tracing is observation only: the sink digest must be bit-identical
   // with sampling off, 1-in-1, and 1-in-5 — and the sampled-unit count

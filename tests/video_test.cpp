@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -845,6 +846,31 @@ TEST(Codec, TruncatedStreamFailsGracefully) {
 TEST(Codec, EmptyStreamFails) {
   VideoDecoder dec;
   EXPECT_FALSE(dec.decode({}).is_ok());
+}
+
+// The frame header carries macroblock counts, so the encoder takes whole
+// macroblocks only: a partial one used to read and write past the chroma
+// planes (72x72) or code a frame the decoder read back at another size
+// (72x64 decoded as 64x64).
+TEST(VideoCodec, RejectsFramesThatAreNotWholeMacroblocks) {
+  const struct {
+    int width, height;
+  } bad[] = {{72, 72}, {72, 64}, {64, 72}, {0, 16}, {-16, 16}};
+  for (const auto size : bad) {
+    EncoderConfig cfg;
+    cfg.width = size.width;
+    cfg.height = size.height;
+    EXPECT_THROW(VideoEncoder enc(cfg), std::invalid_argument)
+        << size.width << "x" << size.height;
+    EXPECT_FALSE(check_frame_size(size.width, size.height).is_ok());
+  }
+  // A frame of another size than the configured one is rejected too.
+  VideoEncoder enc(small_config());  // 64x64
+  EXPECT_THROW(enc.encode(SyntheticVideo::render(72, 72, scene_flat(1), 0)),
+               std::invalid_argument);
+  EXPECT_THROW(enc.encode(SyntheticVideo::render(80, 64, scene_flat(1), 0)),
+               std::invalid_argument);
+  EXPECT_EQ(enc.encode(test_sequence(1)[0]).type, FrameType::kIntra);
 }
 
 // ------------------------------------------------------------------ metrics
