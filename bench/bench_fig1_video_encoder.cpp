@@ -74,6 +74,21 @@ void print_tables() {
               "I frames. The VLC/quantizer are comparatively cheap.\n");
 }
 
+// Capture, the graph's first box: one CIF luma render of a high-motion
+// scene into one reused plane, as the Fig. 1 capture stage does per frame.
+void BM_RenderLuma(benchmark::State& state) {
+  const auto scene = video::scene_high_motion(1);
+  video::Plane luma(352, 288);
+  int frame = 0;
+  for (auto _ : state) {
+    video::SyntheticVideo::render_luma(scene, frame++, luma);
+    benchmark::DoNotOptimize(luma.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RenderLuma);
+
 void BM_EncodeFrameIntra(benchmark::State& state) {
   video::EncoderConfig cfg;
   cfg.width = kW;

@@ -111,6 +111,30 @@ std::vector<ObjectSpec> make_objects(const SceneParams& p, int width,
   return objs;
 }
 
+// Guard band of add_sensor_noise, per unit of 1 + |sigma|. Where a byte
+// depends on the sum (below 2^9), the fast and exact sums differ by at
+// most |sigma| * 12 * GaussianStream::kMaxRelError (|g| <= 12 for any
+// double s) plus a few ulps of 2^9, far inside the band.
+constexpr double kSensorNoiseGuard = 1e-9;
+
+// out[x] = clamp_u8(int(v[x] + sigma * g[x] + 0.5)), as the per-pixel
+// definition rounds a noisy sample, written so it vectorizes (truncate,
+// saturate, pack). Returns false when some sum t lies within `band` of an
+// integer, where g's error could move it across: t - band and t + band
+// then truncate to different integers.
+bool round_noisy_row(const double* __restrict v, double sigma,
+                     const double* __restrict g, std::uint8_t* __restrict out,
+                     std::size_t n, double band) noexcept {
+  int straddles = 0;
+  for (std::size_t x = 0; x < n; ++x) {
+    const double t = (v[x] + sigma * g[x]) + 0.5;
+    const int i = static_cast<int>(t);
+    out[x] = static_cast<std::uint8_t>(i < 0 ? 0 : (i > 255 ? 255 : i));
+    straddles |= static_cast<int>(t - band) ^ static_cast<int>(t + band);
+  }
+  return straddles == 0;
+}
+
 }  // namespace
 
 SceneParams scene_low_motion(std::uint64_t seed) {
@@ -158,7 +182,7 @@ void SyntheticVideo::render_luma(const SceneParams& scene, int frame_index,
   const int height = luma.height();
   const double ox = scene.pan_x * frame_index;
   const double oy = scene.pan_y * frame_index;
-  common::Rng noise_rng(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame_index) * 0x10001ull));
+  common::GaussianStream noise(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame_index) * 0x10001ull));
 
   // Objects move independently of the background pan; their wrapped
   // positions are resolved once per frame.
@@ -197,12 +221,15 @@ void SyntheticVideo::render_luma(const SceneParams& scene, int frame_index,
         if (dx >= 0 && dx < p.spec->w) v[x] += p.spec->luma_delta;
       }
     }
-    std::uint8_t* out = luma.row(y);
-    for (std::size_t x = 0; x < v.size(); ++x) {
-      const double noisy = v[x] + scene.noise_sigma * noise_rng.next_gaussian();
-      out[x] = common::clamp_u8(static_cast<int>(noisy + 0.5));
-    }
+    add_sensor_noise(v, scene.noise_sigma, noise, luma.row(y));
   }
+}
+
+void add_sensor_noise(std::span<const double> v, double sigma,
+                      common::GaussianStream& noise, std::uint8_t* out) {
+  if (!round_noisy_row(v.data(), sigma, noise.next(v.size()).data(), out,
+                       v.size(), kSensorNoiseGuard * (1.0 + std::abs(sigma))))
+    round_noisy_row(v.data(), sigma, noise.exact().data(), out, v.size(), 0.0);
 }
 
 Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,

@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "common/gaussian.h"
 #include "common/rng.h"
 #include "video/frame.h"
 
@@ -70,9 +72,13 @@ class SyntheticVideo {
   /// Rendering is bit-exact: noise lattices are tabulated per frame and
   /// per cell row, but every pixel keeps the arithmetic and evaluation
   /// order of the per-pixel definition, so output bytes depend only on
-  /// (size, scene, frame_index). The per-pixel sensor noise is one
-  /// sequential Gaussian stream drawn in raster order, which is why rows
-  /// are rendered in order on one thread.
+  /// (size, scene, frame_index). The sensor noise is one Gaussian stream
+  /// per frame (Rng::next_gaussian's, in raster order), produced a row at
+  /// a time by common::GaussianStream: its polar attempts are drawn in
+  /// blocks, the rejection step is branch-free, and a row's transform is
+  /// batched through a vector log. add_sensor_noise rounds each row and
+  /// redoes it with the exact libm values when the guard band says the
+  /// fast ones could round differently.
   static void render_luma(const SceneParams& scene, int frame_index,
                           Plane& luma);
 
@@ -86,5 +92,15 @@ class SyntheticVideo {
   int frame_in_scene_ = 0;
   int separator_left_ = 0;
 };
+
+/// One row of sensor-noised luma: out[x] = clamp_u8(int(v[x] + sigma * g
+/// + 0.5)) for the next v.size() values g of `noise`, byte for byte as
+/// with next_gaussian's values. The row is rounded from the stream's fast
+/// values. A pixel whose sum lies within 1e-9 * (1 + |sigma|) of an
+/// integer (the sum minus and plus that band truncate differently)
+/// could round otherwise with the exact values, so its row is redone with
+/// noise.exact(). Near 0, where both sides truncate to 0, nothing is redone.
+void add_sensor_noise(std::span<const double> v, double sigma,
+                      common::GaussianStream& noise, std::uint8_t* out);
 
 }  // namespace mmsoc::video

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/gaussian.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "video/codec.h"
@@ -216,6 +217,164 @@ TEST(SyntheticVideo, RenderLumaIntoReusedPlaneMatchesRender) {
     EXPECT_EQ(luma, SyntheticVideo::render(72, 40, scene, frame).y())
         << "frame " << frame;
   }
+}
+
+// The per-pixel definition of render_luma, as the renderer computed it
+// before any tabulation or batching: two value-noise octaves evaluated at
+// each pixel, the objects added in order, and one Rng::next_gaussian()
+// per pixel in raster order. Every expression and evaluation order is the
+// renderer's, so the bytes must match exactly.
+double oracle_lattice(std::uint64_t seed, int xi, int yi) {
+  std::uint64_t h = seed;
+  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(xi)) * 0x9E3779B97F4A7C15ull;
+  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(yi)) * 0xC2B2AE3D27D4EB4Full;
+  h ^= h >> 29;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 32;
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// One value-noise octave sampled at world position (wx, wy): the four
+// lattice values of the cell are kept while consecutive samples stay in it.
+class OracleOctave {
+ public:
+  OracleOctave(std::uint64_t seed, double cell) : seed_(seed), cell_(cell) {}
+
+  double at(double wx, double wy) {
+    const double gx = wx / cell_, gy = wy / cell_;
+    const int x0 = static_cast<int>(std::floor(gx));
+    const int y0 = static_cast<int>(std::floor(gy));
+    if (x0 != x0_ || y0 != y0_ || !primed_) {
+      primed_ = true;
+      x0_ = x0;
+      y0_ = y0;
+      l00_ = oracle_lattice(seed_, x0, y0);
+      l10_ = oracle_lattice(seed_, x0 + 1, y0);
+      l01_ = oracle_lattice(seed_, x0, y0 + 1);
+      l11_ = oracle_lattice(seed_, x0 + 1, y0 + 1);
+    }
+    const double fx = gx - x0, fy = gy - y0;
+    const double sx = fx * fx * (3.0 - 2.0 * fx);
+    const double sy = fy * fy * (3.0 - 2.0 * fy);
+    const double a = common::lerp(l00_, l10_, sx);
+    const double b = common::lerp(l01_, l11_, sx);
+    return common::lerp(a, b, sy);
+  }
+
+ private:
+  std::uint64_t seed_;
+  double cell_;
+  bool primed_ = false;
+  int x0_ = 0, y0_ = 0;
+  double l00_ = 0, l10_ = 0, l01_ = 0, l11_ = 0;
+};
+
+Plane oracle_render_luma(const SceneParams& scene, int frame, int width,
+                         int height) {
+  struct Object {
+    double left, top, delta;
+    int w, h;
+  };
+  std::vector<Object> objects;
+  Rng layout(scene.seed * 0x5851F42D4C957F2Dull + 7);
+  for (int i = 0; i < scene.num_objects; ++i) {
+    const int w = static_cast<int>(layout.next_in(width / 16, width / 6));
+    const int h = static_cast<int>(layout.next_in(height / 16, height / 6));
+    const double x0 = layout.next_double_in(0, width);
+    const double y0 = layout.next_double_in(0, height);
+    const double vx = layout.next_double_in(-2.0, 2.0) * (1.0 + std::abs(scene.pan_x));
+    const double vy = layout.next_double_in(-1.5, 1.5) * (1.0 + std::abs(scene.pan_y));
+    const double delta = layout.next_double_in(-70.0, 70.0);
+    const double px = std::fmod(x0 + vx * frame, static_cast<double>(width));
+    const double py = std::fmod(y0 + vy * frame, static_cast<double>(height));
+    objects.push_back({px < 0 ? px + width : px, py < 0 ? py + height : py,
+                       delta, w, h});
+  }
+  const double ox = scene.pan_x * frame, oy = scene.pan_y * frame;
+  Rng noise(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame) * 0x10001ull));
+  OracleOctave coarse_octave(scene.seed, 24.0), fine_octave(scene.seed + 1, 5.0);
+  Plane luma(width, height);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const double coarse = coarse_octave.at(x + ox, y + oy);
+      const double fine = fine_octave.at(x + ox, y + oy);
+      double v = scene.brightness +
+                 scene.detail * (90.0 * (coarse - 0.5) + 40.0 * (fine - 0.5));
+      for (const auto& o : objects) {
+        const double dx = x - o.left, dy = y - o.top;
+        if (dy >= 0 && dy < o.h && dx >= 0 && dx < o.w) v += o.delta;
+      }
+      const double noisy = v + scene.noise_sigma * noise.next_gaussian();
+      luma.set(x, y, common::clamp_u8(static_cast<int>(noisy + 0.5)));
+    }
+  }
+  return luma;
+}
+
+TEST(SyntheticVideo, RenderMatchesPerPixelReference) {
+  // High motion, high detail, flat (sensor noise sigma 0.3) and the
+  // negative-pan golden scene, at CIF, QCIF, an odd width (a Gaussian
+  // pair straddles two rows) and a width short of its padded stride.
+  struct Size {
+    int width, height;
+  };
+  constexpr Size kSizes[] = {{352, 288}, {176, 144}, {33, 17}, {72, 40}};
+  constexpr std::uint8_t kFill = 200;
+  for (const int kind : {1, 2, 3, 4}) {
+    const SceneParams scene = golden_scene(kind);
+    for (const auto size : kSizes) {
+      Plane luma(size.width, size.height, kFill);
+      for (int frame = 0; frame < 200; ++frame) {
+        SyntheticVideo::render_luma(scene, frame, luma);
+        const Plane expected = oracle_render_luma(scene, frame, size.width, size.height);
+        ASSERT_EQ(luma, expected) << "kind " << kind << " " << size.width << "x"
+                                  << size.height << " frame " << frame;
+      }
+      for (int y = 0; y < luma.height(); ++y)
+        for (int x = luma.width(); x < luma.stride(); ++x)
+          ASSERT_EQ(luma.row(y)[x], kFill) << "padding written at " << x << "," << y;
+    }
+  }
+}
+
+// A pixel whose noisy sum lies within the guard band of an integer is
+// redone with the exact Gaussian values. Craft rows with a pixel where
+// the fast and exact values round to different bytes: without the guard,
+// add_sensor_noise would keep the fast byte.
+TEST(SyntheticVideo, SensorNoiseGuardKeepsTheExactByte) {
+  constexpr std::size_t kWidth = 61;  // odd: rows start on either half of a pair
+  constexpr double kSigma = 1.0;
+  const auto byte_of = [](double v, double g) {
+    return common::clamp_u8(static_cast<int>(v + kSigma * g + 0.5));
+  };
+  common::GaussianStream noise(12345);
+  int crafted = 0;
+  for (int row = 0; row < 200; ++row) {
+    common::GaussianStream probe = noise;  // the same row, drawn ahead
+    const auto fast_row = probe.next(kWidth);
+    const std::vector<double> fast(fast_row.begin(), fast_row.end());
+    const auto exact = probe.exact();
+    std::vector<double> v(kWidth, 128.0);
+    for (std::size_t x = 0; x < kWidth; ++x) {
+      if (fast[x] == exact[x]) continue;
+      // Walk v, an ulp at a time, across the value where the sums reach 1.
+      double c = 0.5 - exact[x];
+      for (int k = 0; k < 32; ++k) c = std::nextafter(c, -2.0);
+      for (int k = 0; k < 64; ++k, c = std::nextafter(c, 2.0)) {
+        if (byte_of(c, fast[x]) != byte_of(c, exact[x])) {
+          v[x] = c;
+          ++crafted;
+          break;
+        }
+      }
+      if (v[x] != 128.0) break;
+    }
+    std::vector<std::uint8_t> expected(kWidth), out(kWidth);
+    for (std::size_t x = 0; x < kWidth; ++x) expected[x] = byte_of(v[x], exact[x]);
+    add_sensor_noise(v, kSigma, noise, out.data());
+    EXPECT_EQ(out, expected) << "row " << row;
+  }
+  EXPECT_GE(crafted, 10);
 }
 
 TEST(SyntheticVideo, ScriptLengthAndSeparators) {
