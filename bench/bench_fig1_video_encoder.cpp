@@ -89,6 +89,34 @@ void BM_RenderLuma(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderLuma);
 
+// The reconstruction adder of one CIF P frame, as the Fig. 1 reconstruct
+// stage runs it: a decoded residual plus the prediction, rounded into a
+// reused plane.
+void BM_Reconstruct(benchmark::State& state) {
+  constexpr int w = 352, h = 288;
+  constexpr std::size_t n = static_cast<std::size_t>(w) * h;
+  const auto scene = video::scene_high_motion(1);
+  const auto ref = video::SyntheticVideo::render(w, h, scene, 0).y();
+  const auto cur = video::SyntheticVideo::render(w, h, scene, 1).y();
+  const video::FrameHeader hd{video::FrameType::kPredicted, 8, w, h, false};
+  const auto field =
+      video::estimate_frame(cur, ref, 8, video::SearchAlgorithm::kThreeStep);
+  std::vector<std::int16_t> residual(n), levels(n);
+  std::vector<float> decoded(n);
+  video::Plane pred(w, h), out(w, h);
+  video::predict(hd, cur, ref, field, /*chroma=*/false, pred, residual);
+  video::forward_dct(residual, decoded);
+  video::quantize(hd, decoded, levels);
+  video::inverse_dct(hd, levels, decoded);
+  for (auto _ : state) {
+    video::reconstruct(decoded, pred, out);
+    benchmark::DoNotOptimize(out.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Reconstruct);
+
 void BM_EncodeFrameIntra(benchmark::State& state) {
   video::EncoderConfig cfg;
   cfg.width = kW;

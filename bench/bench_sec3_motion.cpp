@@ -4,6 +4,7 @@
 // bits/frame, PSNR, and SAD evaluations (the encoder-side cost knob).
 #include "bench_util.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "video/codec.h"
@@ -76,11 +77,19 @@ void print_tables() {
               "searches approach full-search bits at a fraction of the SADs.\n");
 }
 
+// One CIF frame searched against a reference that carries
+// video::kReferenceBorder with its edges extended, as the Fig. 1 graph's
+// motion estimator searches it.
 void BM_EstimateFrame(benchmark::State& state) {
+  constexpr int w = 352, h = 288;
   const auto algo = static_cast<video::SearchAlgorithm>(state.range(0));
   const auto scene = video::scene_high_motion(10);
-  const auto cur = video::SyntheticVideo::render(kW, kH, scene, 4).y();
-  const auto ref = video::SyntheticVideo::render(kW, kH, scene, 3).y();
+  const auto cur = video::SyntheticVideo::render(w, h, scene, 4).y();
+  std::vector<std::uint8_t> packed(static_cast<std::size_t>(w) * h);
+  video::SyntheticVideo::render(w, h, scene, 3).y().copy_packed_to(packed.data());
+  video::Plane ref(w, h, 0, video::kReferenceBorder);
+  ref.copy_packed_from(packed.data(), packed.size());
+  ref.extend_edges();
   for (auto _ : state) {
     benchmark::DoNotOptimize(video::estimate_frame(cur, ref, 8, algo));
   }

@@ -63,34 +63,48 @@ TaskId find_task(const TaskGraph& g, const char* name) {
 
 // ---- video payloads -------------------------------------------------------
 
-video::Plane plane_from_payload(const Payload& p, int w, int h) {
-  video::Plane plane(w, h);
-  plane.copy_packed_from(p.data(), p.size());
-  return plane;
+// `p` viewed as exactly `n` elements of T. A payload of any other size is
+// an upstream defect: the body throws, so the engine fails the session
+// with a status naming the task, instead of reading a short payload.
+template <typename T>
+std::span<const T> payload_exactly(const Payload& p, std::size_t n,
+                                   const char* what) {
+  if (p.size() != n * sizeof(T)) {
+    throw std::length_error(std::string(what) + " payload of " +
+                            std::to_string(p.size()) + " bytes, expected " +
+                            std::to_string(n * sizeof(T)));
+  }
+  return payload_as<T>(p);
 }
 
-// Payloads carry planes packed (width*height bytes, no stride padding);
-// Plane rows are 64-byte aligned, so serialize row-wise through a
-// thread-local scratch that stays warm across firings.
-void store_plane_packed(TaskFiring& f, std::size_t k,
-                        const video::Plane& plane) {
-  thread_local std::vector<std::uint8_t> scratch;
+// Fill a body's own plane from a packed payload of exactly its
+// width*height bytes and extend its edges into its border, if any.
+void fill_plane(video::Plane& plane, const Payload& p) {
   const std::size_t n =
       static_cast<std::size_t>(plane.width()) * plane.height();
-  scratch.resize(n);
-  plane.copy_packed_to(scratch.data());
-  f.store(k, scratch.data(), n);
+  plane.copy_packed_from(payload_exactly<std::uint8_t>(p, n, "plane").data(), n);
+  plane.extend_edges();
 }
 
-// Motion fields travel as (dx, dy) int16 pairs in raster order; an I
-// frame's payload is empty.
-video::MotionField field_from_payload(const Payload& p, int w, int h) {
+// Payloads carry planes packed (width*height bytes, no stride padding).
+void store_plane_packed(TaskFiring& f, std::size_t k,
+                        const video::Plane& plane) {
+  const std::size_t n =
+      static_cast<std::size_t>(plane.width()) * plane.height();
+  plane.copy_packed_to(output_as<std::uint8_t>(f, k, n).data());
+}
+
+// Motion fields travel as (dx, dy) int16 pairs in raster order, one per
+// macroblock; an I frame has none (its payload is empty and unread).
+video::MotionField field_from_payload(const video::FrameHeader& hd,
+                                      const Payload& p) {
   video::MotionField field;
-  if (p.empty()) return field;
-  field.blocks_x = w / video::kMacroblockSize;
-  field.blocks_y = h / video::kMacroblockSize;
-  const auto mv = payload_as<std::int16_t>(p);
-  field.blocks.resize(mv.size() / 2);
+  if (hd.intra()) return field;
+  field.blocks_x = hd.width / video::kMacroblockSize;
+  field.blocks_y = hd.height / video::kMacroblockSize;
+  field.blocks.resize(static_cast<std::size_t>(field.blocks_x) * field.blocks_y);
+  const auto mv =
+      payload_exactly<std::int16_t>(p, 2 * field.blocks.size(), "motion field");
   for (std::size_t i = 0; i < field.blocks.size(); ++i) {
     field.blocks[i].mv.dx = mv[2 * i];
     field.blocks[i].mv.dy = mv[2 * i + 1];
@@ -154,15 +168,23 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     });
   }
 
+  // The closed-loop bodies below fill planes they own, built here, from
+  // their payloads: the current frame, and the reference with
+  // video::kReferenceBorder, whose edges are extended once per firing so
+  // the search and the compensation read their windows in place.
+  const auto plane = [w, h](int border = 0) {
+    return std::make_shared<video::Plane>(w, h, 0, border);
+  };
+
   // MOTION ESTIMATOR: block search against the reconstructed reference;
   // vectors to the MC predictor and the VLC (none on I frames).
   g.set_body(find_task(g, "motion-estimator"),
-             [w, h, header, range = config.search_range,
-              algo = config.algo](TaskFiring& f) {
+             [header, range = config.search_range, algo = config.algo,
+              cur = plane(), ref = plane(video::kReferenceBorder)](TaskFiring& f) {
                if (header(f.iteration).intra()) return;
-               const auto field = video::estimate_frame(
-                   plane_from_payload(*f.inputs[0], w, h),
-                   plane_from_payload(*f.inputs[1], w, h), range, algo);
+               fill_plane(*cur, *f.inputs[0]);
+               fill_plane(*ref, *f.inputs[1]);
+               const auto field = video::estimate_frame(*cur, *ref, range, algo);
                const auto mv = output_as<std::int16_t>(f, 0, 2 * field.blocks.size());
                for (std::size_t i = 0; i < field.blocks.size(); ++i) {
                  mv[2 * i] = static_cast<std::int16_t>(field.blocks[i].mv.dx);
@@ -172,51 +194,60 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
              });
 
   // MC PREDICTOR: the residual (to the DCT) and the prediction (to the
-  // reconstruction adder).
-  g.set_body(find_task(g, "mc-predictor"), [w, h, n, header](TaskFiring& f) {
-    const video::Plane pred = video::predict(
-        header(f.iteration), plane_from_payload(*f.inputs[0], w, h),
-        plane_from_payload(*f.inputs[2], w, h),
-        field_from_payload(*f.inputs[1], w, h), /*chroma=*/false,
-        output_as<std::int16_t>(f, 0, n));
-    store_plane_packed(f, 1, pred);
-  });
+  // reconstruction adder). On I frames the reference is not read.
+  g.set_body(find_task(g, "mc-predictor"),
+             [n, header, cur = plane(), ref = plane(video::kReferenceBorder),
+              pred = plane()](TaskFiring& f) {
+               const auto hd = header(f.iteration);
+               fill_plane(*cur, *f.inputs[0]);
+               if (!hd.intra()) fill_plane(*ref, *f.inputs[2]);
+               video::predict(hd, *cur, *ref, field_from_payload(hd, *f.inputs[1]),
+                              /*chroma=*/false, *pred,
+                              output_as<std::int16_t>(f, 0, n));
+               store_plane_packed(f, 1, *pred);
+             });
 
   g.set_body(find_task(g, "dct"), [n](TaskFiring& f) {
-    video::forward_dct(payload_as<std::int16_t>(*f.inputs[0]),
+    video::forward_dct(payload_exactly<std::int16_t>(*f.inputs[0], n, "residual"),
                        output_as<float>(f, 0, n));
   });
 
   // QUANTIZER: levels broadcast to the VLC and the inverse DCT.
   g.set_body(find_task(g, "quantizer"), [n, header](TaskFiring& f) {
     const auto levels = output_as<std::int16_t>(f, 0, n);
-    video::quantize(header(f.iteration), payload_as<float>(*f.inputs[0]), levels);
+    video::quantize(header(f.iteration),
+                    payload_exactly<float>(*f.inputs[0], n, "coefficient"), levels);
     f.store_array(1, levels.data(), levels.size());
   });
 
   // VLC: frame header, motion vectors and luma blocks, one chunk per frame.
-  g.set_body(find_task(g, "vlc"), [w, h, header, sink](TaskFiring& f) {
+  g.set_body(find_task(g, "vlc"), [n, header, sink](TaskFiring& f) {
+    const auto hd = header(f.iteration);
     common::BitWriter out;
     sink->vlc_symbols += video::entropy_code(
-        header(f.iteration), field_from_payload(*f.inputs[1], w, h),
-        {payload_as<std::int16_t>(*f.inputs[0])}, out);
+        hd, field_from_payload(hd, *f.inputs[1]),
+        {payload_exactly<std::int16_t>(*f.inputs[0], n, "level")}, out);
     f.outputs[0] = out.take();
   });
 
   g.set_body(find_task(g, "inverse-dct"), [n, header](TaskFiring& f) {
-    video::inverse_dct(header(f.iteration), payload_as<std::int16_t>(*f.inputs[0]),
+    video::inverse_dct(header(f.iteration),
+                       payload_exactly<std::int16_t>(*f.inputs[0], n, "level"),
                        output_as<float>(f, 0, n));
   });
 
-  // RECONSTRUCT: prediction + decoded residual, fed back to the motion
-  // estimator and the MC predictor of the next frame; CRC-chained so the
-  // whole reconstructed sequence is summarized in one word.
+  // RECONSTRUCT: prediction + decoded residual, added in place, fed back
+  // to the motion estimator and the MC predictor of the next frame;
+  // CRC-chained so the whole reconstructed sequence is summarized in one
+  // word.
   g.set_body(find_task(g, "reconstruct"),
-             [w, h, crc = std::make_shared<common::Crc32>(), sink](TaskFiring& f) {
-               video::Plane recon(w, h);
-               video::reconstruct(payload_as<float>(*f.inputs[0]),
-                                  plane_from_payload(*f.inputs[1], w, h), recon);
-               store_plane_packed(f, 0, recon);
+             [n, recon = plane(), crc = std::make_shared<common::Crc32>(),
+              sink](TaskFiring& f) {
+               fill_plane(*recon, *f.inputs[1]);  // the prediction
+               video::reconstruct(
+                   payload_exactly<float>(*f.inputs[0], n, "residual"), *recon,
+                   *recon);
+               store_plane_packed(f, 0, *recon);
                f.store(1, f.outputs[0].data(), f.outputs[0].size());
                crc->update(f.outputs[0]);
                sink->recon_crc = crc->value();

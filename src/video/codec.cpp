@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
-#include "common/mathutil.h"
 #include "dsp/dct.h"
 #include "video/vlc.h"
 
@@ -37,12 +37,45 @@ std::array<const Plane*, 3> planes_of(const Frame& f) {
 
 std::array<Plane*, 3> planes_of(Frame& f) { return {&f.y(), &f.cb(), &f.cr()}; }
 
-// The MC prediction of a plane of `ref`'s size: flat 128 on I frames
-// (`ref` only gives the size), else `ref` compensated by `field`.
-Plane prediction(const FrameHeader& h, const Plane& ref,
-                 const MotionField& field, bool chroma) {
-  if (h.intra()) return Plane(ref.width(), ref.height(), 128);
-  return chroma ? compensate_chroma(ref, field) : compensate(ref, field);
+// The MC prediction into `out`: flat 128 on I frames, else `ref`
+// compensated by `field`.
+void prediction(const FrameHeader& h, const Plane& ref,
+                const MotionField& field, bool chroma, Plane& out) {
+  if (h.intra()) {
+    out.fill(128);
+  } else if (chroma) {
+    compensate_chroma(ref, field, out);
+  } else {
+    compensate(ref, field, out);
+  }
+}
+
+// One 8x8 block through the reconstruction adder,
+// o = clamp_u8(round_half_away(r + p)), as a plain 64-pixel loop that
+// GCC vectorizes at the baseline ISA. t = trunc(v) and frac = v - t are
+// exact for every float, so rounding half away from zero is one compare
+// per side. Dequantized residuals stay far inside int range, so the
+// conversion is defined for any decoded stream. The block's prediction is
+// read before its output is written, so `out` may alias `pred`.
+void reconstruct_block(const float* r, const std::uint8_t* pred,
+                       std::ptrdiff_t pred_stride, std::uint8_t* out,
+                       std::ptrdiff_t out_stride) noexcept {
+  alignas(16) std::uint8_t p[kCoeffs];
+  alignas(16) std::uint8_t o[kCoeffs];
+  for (int y = 0; y < kBlock; ++y) {
+    std::memcpy(p + y * kBlock, pred + y * pred_stride, kBlock);
+  }
+  for (std::size_t i = 0; i < kCoeffs; ++i) {
+    const float v = r[i] + p[i];
+    int t = static_cast<int>(v);
+    const float frac = v - static_cast<float>(t);
+    t += static_cast<int>(frac >= 0.5f) - static_cast<int>(frac <= -0.5f);
+    t = t < 0 ? 0 : t;
+    o[i] = static_cast<std::uint8_t>(t > 255 ? 255 : t);
+  }
+  for (int y = 0; y < kBlock; ++y) {
+    std::memcpy(out + y * out_stride, o + y * kBlock, kBlock);
+  }
 }
 
 void write_motion_field(const MotionField& field, BitWriter& out) {
@@ -119,10 +152,10 @@ Quantizer FrameHeader::quantizer() const noexcept {
       qscale);
 }
 
-Plane predict(const FrameHeader& h, const Plane& cur, const Plane& ref,
-              const MotionField& field, bool chroma,
-              std::span<std::int16_t> residual) {
-  Plane pred = prediction(h, ref, field, chroma);
+void predict(const FrameHeader& h, const Plane& cur, const Plane& ref,
+             const MotionField& field, bool chroma, Plane& pred,
+             std::span<std::int16_t> residual) {
+  prediction(h, ref, field, chroma, pred);
   for_each_block(cur.width(), cur.height(), [&](int bx, int by, std::size_t i) {
     for (int y = 0; y < kBlock; ++y) {
       const std::uint8_t* c = cur.row(by + y) + bx;
@@ -132,7 +165,6 @@ Plane predict(const FrameHeader& h, const Plane& cur, const Plane& ref,
       }
     }
   });
-  return pred;
 }
 
 void forward_dct(std::span<const std::int16_t> residual,
@@ -191,13 +223,8 @@ void inverse_dct(const FrameHeader& h, std::span<const std::int16_t> levels,
 void reconstruct(std::span<const float> residual, const Plane& pred,
                  Plane& out) {
   for_each_block(pred.width(), pred.height(), [&](int bx, int by, std::size_t i) {
-    for (int y = 0; y < kBlock; ++y) {
-      const std::uint8_t* p = pred.row(by + y) + bx;
-      std::uint8_t* o = out.row(by + y) + bx;
-      for (int x = 0; x < kBlock; ++x) {
-        o[x] = common::clamp_u8(common::round_half_away(residual[i++] + p[x]));
-      }
-    }
+    reconstruct_block(&residual[i], pred.row(by) + bx, pred.stride(),
+                      out.row(by) + bx, out.stride());
   });
 }
 
@@ -209,7 +236,8 @@ VideoEncoder::VideoEncoder(const EncoderConfig& config)
                   std::max(1.0, config.bitrate_bps / std::max(1.0, config.fps)))) {
   const auto st = check_frame_size(config.width, config.height);
   if (!st.is_ok()) throw std::invalid_argument(st.message());
-  recon_ = Frame(config.width, config.height);
+  recon_ = Frame(config.width, config.height, kReferenceBorder);
+  pred_ = Frame(config.width, config.height);
 }
 
 int VideoEncoder::pick_qscale() noexcept {
@@ -248,17 +276,19 @@ EncodedFrame VideoEncoder::encode(const Frame& frame) {
   std::vector<float> coeffs;
   const auto src = planes_of(frame);
   const auto rec = planes_of(recon_);
+  const auto pred = planes_of(pred_);
   for (std::size_t p = 0; p < 3; ++p) {
     const std::size_t n =
         static_cast<std::size_t>(src[p]->width()) * src[p]->height();
     residual.resize(n);
     coeffs.resize(n);
     levels[p].resize(n);
-    const Plane pred = predict(h, *src[p], *rec[p], field, p > 0, residual);
+    predict(h, *src[p], *rec[p], field, p > 0, *pred[p], residual);
     forward_dct(residual, coeffs);
     quantize(h, coeffs, levels[p]);
     inverse_dct(h, levels[p], coeffs);
-    reconstruct(coeffs, pred, *rec[p]);
+    reconstruct(coeffs, *pred[p], *rec[p]);
+    rec[p]->extend_edges();
     if (!intra) result.ops.mc_pixels += n;
     result.ops.dct_blocks += n / kCoeffs;
     result.ops.quant_coeffs += n;
@@ -305,6 +335,7 @@ Result<Frame> VideoDecoder::decode(std::span<const std::uint8_t> bytes) {
   }
 
   Frame out(h.width, h.height);
+  Frame pred(h.width, h.height);
   const auto dst = planes_of(out);
   std::vector<std::int16_t> levels;
   std::vector<float> residual;
@@ -320,7 +351,8 @@ Result<Frame> VideoDecoder::decode(std::span<const std::uint8_t> bytes) {
     }
     inverse_dct(h, levels, residual);
     const Plane& ref = h.intra() ? *dst[p] : *planes_of(*ref_)[p];
-    reconstruct(residual, prediction(h, ref, field, p > 0), *dst[p]);
+    prediction(h, ref, field, p > 0, *planes_of(pred)[p]);
+    reconstruct(residual, *planes_of(pred)[p], *dst[p]);
   }
   ref_ = out;
   return out;

@@ -71,12 +71,13 @@ struct FrameHeader {
 // Per-block arrays (residual, coefficients, levels) are block-linear: 64
 // entries per 8x8 block, blocks in raster order.
 
-/// MOTION COMPENSATED PREDICTOR: returns the prediction of `cur` (flat
-/// 128 on I frames, else `ref` compensated by `field`, vectors halved on
-/// `chroma` planes) and fills `residual` = cur - prediction.
-[[nodiscard]] Plane predict(const FrameHeader& h, const Plane& cur,
-                            const Plane& ref, const MotionField& field,
-                            bool chroma, std::span<std::int16_t> residual);
+/// MOTION COMPENSATED PREDICTOR: writes the prediction of `cur` into
+/// `pred`, a caller-owned plane of cur's size (flat 128 on I frames, else
+/// `ref` compensated by `field`, vectors halved on `chroma` planes), and
+/// fills `residual` = cur - prediction.
+void predict(const FrameHeader& h, const Plane& cur, const Plane& ref,
+             const MotionField& field, bool chroma, Plane& pred,
+             std::span<std::int16_t> residual);
 
 /// DCT: forward 8x8 DCT of each residual block.
 void forward_dct(std::span<const std::int16_t> residual,
@@ -99,7 +100,8 @@ void inverse_dct(const FrameHeader& h, std::span<const std::int16_t> levels,
                  std::span<float> residual);
 
 /// Reconstruction adder: round_half_away(residual + pred), clamped to
-/// 8 bits, into `out` (pred's size).
+/// 8 bits, into `out` (pred's size; it may be `pred` itself). A
+/// reference plane with a border needs out.extend_edges() afterwards.
 void reconstruct(std::span<const float> residual, const Plane& pred,
                  Plane& out);
 
@@ -146,7 +148,8 @@ class VideoEncoder {
  private:
   EncoderConfig config_;
   entropy::RateBuffer buffer_;
-  Frame recon_;
+  Frame recon_;  ///< the reference, with kReferenceBorder, edges extended
+  Frame pred_;   ///< each plane's prediction, reused frame to frame
   int frame_index_ = 0;
   bool have_reference_ = false;
   bool force_intra_ = false;

@@ -33,6 +33,21 @@ void Plane::fill(std::uint8_t v) noexcept {
   std::fill(pixels_.begin(), pixels_.end(), v);
 }
 
+void Plane::extend_edges() noexcept {
+  if (border_ == 0 || width_ == 0 || height_ == 0) return;
+  const auto b = static_cast<std::size_t>(border_);
+  for (int y = 0; y < height_; ++y) {
+    std::uint8_t* r = row(y);
+    std::memset(r - b, r[0], b);
+    std::memset(r + width_, r[width_ - 1], b);
+  }
+  const std::size_t span = static_cast<std::size_t>(width_) + 2 * b;
+  for (int k = 1; k <= border_; ++k) {
+    std::memcpy(row(-k) - b, row(0) - b, span);
+    std::memcpy(row(height_ - 1 + k) - b, row(height_ - 1) - b, span);
+  }
+}
+
 double Plane::mean() const noexcept {
   const std::size_t count = static_cast<std::size_t>(width_) * height_;
   if (count == 0) return 0.0;

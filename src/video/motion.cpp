@@ -13,10 +13,17 @@ namespace mmsoc::video {
 namespace {
 
 // Copy `w` pixels of row `y` of `p`, starting at column `x`, to `dst` with
-// both coordinates edge-clamped: the left overhang repeats column 0, the
-// inside is one memcpy, the right overhang repeats the last column.
+// both coordinates edge-clamped. A span inside the plane's border is one
+// memcpy of its own (edge-extended) row. Beyond the border the left
+// overhang repeats column 0, the inside is one memcpy, and the right
+// overhang repeats the last column.
 void copy_clamped_row(const Plane& p, int x, int y, int w,
                       std::uint8_t* dst) noexcept {
+  const int b = p.border();
+  if (x >= -b && x + w <= p.width() + b && y >= -b && y < p.height() + b) {
+    std::memcpy(dst, p.row(y) + x, static_cast<std::size_t>(w));
+    return;
+  }
   const std::uint8_t* src = p.row(std::clamp(y, 0, p.height() - 1));
   const int lo = std::clamp(-x, 0, w);              // columns left of the plane
   const int hi = std::clamp(p.width() - x, lo, w);  // first column right of it
@@ -28,13 +35,15 @@ void copy_clamped_row(const Plane& p, int x, int y, int w,
 }
 
 // The 16x16 window of `p` at (x, y) as (pointer, stride): the plane's own
-// rows when the window lies inside it, else its edge-clamped copy gathered
-// into `scratch` (kMacroblockSize^2 bytes).
+// rows when the window lies inside its border (inside the visible pixels
+// for a plane without one), else its edge-clamped copy gathered into
+// `scratch` (kMacroblockSize^2 bytes).
 const std::uint8_t* window16(const Plane& p, int x, int y,
                              std::uint8_t* scratch,
                              std::ptrdiff_t& stride) noexcept {
-  if (x >= 0 && y >= 0 && x + kMacroblockSize <= p.width() &&
-      y + kMacroblockSize <= p.height()) {
+  const int b = p.border();
+  if (x >= -b && y >= -b && x + kMacroblockSize <= p.width() + b &&
+      y + kMacroblockSize <= p.height() + b) {
     stride = p.stride();
     return p.row(y) + x;
   }
@@ -46,12 +55,11 @@ const std::uint8_t* window16(const Plane& p, int x, int y,
   return scratch;
 }
 
-// Motion-compensated prediction in blocks of `block` pixels: each block
-// copies the edge-clamped window of `ref` displaced by its macroblock's
-// vector divided by `divisor` (rounding toward zero).
-Plane compensate_blocks(const Plane& ref, const MotionField& field, int block,
-                        int divisor) {
-  Plane out(ref.width(), ref.height());
+// Motion-compensated prediction in blocks of `block` pixels into `out`:
+// each block copies the edge-clamped window of `ref` displaced by its
+// macroblock's vector divided by `divisor` (rounding toward zero).
+void compensate_blocks(const Plane& ref, const MotionField& field, int block,
+                       int divisor, Plane& out) {
   for (int by = 0; by < field.blocks_y; ++by) {
     for (int bx = 0; bx < field.blocks_x; ++bx) {
       const auto& mv =
@@ -68,17 +76,17 @@ Plane compensate_blocks(const Plane& ref, const MotionField& field, int block,
       }
     }
   }
-  return out;
 }
 
 }  // namespace
 
 std::uint64_t sad16(const Plane& cur, const Plane& ref, int bx, int by, int dx,
                     int dy) noexcept {
-  // Windows that leave their plane (border candidates, partial edge
-  // macroblocks) are gathered edge-clamped into a stack block, so every
-  // SAD runs on the dispatched kernel. Integer sums are exact in any
-  // order, so this equals the per-pixel clamped sum.
+  // Windows inside a plane's border are read in place; those beyond it
+  // (and partial edge macroblocks of a plane without one) are gathered
+  // edge-clamped into a stack block, so every SAD runs on the dispatched
+  // kernel. Integer sums are exact in any order, so this equals the
+  // per-pixel clamped sum.
   alignas(64) std::uint8_t cur_win[kMacroblockSize * kMacroblockSize];
   alignas(64) std::uint8_t ref_win[kMacroblockSize * kMacroblockSize];
   std::ptrdiff_t cur_stride = 0, ref_stride = 0;
@@ -280,12 +288,12 @@ MotionField estimate_frame(const Plane& cur, const Plane& ref, int range,
   return field;
 }
 
-Plane compensate(const Plane& ref, const MotionField& field) {
-  return compensate_blocks(ref, field, kMacroblockSize, 1);
+void compensate(const Plane& ref, const MotionField& field, Plane& out) {
+  compensate_blocks(ref, field, kMacroblockSize, 1, out);
 }
 
-Plane compensate_chroma(const Plane& ref, const MotionField& field) {
-  return compensate_blocks(ref, field, kMacroblockSize / 2, 2);
+void compensate_chroma(const Plane& ref, const MotionField& field, Plane& out) {
+  compensate_blocks(ref, field, kMacroblockSize / 2, 2, out);
 }
 
 }  // namespace mmsoc::video

@@ -11,6 +11,14 @@
 // the classic three-step search, and diamond search. All minimize SAD over
 // 16x16 macroblocks and report the number of SAD evaluations so benches
 // can chart the cost/quality trade-off.
+//
+// Every window is read edge-clamped (Plane::at_clamped). A window that
+// lies inside its plane's edge-extended border (Plane::extend_edges) is
+// read in place, so a reference plane carrying kReferenceBorder serves a
+// whole default-range search from its own rows; only windows beyond the
+// border are gathered clamped into a scratch block. Once a plane's edges
+// are extended both give the same pixels, so results never depend on its
+// border.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +29,11 @@
 namespace mmsoc::video {
 
 inline constexpr int kMacroblockSize = 16;
+
+/// The border the encoder's reference planes carry: every window of a
+/// search range up to 16 pixels (twice EncoderConfig's default of 8) is
+/// read in place. A larger range still works, through the clamped gather.
+inline constexpr int kReferenceBorder = 16;
 
 /// A motion vector in integer luma pixels.
 struct MotionVector {
@@ -62,12 +75,13 @@ struct MotionField {
 [[nodiscard]] MotionField estimate_frame(const Plane& cur, const Plane& ref,
                                          int range, SearchAlgorithm algo);
 
-/// Motion-compensated prediction: build the predicted luma plane from
-/// `ref` and the motion field. Chroma planes use the halved vectors.
-[[nodiscard]] Plane compensate(const Plane& ref, const MotionField& field);
+/// Motion-compensated prediction: write the luma prediction from `ref`
+/// and the motion field into `out`, a caller-owned plane of `ref`'s size.
+/// Only the pixels the field's macroblocks cover are written.
+void compensate(const Plane& ref, const MotionField& field, Plane& out);
 
-/// Chroma compensation with luma vectors halved (4:2:0).
-[[nodiscard]] Plane compensate_chroma(const Plane& ref,
-                                      const MotionField& field);
+/// Chroma compensation with luma vectors halved toward zero (4:2:0), on
+/// 8x8 blocks; `out` as for compensate.
+void compensate_chroma(const Plane& ref, const MotionField& field, Plane& out);
 
 }  // namespace mmsoc::video

@@ -38,6 +38,16 @@ namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::int64_t> g_live_bytes{0};
+// Allocations of at least g_large_bytes bytes (none counted by default).
+std::atomic<std::size_t> g_large_bytes{SIZE_MAX};
+std::atomic<std::uint64_t> g_large_count{0};
+
+void count(std::size_t size) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (size >= g_large_bytes.load(std::memory_order_relaxed)) {
+    g_large_count.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 void* track(void* p) noexcept {
   if (p != nullptr) {
@@ -56,12 +66,12 @@ void counted_free(void* p) noexcept {
 }
 
 void* counted_alloc(std::size_t size) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return track(std::malloc(size != 0 ? size : 1));
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (posix_memalign(&p, align, size != 0 ? size : align) != 0) return nullptr;
@@ -148,6 +158,41 @@ TEST(DataPlane, SteadyStateIterationsDoNotAllocate) {
   EXPECT_LT(per_iteration, 0.01)
       << short_allocs << " allocations over " << kShort << " iterations, "
       << long_allocs << " over " << kLong;
+}
+
+// Plane-sized allocations (at least one luma plane, w*h bytes) of one
+// 1-worker Fig. 1 run of `frames` frames at CIF. The closed-loop bodies
+// fill planes they own, so once the channels' buffers are warm no frame
+// allocates one.
+std::uint64_t plane_allocations_of_fig1_run(std::uint64_t frames) {
+  VideoPipelineConfig cfg;
+  cfg.width = 352;
+  cfg.height = 288;
+  auto pipe = make_video_encoder_pipeline(cfg);
+  EngineOptions opts;
+  opts.workers = 1;
+  g_large_bytes.store(static_cast<std::size_t>(cfg.width) * cfg.height);
+  const std::uint64_t before = g_large_count.load();
+  const auto report =
+      run_pipeline(pipe.graph, round_robin_mapping(pipe.graph, 1), frames, opts);
+  const std::uint64_t after = g_large_count.load();
+  g_large_bytes.store(SIZE_MAX);
+  EXPECT_TRUE(report.is_ok()) << report.status().to_text();
+  EXPECT_EQ(pipe.sink->frames_reconstructed, frames);
+  return after - before;
+}
+
+TEST(DataPlane, Fig1BodiesAllocateNoPlanePerFrame) {
+  constexpr std::uint64_t kShort = 24;
+  constexpr std::uint64_t kLong = 72;
+  const std::uint64_t short_allocs = plane_allocations_of_fig1_run(kShort);
+  const std::uint64_t long_allocs = plane_allocations_of_fig1_run(kLong);
+  const double per_frame =
+      (static_cast<double>(long_allocs) - static_cast<double>(short_allocs)) /
+      static_cast<double>(kLong - kShort);
+  EXPECT_LT(per_frame, 0.01)
+      << short_allocs << " plane-sized allocations over " << kShort
+      << " frames, " << long_allocs << " over " << kLong;
 }
 
 // Back-to-back sessions on one running engine: Fig.1 encodes, then disk

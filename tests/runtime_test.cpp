@@ -1125,6 +1125,76 @@ TEST(VideoPipeline, RejectsFramesThatAreNotWholeMacroblocks) {
   EXPECT_TRUE(make_video_encoder_pipeline(cfg).graph.fully_executable());
 }
 
+// The closed-loop bodies fill planes they own from their payloads, so a
+// plane or residual payload that is not exactly one frame's worth must be
+// refused, never read short (or topped up with the last frame's pixels):
+// the body throws, and the engine fails the session naming the task.
+TEST(VideoPipeline, ClosedLoopBodiesRejectShortPayloads) {
+  VideoPipelineConfig cfg;  // 64x64: 16 macroblocks
+  auto pipe = make_video_encoder_pipeline(cfg);
+  const mpsoc::TaskGraph& g = pipe.graph;
+  const std::size_t n = static_cast<std::size_t>(cfg.width) * cfg.height;
+  const mpsoc::Payload plane(n, 90), short_plane(n - 1, 90);
+  const mpsoc::Payload residual(n * sizeof(float), 0);
+  const mpsoc::Payload short_residual((n - 1) * sizeof(float), 0);
+  const mpsoc::Payload vectors(2 * 16 * sizeof(std::int16_t), 0);
+  const mpsoc::Payload empty;
+  const auto fire = [&](const std::string& name, std::uint64_t iteration,
+                        std::vector<const mpsoc::Payload*> inputs) {
+    mpsoc::TaskId id = 0;
+    while (g.task(id).name != name) ++id;
+    EXPECT_EQ(inputs.size(), g.in_edges(id).size()) << name;
+    mpsoc::TaskFiring f;
+    f.iteration = iteration;
+    f.inputs = std::move(inputs);
+    f.outputs.resize(g.out_edges(id).size());
+    g.task(id).body(f);
+  };
+  constexpr std::uint64_t kIntra = 0, kPredicted = 1;
+
+  // motion-estimator: (current, reconstruction).
+  EXPECT_THROW(fire("motion-estimator", kPredicted, {&short_plane, &plane}),
+               std::length_error);
+  EXPECT_THROW(fire("motion-estimator", kPredicted, {&plane, &short_plane}),
+               std::length_error);
+  EXPECT_NO_THROW(fire("motion-estimator", kPredicted, {&plane, &plane}));
+  // mc-predictor: (current, vectors, reconstruction); an I frame reads no
+  // reference, so frame 0's empty delay token is fine.
+  EXPECT_THROW(fire("mc-predictor", kPredicted, {&short_plane, &vectors, &plane}),
+               std::length_error);
+  EXPECT_THROW(fire("mc-predictor", kPredicted, {&plane, &vectors, &short_plane}),
+               std::length_error);
+  EXPECT_THROW(fire("mc-predictor", kPredicted, {&plane, &empty, &plane}),
+               std::length_error);
+  EXPECT_THROW(fire("mc-predictor", kIntra, {&short_plane, &empty, &empty}),
+               std::length_error);
+  EXPECT_NO_THROW(fire("mc-predictor", kPredicted, {&plane, &vectors, &plane}));
+  EXPECT_NO_THROW(fire("mc-predictor", kIntra, {&plane, &empty, &empty}));
+  // reconstruct: (decoded residual, prediction).
+  EXPECT_THROW(fire("reconstruct", kPredicted, {&residual, &short_plane}),
+               std::length_error);
+  EXPECT_THROW(fire("reconstruct", kPredicted, {&short_residual, &plane}),
+               std::length_error);
+  EXPECT_NO_THROW(fire("reconstruct", kPredicted, {&residual, &plane}));
+
+  // In a session: a capture that emits one byte short fails it, and the
+  // status names the task that refused the payload.
+  auto bad = make_video_encoder_pipeline(cfg);
+  mpsoc::TaskId capture = 0;
+  while (bad.graph.task(capture).name != "capture") ++capture;
+  bad.graph.set_body(capture, [n](mpsoc::TaskFiring& f) {
+    f.outputs[0].assign(n - 1, 90);
+    f.outputs[1].assign(n - 1, 90);
+  });
+  const auto report = run_pipeline(
+      bad.graph, round_robin_mapping(bad.graph, 1), 4, EngineOptions{});
+  ASSERT_FALSE(report.is_ok());
+  EXPECT_NE(report.status().to_text().find("task 'mc-predictor'"),
+            std::string::npos)
+      << report.status().to_text();
+  EXPECT_EQ(bad.sink->frames_coded, 0u);
+}
+
 // The Fig. 2 graph runs SubbandEncoder's stages: its stream equals the
 // encoder's on the same PCM at every worker count, and every frame
 // decodes.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -54,6 +55,51 @@ TEST(Plane, RowsAreCacheLineAlignedAndPackedCopiesRoundTrip) {
   Plane q(66, 5, /*fill=*/255);  // different padding fill than p
   q.copy_packed_from(packed.data(), packed.size());
   EXPECT_EQ(p, q);  // equality is over visible pixels only
+}
+
+// The borders and sizes the bordered-read tests below run over (33x17:
+// partial macroblocks).
+constexpr std::array<int, 3> kBorders = {0, 16, 32};
+constexpr std::array<std::pair<int, int>, 4> kBorderSizes = {
+    std::pair{352, 288}, std::pair{48, 32}, std::pair{33, 17},
+    std::pair{16, 16}};
+
+// A w x h plane with border `b`, filled from `packed` (w*h bytes) and
+// edge-extended, as a Fig. 1 reference plane is.
+Plane bordered_copy(const std::vector<std::uint8_t>& packed, int w, int h,
+                    int b) {
+  Plane p(w, h, /*fill=*/0xA5, b);
+  p.copy_packed_from(packed.data(), packed.size());
+  p.extend_edges();
+  return p;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, Rng& rng) {
+  std::vector<std::uint8_t> v(n);
+  for (auto& x : v) x = static_cast<std::uint8_t>(rng.next_below(256));
+  return v;
+}
+
+TEST(Plane, ExtendedBorderHoldsTheClampedImageAndRowsStayAligned) {
+  Rng rng(7);
+  for (const int b : kBorders) {
+    for (const auto& [w, h] : kBorderSizes) {
+      const Plane p = bordered_copy(
+          random_bytes(static_cast<std::size_t>(w) * h, rng), w, h, b);
+      ASSERT_EQ(p.border(), b);
+      EXPECT_EQ(p.stride() % 64, 0);
+      EXPECT_GE(p.stride(), w + 2 * b);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p.row(0)) % 64, 0u)
+          << w << "x" << h << " border " << b;
+      for (int y = -b; y < h + b; ++y) {
+        for (int x = -b; x < w + b; ++x) {
+          ASSERT_EQ(p.row(y)[x], p.at_clamped(x, y))
+              << w << "x" << h << " border " << b << " at (" << x << "," << y
+              << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(Plane, MeanAndVariance) {
@@ -464,6 +510,17 @@ TEST(Quantizer, QscaleClampedToValidRange) {
 
 // ------------------------------------------------------------------- motion
 
+// compensate / compensate_chroma into a fresh plane of ref's size.
+Plane compensated(const Plane& ref, const MotionField& field, bool chroma) {
+  Plane out(ref.width(), ref.height());
+  if (chroma) {
+    compensate_chroma(ref, field, out);
+  } else {
+    compensate(ref, field, out);
+  }
+  return out;
+}
+
 Plane translated_noise_plane(int w, int h, int dx, int dy, std::uint64_t seed) {
   // Build a large noise field and cut two windows displaced by (dx, dy).
   Rng rng(seed);
@@ -522,7 +579,7 @@ TEST(Motion, CompensationReconstructsTranslation) {
   const Plane ref = translated_noise_plane(64, 64, 0, 0, 9);
   const Plane cur = translated_noise_plane(64, 64, 5, -3, 9);
   const auto field = estimate_frame(cur, ref, 8, SearchAlgorithm::kFullSearch);
-  const Plane pred = compensate(ref, field);
+  const Plane pred = compensated(ref, field, /*chroma=*/false);
   // Interior (non-border) pixels of prediction match the current frame.
   int exact = 0, total = 0;
   for (int y = 16; y < 48; ++y)
@@ -645,33 +702,63 @@ TEST(Motion, PartialEdgeMacroblocksAreEstimatedAndCompensated) {
   }
   // Identical frames + zero vectors: compensation must reproduce the
   // reference exactly, including the partial edge strips.
-  EXPECT_EQ(compensate(ref, field), ref);
+  EXPECT_EQ(compensated(ref, field, /*chroma=*/false), ref);
   // Chroma plane of a 72x40 4:2:0 frame: 36x20, also not block-aligned.
   const Plane cref = random_plane(w / 2, h / 2, rng);
-  EXPECT_EQ(compensate_chroma(cref, field), cref);
+  EXPECT_EQ(compensated(cref, field, /*chroma=*/true), cref);
 }
 
+// `p`'s at_clamped values over [-reach, size + reach) in both axes, as a
+// dense table indexed from (-reach, -reach): the per-pixel clamped
+// definition, precomputed so millions of oracle SADs stay cheap.
+class ClampedTable {
+ public:
+  ClampedTable(const Plane& p, int reach)
+      : reach_(reach), width_(p.width() + 2 * reach),
+        v_(static_cast<std::size_t>(width_) * (p.height() + 2 * reach)) {
+    for (int y = -reach; y < p.height() + reach; ++y)
+      for (int x = -reach; x < p.width() + reach; ++x)
+        v_[index(x, y)] = p.at_clamped(x, y);
+  }
+  [[nodiscard]] int at(int x, int y) const { return v_[index(x, y)]; }
+
+ private:
+  [[nodiscard]] std::size_t index(int x, int y) const {
+    return static_cast<std::size_t>(y + reach_) * width_ + (x + reach_);
+  }
+  int reach_, width_;
+  std::vector<std::uint8_t> v_;
+};
+
 TEST(Motion, BorderSadEqualsPerPixelClampedSum) {
-  // Windows that leave a plane are gathered edge-clamped and handed to the
-  // SIMD kernel; they must equal the per-pixel clamped definition at every
-  // macroblock, partial ones included, for vectors far past each edge.
+  // A window inside a plane's extended border is read in place, any other
+  // window that leaves the plane is gathered edge-clamped; both must equal
+  // the per-pixel clamped definition at every macroblock, partial ones
+  // included, for every vector up to 20 pixels and up to 4 past the
+  // border (corners and windows just beyond it).
   Rng rng(41);
-  for (const auto& [w, h] : {std::pair{48, 32}, std::pair{33, 17}}) {
-    const Plane cur = random_plane(w, h, rng);
-    const Plane ref = random_plane(w, h, rng);
-    for (int by = 0; by < h; by += kMacroblockSize) {
-      for (int bx = 0; bx < w; bx += kMacroblockSize) {
-        for (int dy = -20; dy <= 20; ++dy) {
-          for (int dx = -20; dx <= 20; ++dx) {
-            std::uint64_t want = 0;
-            for (int y = 0; y < kMacroblockSize; ++y)
-              for (int x = 0; x < kMacroblockSize; ++x)
-                want += static_cast<std::uint64_t>(
-                    std::abs(cur.at_clamped(bx + x, by + y) -
-                             ref.at_clamped(bx + x + dx, by + y + dy)));
-            ASSERT_EQ(sad16(cur, ref, bx, by, dx, dy), want)
-                << w << "x" << h << " block (" << bx << "," << by
-                << ") vector (" << dx << "," << dy << ")";
+  for (const int b : kBorders) {
+    for (const auto& [w, h] : kBorderSizes) {
+      const std::size_t n = static_cast<std::size_t>(w) * h;
+      const Plane cur = bordered_copy(random_bytes(n, rng), w, h, b);
+      const Plane ref = bordered_copy(random_bytes(n, rng), w, h, b);
+      const int reach = std::max(20, b + 4);
+      const ClampedTable want_cur(cur, kMacroblockSize);
+      const ClampedTable want_ref(ref, reach + kMacroblockSize);
+      for (int by = 0; by < h; by += kMacroblockSize) {
+        for (int bx = 0; bx < w; bx += kMacroblockSize) {
+          for (int dy = -reach; dy <= reach; ++dy) {
+            for (int dx = -reach; dx <= reach; ++dx) {
+              std::uint64_t want = 0;
+              for (int y = 0; y < kMacroblockSize; ++y)
+                for (int x = 0; x < kMacroblockSize; ++x)
+                  want += static_cast<std::uint64_t>(
+                      std::abs(want_cur.at(bx + x, by + y) -
+                               want_ref.at(bx + x + dx, by + y + dy)));
+              ASSERT_EQ(sad16(cur, ref, bx, by, dx, dy), want)
+                  << w << "x" << h << " border " << b << " block (" << bx
+                  << "," << by << ") vector (" << dx << "," << dy << ")";
+            }
           }
         }
       }
@@ -681,40 +768,77 @@ TEST(Motion, BorderSadEqualsPerPixelClampedSum) {
 
 TEST(Motion, CompensationEqualsPerPixelClampedFetch) {
   // Row-copy compensation must equal the per-pixel clamped fetch for
-  // vectors that point past every edge (chroma: halved toward zero).
+  // vectors that point past every edge and past the reference's border
+  // (chroma: halved toward zero).
   Rng rng(43);
-  for (const auto& [w, h] : {std::pair{48, 32}, std::pair{33, 17}}) {
-    MotionField field;
-    field.blocks_x = (w + kMacroblockSize - 1) / kMacroblockSize;
-    field.blocks_y = (h + kMacroblockSize - 1) / kMacroblockSize;
-    for (int trial = 0; trial < 20; ++trial) {
-      field.blocks.clear();
-      for (int i = 0; i < field.blocks_x * field.blocks_y; ++i) {
-        MotionResult r;
-        r.mv = MotionVector{static_cast<int>(rng.next_in(-40, 40)),
-                            static_cast<int>(rng.next_in(-40, 40))};
-        field.blocks.push_back(r);
+  for (const int b : kBorders) {
+    for (const auto& [w, h] : kBorderSizes) {
+      MotionField field;
+      field.blocks_x = (w + kMacroblockSize - 1) / kMacroblockSize;
+      field.blocks_y = (h + kMacroblockSize - 1) / kMacroblockSize;
+      for (int trial = 0; trial < 20; ++trial) {
+        field.blocks.clear();
+        for (int i = 0; i < field.blocks_x * field.blocks_y; ++i) {
+          MotionResult r;
+          r.mv = MotionVector{static_cast<int>(rng.next_in(-40, 40)),
+                              static_cast<int>(rng.next_in(-40, 40))};
+          field.blocks.push_back(r);
+        }
+        for (const bool chroma : {false, true}) {
+          const int block = chroma ? kMacroblockSize / 2 : kMacroblockSize;
+          const int div = chroma ? 2 : 1;
+          const int pw = chroma ? w / 2 : w;
+          const int ph = chroma ? h / 2 : h;
+          const Plane ref = bordered_copy(
+              random_bytes(static_cast<std::size_t>(pw) * ph, rng), pw, ph, b);
+          const Plane got = compensated(ref, field, chroma);
+          ASSERT_EQ(got.width(), ref.width());
+          ASSERT_EQ(got.height(), ref.height());
+          for (int y = 0; y < ref.height(); ++y) {
+            for (int x = 0; x < ref.width(); ++x) {
+              const auto& mv =
+                  field.blocks[static_cast<std::size_t>(y / block) *
+                                   field.blocks_x +
+                               x / block]
+                      .mv;
+              ASSERT_EQ(got.at(x, y),
+                        ref.at_clamped(x + mv.dx / div, y + mv.dy / div))
+                  << (chroma ? "chroma " : "luma ") << w << "x" << h
+                  << " border " << b << " pixel (" << x << "," << y << ")";
+            }
+          }
+        }
       }
-      for (const bool chroma : {false, true}) {
-        const int block = chroma ? kMacroblockSize / 2 : kMacroblockSize;
-        const int div = chroma ? 2 : 1;
-        const Plane ref =
-            chroma ? random_plane(w / 2, h / 2, rng) : random_plane(w, h, rng);
-        const Plane got =
-            chroma ? compensate_chroma(ref, field) : compensate(ref, field);
-        ASSERT_EQ(got.width(), ref.width());
-        ASSERT_EQ(got.height(), ref.height());
-        for (int y = 0; y < ref.height(); ++y) {
-          for (int x = 0; x < ref.width(); ++x) {
-            const auto& mv =
-                field.blocks[static_cast<std::size_t>(y / block) *
-                                 field.blocks_x +
-                             x / block]
-                    .mv;
-            ASSERT_EQ(got.at(x, y),
-                      ref.at_clamped(x + mv.dx / div, y + mv.dy / div))
-                << (chroma ? "chroma " : "luma ") << w << "x" << h
-                << " pixel (" << x << "," << y << ")";
+    }
+  }
+}
+
+TEST(Motion, BorderedReferenceGivesTheSameField) {
+  // The border only changes where a window is read from: every search
+  // against a bordered reference finds the same field as against the same
+  // pixels without one, inside the border (ranges 4 and 8) and beyond it
+  // (range 40 gathers).
+  const auto scene = scene_high_motion(5);
+  for (const auto& [w, h] : kBorderSizes) {
+    std::vector<std::uint8_t> packed(static_cast<std::size_t>(w) * h);
+    SyntheticVideo::render(w, h, scene, 6).y().copy_packed_to(packed.data());
+    const Plane cur = SyntheticVideo::render(w, h, scene, 7).y();
+    const Plane plain = bordered_copy(packed, w, h, 0);
+    for (const int b : kBorders) {
+      const Plane ref = bordered_copy(packed, w, h, b);
+      for (const auto algo : {SearchAlgorithm::kFullSearch,
+                              SearchAlgorithm::kThreeStep,
+                              SearchAlgorithm::kDiamond}) {
+        for (const int range : {4, 8, 40}) {
+          const auto got = estimate_frame(cur, ref, range, algo);
+          const auto want = estimate_frame(cur, plain, range, algo);
+          ASSERT_EQ(got.blocks.size(), want.blocks.size());
+          for (std::size_t i = 0; i < got.blocks.size(); ++i) {
+            ASSERT_EQ(got.blocks[i].mv, want.blocks[i].mv)
+                << w << "x" << h << " border " << b << " range " << range
+                << " block " << i;
+            ASSERT_EQ(got.blocks[i].sad, want.blocks[i].sad);
+            ASSERT_EQ(got.blocks[i].evaluations, want.blocks[i].evaluations);
           }
         }
       }
@@ -723,6 +847,7 @@ TEST(Motion, CompensationEqualsPerPixelClampedFetch) {
 }
 
 // ---------------------------------------------------------------------- vlc
+
 
 TEST(Vlc, BlockRoundTripRandomLevels) {
   Rng rng(20);
@@ -847,6 +972,90 @@ TEST(Codec, DecoderMatchesEncoderReconstructionExactly) {
     ASSERT_TRUE(decoded.is_ok());
     EXPECT_EQ(decoded.value(), enc.reconstructed());
   }
+}
+
+TEST(Codec, ReconstructRoundsLikeRoundHalfAway) {
+  // reconstruct's vectorized store equals clamp_u8(round_half_away(r + p))
+  // pixel for pixel: at, just below and just above every half, at signed
+  // zero, outside [0, 255], where floats have no fraction bits left, and
+  // over more than a million random (residual, prediction) pairs.
+  const auto oracle = [](float r, std::uint8_t p) {
+    return common::clamp_u8(common::round_half_away(r + p));
+  };
+  std::vector<std::pair<float, std::uint8_t>> pairs;
+  // r + p lands on `sum` exactly, and on its float neighbours when p = 0.
+  const auto around = [&](float sum) {
+    for (const std::uint8_t p : {0, 1, 127, 255}) {
+      const float r = sum - static_cast<float>(p);
+      pairs.emplace_back(r, p);
+      pairs.emplace_back(std::nextafter(r, -INFINITY), p);
+      pairs.emplace_back(std::nextafter(r, INFINITY), p);
+    }
+  };
+  for (int k = -300; k <= 300; ++k) {
+    around(static_cast<float>(k) + 0.5f);
+    around(static_cast<float>(k));
+  }
+  for (const float sum :
+       {-0.0f, -1e-30f, 1e-30f, -0.75f, 255.5f, 256.0f, 300.25f, 8388608.0f,
+        -8388608.0f, 8388607.5f, -8388607.5f, 16777216.0f, -16777216.0f,
+        1e6f, -1e6f, 1e6f + 0.5f, -1e6f - 0.5f, 1e9f, -1e9f}) {
+    around(sum);
+  }
+  pairs.emplace_back(-0.0f, 0);
+  Rng rng(61);
+  constexpr std::size_t kRandom = 1u << 20;
+  for (std::size_t i = 0; i < kRandom; ++i) {
+    const auto p = static_cast<std::uint8_t>(rng.next_below(256));
+    float r = 0.0f;
+    switch (rng.next_below(4)) {
+      case 0:  // any residual the IDCT gives
+        r = static_cast<float>(rng.next_double_in(-300.0, 300.0));
+        break;
+      case 1:  // integers and halves
+        r = static_cast<float>(rng.next_in(-600, 600)) * 0.5f;
+        break;
+      case 2:  // the float just beside an integer or a half
+        r = std::nextafter(static_cast<float>(rng.next_in(-600, 600)) * 0.5f,
+                           rng.next_below(2) != 0 ? INFINITY : -INFINITY);
+        break;
+      default:  // small residuals on any prediction
+        r = static_cast<float>(rng.next_double_in(-1.0, 1.0));
+        break;
+    }
+    pairs.emplace_back(r, p);
+  }
+
+  // Lay the pairs out as a plane's block-linear residual and prediction.
+  constexpr int kW = 1024;
+  const int h = static_cast<int>((pairs.size() + kW * 8 - 1) / (kW * 8)) * 8;
+  const std::size_t n = static_cast<std::size_t>(kW) * h;
+  ASSERT_GE(n, std::size_t{1000000});
+  std::vector<float> residual(n, 0.0f);
+  Plane pred(kW, h, 0), out(kW, h);
+  const auto pixel = [](std::size_t i) {
+    const std::size_t block = i / 64, at = i % 64;
+    const std::size_t per_row = kW / 8;
+    return std::pair{static_cast<int>((block % per_row) * 8 + at % 8),
+                     static_cast<int>((block / per_row) * 8 + at / 8)};
+  };
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [x, y] = pixel(i);
+    residual[i] = pairs[i].first;
+    pred.set(x, y, pairs[i].second);
+  }
+  reconstruct(residual, pred, out);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [x, y] = pixel(i);
+    ASSERT_EQ(out.at(x, y), oracle(residual[i], pred.at(x, y)))
+        << "r = " << residual[i] << " (bits " << std::hex
+        << std::bit_cast<std::uint32_t>(residual[i]) << std::dec
+        << "), p = " << int{pred.at(x, y)};
+  }
+  // The Fig. 1 graph adds in place: `out` may be `pred` itself.
+  Plane in_place = pred;
+  reconstruct(residual, in_place, in_place);
+  EXPECT_EQ(in_place, out);
 }
 
 TEST(Codec, GopStructure) {
