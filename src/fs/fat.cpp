@@ -71,7 +71,7 @@ Result<std::vector<std::string>> split_path(std::string_view path) {
 
 Result<FatVolume> FatVolume::format(BlockDevice& device) {
   const std::uint32_t bs = device.block_size();
-  if (bs < 128 || device.block_count() < 8) {
+  if (bs < kMinBlockSize || device.block_count() < 8) {
     return Result<FatVolume>(StatusCode::kInvalidArgument,
                              "device too small to format");
   }

@@ -22,6 +22,8 @@ namespace mmsoc::fs {
 inline constexpr std::uint32_t kFatFree = 0;
 inline constexpr std::uint32_t kFatEnd = 0xFFFFFFFFu;
 inline constexpr std::size_t kMaxNameLength = 47;
+/// Smallest block size FatVolume::format accepts.
+inline constexpr std::uint32_t kMinBlockSize = 128;
 
 /// A directory listing entry.
 struct DirEntry {

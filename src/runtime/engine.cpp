@@ -13,13 +13,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-
-#include <cstring>
-#endif
-
 namespace mmsoc::runtime {
 
 using common::Result;
@@ -223,7 +216,6 @@ struct Engine::Impl {
     std::uint64_t wd_last_outstanding = ~std::uint64_t{0};
     int wd_stagnant_periods = 0;
     bool wd_flagged = false;
-    bool degraded = false;  ///< on_degrade fired (guarded by sessions_mu)
     /// Boundary-failure record (guarded by sessions_mu; first failure
     /// wins).
     common::Status failed_status;
@@ -270,7 +262,7 @@ struct Engine::Impl {
   std::deque<SessionReport> reports;
   /// The live-session registry: admitted and not yet closed. Everything
   /// that acts on running sessions (deadlines, watchdog, cancel_all,
-  /// wakers, overload hooks) walks this set only.
+  /// wakers) walks this set only.
   std::map<std::size_t, std::unique_ptr<LiveSession>> live;
   std::atomic<std::size_t> session_count_{0};
   std::vector<Worker> workers_;
@@ -281,10 +273,6 @@ struct Engine::Impl {
   std::atomic<RunState> state{RunState::kIdle};
   std::vector<std::thread> pool;
   std::atomic<bool> stop{false};
-  /// Start line for the pool: workers park here until start() finished
-  /// provisioning (worker pinning in particular), so a failed start
-  /// never lets a task body fire first.
-  std::atomic<bool> released{false};
   /// wait() closes admission by setting this under sessions_mu; workers
   /// exit once draining && global_outstanding == 0.
   std::atomic<bool> draining{false};
@@ -979,10 +967,6 @@ struct Engine::Impl {
   }
 
   void worker_main(std::size_t w) {
-    // Hold at the start line until the pool is fully provisioned: no
-    // body may fire before pinning succeeded (a pin failure must fail
-    // start() *before* any side effect, not after).
-    released.wait(false, std::memory_order_acquire);
     auto& me = workers_[w];
     std::size_t hint_rr = w;  // rotating target for come-steal hints
     unsigned depth_tick = 0;  // queue-depth histogram sampling (1 in 16)
@@ -1448,33 +1432,6 @@ struct Engine::Impl {
     });
   }
 
-  /// Pin worker w to CPU (w mod hardware threads). Returns the first
-  /// failure instead of silently ignoring it.
-  Status pin_pool() {
-    if (!options.pin_workers) return Status::ok();
-#if defined(__linux__)
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      const std::size_t cpu = (options.pin_cpu_offset + w) % ncpu;
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<int>(cpu), &set);
-      const int rc =
-          pthread_setaffinity_np(pool[w].native_handle(), sizeof(set), &set);
-      if (rc != 0) {
-        return Status(StatusCode::kInternal,
-                      "pthread_setaffinity_np(worker " + std::to_string(w) +
-                          " -> cpu " + std::to_string(cpu) +
-                          ") failed: " + std::strerror(rc));
-      }
-    }
-    return Status::ok();
-#else
-    return Status(StatusCode::kUnavailable,
-                  "pin_workers is not supported on this platform");
-#endif
-  }
-
   Status start() {
     // kStarting keeps a concurrent wait() from claiming the join while
     // the pool vector is still being built; kRunning is published (and
@@ -1523,26 +1480,6 @@ struct Engine::Impl {
     for (std::size_t w = 0; w < resolved_workers; ++w) {
       pool.emplace_back([this, w] { worker_main(w); });
     }
-    const Status pinned = pin_pool();
-    if (!pinned.is_ok()) {
-      // Surface the failure instead of running unpinned: the workers are
-      // still parked at the start line, so no body has fired — tear the
-      // pool back down and report through start() and any later wait().
-      stop.store(true, std::memory_order_release);
-      released.store(true, std::memory_order_release);
-      released.notify_all();
-      for (auto& th : pool) th.join();
-      pool.clear();
-      {
-        std::lock_guard lock(error_mu);
-        if (first_error.is_ok()) first_error = pinned;
-      }
-      state.store(RunState::kDone);
-      state.notify_all();
-      return pinned;
-    }
-    released.store(true, std::memory_order_release);
-    released.notify_all();
     // Always spawn the monitor: deadlines may arrive with any later
     // dynamic submit, not only with pre-start sessions.
     deadline_thread = std::thread([this] { deadline_main(); });
@@ -1819,26 +1756,6 @@ std::size_t Engine::session_count() const noexcept {
 const SessionReport& Engine::report(std::size_t session) const {
   std::lock_guard lock(impl_->sessions_mu);
   return impl_->reports.at(session);
-}
-
-std::size_t Engine::degrade_live_sessions() {
-  std::vector<std::pair<std::function<void(std::size_t)>, std::size_t>> hooks;
-  {
-    std::lock_guard lock(impl_->sessions_mu);
-    for (auto& [s, sess] : impl_->live) {
-      if (sess->degraded || !sess->options.on_degrade) continue;
-      sess->degraded = true;
-      hooks.emplace_back(sess->options.on_degrade, s);
-    }
-  }
-  for (auto& [hook, s] : hooks) hook(s);
-  return hooks.size();
-}
-
-std::optional<std::pair<std::size_t, std::chrono::steady_clock::time_point>>
-Engine::earliest_live_deadline() const {
-  std::lock_guard lock(impl_->sessions_mu);
-  return impl_->earliest_deadline_locked();
 }
 
 std::size_t Engine::worker_count() const noexcept {

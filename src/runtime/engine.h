@@ -88,11 +88,10 @@
 // from the live set, frees its channels, payload free rings and task
 // state, and only then calls on_session_complete. A finished session
 // keeps only its report; the deadline monitor, the stall watchdog,
-// cancel_all, task wakers and overload hooks walk live sessions only,
-// and a waker called after close is a no-op. A report is final once its
-// session closed and its boundaries were flushed: a boundary failure or
-// device error landing after close (a sink write still in flight)
-// amends it.
+// cancel_all and task wakers walk live sessions only, and a waker called
+// after close is a no-op. A report is final once its session closed and
+// its boundaries were flushed: a boundary failure or device error
+// landing after close (a sink write still in flight) amends it.
 #pragma once
 
 #include <chrono>
@@ -101,9 +100,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -134,16 +131,6 @@ struct EngineOptions {
   /// a fast producer cannot queue many frames of latency ahead of a
   /// slow stage. Edges declaring bytes == 0 get channel_capacity.
   std::size_t channel_capacity = 8;
-  /// Pin worker w to hardware CPU ((pin_cpu_offset + w) mod
-  /// hardware_concurrency) via pthread_setaffinity_np. A pin failure
-  /// fails start() with a Status (never silently ignored); unsupported
-  /// platforms report kUnavailable.
-  bool pin_workers = false;
-  /// First CPU of this engine's pinned range — the per-socket sharding
-  /// knob: a sharded front-end gives each shard a disjoint offset so
-  /// shard workers land on disjoint CPU subsets. Ignored unless
-  /// pin_workers is set.
-  std::size_t pin_cpu_offset = 0;
   /// Invoked once per session, right after it closed (see "Session
   /// lifecycle" above): from the worker that retired its last firing, or
   /// from wait() for a session that never finished. Its report is
@@ -171,15 +158,6 @@ struct SessionOptions {
   /// zero = unlimited. An expired session is cancelled exactly like
   /// Engine::cancel, but its report carries kDeadlineExceeded.
   std::chrono::nanoseconds timeout{0};
-  /// Graceful-degradation hook, fired at most once per live session by
-  /// Engine::degrade_live_sessions — which an overloaded sharded
-  /// front-end calls (see ShardedEngineOptions::overload) — asking it to
-  /// shrink its footprint (bump the encoder qscale, drop enhancement
-  /// layers, halve the frame rate). Runs on the caller's thread outside
-  /// the engine's locks, but with the front-end's admission lock held:
-  /// keep it cheap (flip an atomic the session's task bodies read) and
-  /// never call back into the front-end.
-  std::function<void(std::size_t session)> on_degrade;
 };
 
 /// How a session ended.
@@ -448,15 +426,6 @@ class Engine {
   /// fires or wait() returns) and its boundaries were flushed.
   [[nodiscard]] const SessionReport& report(std::size_t session) const;
 
-  /// Fire SessionOptions::on_degrade of every live session not asked
-  /// before (at most once per session); returns how many hooks fired.
-  std::size_t degrade_live_sessions();
-  /// The live, not yet cancelled session with the earliest deadline, and
-  /// that deadline; nullopt when no such session carries one. What a
-  /// deadline-aware load shedder cancels first.
-  [[nodiscard]] std::optional<
-      std::pair<std::size_t, std::chrono::steady_clock::time_point>>
-  earliest_live_deadline() const;
   /// Workers the pool resolved to (valid after start(); before, the
   /// configured value, which may be 0 = auto).
   [[nodiscard]] std::size_t worker_count() const noexcept;

@@ -710,6 +710,13 @@ common::Result<FileTranscodeSession> make_file_transcode_session(
   if (auto st = video::check_frame_size(w, h); !st.is_ok()) {
     return Result<FileTranscodeSession>(st);
   }
+  const std::uint32_t bs = config.block_size;
+  if (bs < fs::kMinBlockSize) {
+    return Result<FileTranscodeSession>(
+        common::StatusCode::kInvalidArgument,
+        "block_size " + std::to_string(bs) + " is below the volume's minimum " +
+            std::to_string(fs::kMinBlockSize));
+  }
 
   // Prep: encode the input stream and lay it down on a fresh FAT volume.
   video::EncoderConfig ec;
@@ -730,7 +737,6 @@ common::Result<FileTranscodeSession> make_file_transcode_session(
             .bytes);
     total_bytes += units.back().size();
   }
-  const std::uint32_t bs = std::max<std::uint32_t>(64, config.block_size);
   // Input + re-encoded output + FAT/dir overhead, with generous slack.
   const auto blocks =
       static_cast<std::uint32_t>(total_bytes * 3 / bs + 256);

@@ -322,8 +322,8 @@ struct FileTranscodeSession : FileSessionEndpoints, BoundarySession {
 /// re-encode(out_qscale) -> block-write("/out.bit"). Device stats are
 /// reset after the prep writes so modeled I/O time measures the
 /// transcode only. Fails with kInvalidArgument for a size
-/// video::check_frame_size rejects, otherwise only on device/volume
-/// errors.
+/// video::check_frame_size rejects or a block_size below
+/// fs::kMinBlockSize, otherwise only on device/volume errors.
 [[nodiscard]] common::Result<FileTranscodeSession> make_file_transcode_session(
     IoContext& io, const TranscodeSessionConfig& config = {});
 

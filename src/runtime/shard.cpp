@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,8 +37,6 @@ struct ShardedEngine::Impl {
   Counter* m_rejected = nullptr;
   Counter* m_failed = nullptr;
   Counter* m_completed = nullptr;
-  Counter* m_degraded = nullptr;
-  Counter* m_shed = nullptr;
   Gauge* g_inflight = nullptr;
 
   void emit_admission(EventKind kind, std::size_t shard_index) {
@@ -52,45 +48,30 @@ struct ShardedEngine::Impl {
     adm_ring->emit(ev);
   }
 
-  /// Ask every shard to fire its live sessions' on_degrade hooks (each
-  /// engine fires a session's hook at most once). Called under mu.
-  void degrade_live() {
-    std::size_t fired = 0;
-    for (auto& engine : engines) fired += engine->degrade_live_sessions();
-    admission.degraded += fired;
-    if (m_degraded != nullptr && fired > 0) m_degraded->add(fired);
+  /// A zero shard count or admission bound is a bad config, never
+  /// silently raised to 1.
+  Status check_options() const {
+    if (options.shards == 0) {
+      return Status(StatusCode::kInvalidArgument, "shards must be > 0");
+    }
+    if (options.max_sessions_per_shard == 0) {
+      return Status(StatusCode::kInvalidArgument,
+                    "max_sessions_per_shard must be > 0");
+    }
+    return Status::ok();
   }
 
-  /// Cancel the live deadline-bearing session closest to missing its
-  /// deadline, across all shards. Called under mu. Returns the victim's
-  /// shard, or SIZE_MAX when no sheddable session exists.
-  std::size_t shed_one() {
-    constexpr std::size_t kNone = ~std::size_t{0};
-    std::size_t victim_shard = kNone;
-    std::size_t victim_session = 0;
-    std::chrono::steady_clock::time_point victim_deadline;
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-      const auto due = engines[i]->earliest_live_deadline();
-      if (due && (victim_shard == kNone || due->second < victim_deadline)) {
-        victim_shard = i;
-        std::tie(victim_session, victim_deadline) = *due;
-      }
-    }
-    if (victim_shard == kNone) return kNone;
-    engines[victim_shard]->cancel(victim_session);
-    ++admission.shed;
-    if (m_shed != nullptr) m_shed->add(1);
-    return victim_shard;
+  /// Counts a submit refused for a reason other than capacity. Called
+  /// under mu.
+  void count_failed() {
+    ++admission.failed;
+    if (m_failed != nullptr) m_failed->add(1);
   }
 };
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : impl_(std::make_unique<Impl>()) {
   impl_->options = options;
-  if (impl_->options.shards == 0) impl_->options.shards = 1;
-  if (impl_->options.max_sessions_per_shard == 0) {
-    impl_->options.max_sessions_per_shard = 1;
-  }
   const std::size_t shards = impl_->options.shards;
   impl_->inflight = std::make_unique<std::atomic<std::size_t>[]>(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -106,8 +87,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     impl_->m_rejected = m.counter(p + ".admission.rejected");
     impl_->m_failed = m.counter(p + ".admission.failed");
     impl_->m_completed = m.counter(p + ".admission.completed");
-    impl_->m_degraded = m.counter(p + ".admission.degrades");
-    impl_->m_shed = m.counter(p + ".admission.sheds");
     impl_->g_inflight = m.gauge(p + ".admission.inflight");
   }
   impl_->engines.reserve(shards);
@@ -117,13 +96,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     // metric names carry the "<prefix><i>" prefix.
     if (engine_options.telemetry != nullptr) {
       engine_options.telemetry_prefix += std::to_string(i);
-    }
-    // Per-socket layout: shard i owns the CPU range starting at
-    // i * workers, so shard pools never share a core. Width must be
-    // explicit — a 0 (auto) pool size is unknowable here.
-    if (impl_->options.pin_shard_cpu_ranges && engine_options.workers > 0) {
-      engine_options.pin_workers = true;
-      engine_options.pin_cpu_offset = i * engine_options.workers;
     }
     // Load accounting: the slot frees the moment the session closes,
     // however it ended.
@@ -149,58 +121,24 @@ Result<SessionTicket> ShardedEngine::submit(const mpsoc::TaskGraph& graph,
   std::lock_guard lock(impl_->mu);
   ++impl_->admission.submitted;
   if (impl_->m_submitted != nullptr) impl_->m_submitted->add(1);
-  if (impl_->done) {
-    ++impl_->admission.failed;
-    if (impl_->m_failed != nullptr) impl_->m_failed->add(1);
-    return Result<SessionTicket>(StatusCode::kInternal,
-                                 "sharded engine already drained");
+  Status refused = impl_->check_options();
+  if (refused.is_ok() && impl_->done) {
+    refused = Status(StatusCode::kInternal, "sharded engine already drained");
+  }
+  if (!refused.is_ok()) {
+    impl_->count_failed();
+    return Result<SessionTicket>(refused);
   }
   // Least-loaded placement over *live* in-flight counts (admissions
   // minus completions/retirements).
-  const std::size_t shards = impl_->options.shards;
   const std::size_t per_shard = impl_->options.max_sessions_per_shard;
-  const auto& policy = impl_->options.overload;
   std::size_t best = 0;
-  std::size_t best_load = 0;
-  const auto least_loaded = [&] {
-    best = 0;
-    best_load = impl_->inflight[0].load(std::memory_order_acquire);
-    std::size_t total = best_load;
-    for (std::size_t i = 1; i < shards; ++i) {
-      const std::size_t load =
-          impl_->inflight[i].load(std::memory_order_acquire);
-      total += load;
-      if (load < best_load) {
-        best = i;
-        best_load = load;
-      }
-    }
-    return total;
-  };
-  const std::size_t total_inflight = least_loaded();
-  // Graceful degradation, stage 1: once the aggregate load crosses the
-  // watermark (or admission is about to reject), ask every live session
-  // to shrink its footprint — each hook fires at most once.
-  if (best_load >= per_shard ||
-      static_cast<double>(total_inflight + 1) >=
-          policy.degrade_watermark * static_cast<double>(shards * per_shard)) {
-    impl_->degrade_live();
-  }
-  // Stage 2: deadline-aware shedding. The victim — the live session
-  // closest to missing its deadline, i.e. least likely to finish useful
-  // work — is cancelled and its slot (returned when the cancel fully
-  // retires it) goes to the new arrival.
-  if (best_load >= per_shard && policy.shed_earliest_deadline) {
-    const std::size_t victim_shard = impl_->shed_one();
-    if (victim_shard != ~std::size_t{0}) {
-      const auto give_up =
-          std::chrono::steady_clock::now() + policy.shed_grace;
-      while (impl_->inflight[victim_shard].load(std::memory_order_acquire) >=
-             per_shard) {
-        if (std::chrono::steady_clock::now() >= give_up) break;
-        std::this_thread::yield();
-      }
-      least_loaded();
+  std::size_t best_load = impl_->inflight[0].load(std::memory_order_acquire);
+  for (std::size_t i = 1; i < impl_->options.shards; ++i) {
+    const std::size_t load = impl_->inflight[i].load(std::memory_order_acquire);
+    if (load < best_load) {
+      best = i;
+      best_load = load;
     }
   }
   if (best_load >= per_shard) {
@@ -222,8 +160,7 @@ Result<SessionTicket> ShardedEngine::submit(const mpsoc::TaskGraph& graph,
                                             std::move(session_options));
   if (!added.is_ok()) {
     impl_->inflight[best].fetch_sub(1, std::memory_order_acq_rel);
-    ++impl_->admission.failed;  // invalid graph/mapping, not overload
-    if (impl_->m_failed != nullptr) impl_->m_failed->add(1);
+    impl_->count_failed();  // invalid graph/mapping, not overload
     return Result<SessionTicket>(added.status());
   }
   ++impl_->admission.accepted;
@@ -240,14 +177,7 @@ Status ShardedEngine::start() {
   if (impl_->running || impl_->done) {
     return Status(StatusCode::kInternal, "sharded engine already started");
   }
-  if (impl_->options.pin_shard_cpu_ranges && impl_->options.engine.workers == 0) {
-    // Fail loudly, matching the EngineOptions pinning contract: an auto
-    // pool size makes the per-shard CPU range width unknowable, and
-    // silently running unpinned is exactly what pinning forbids.
-    return Status(StatusCode::kInvalidArgument,
-                  "pin_shard_cpu_ranges requires an explicit "
-                  "engine.workers (> 0) so each shard's CPU range is known");
-  }
+  if (const Status bad = impl_->check_options(); !bad.is_ok()) return bad;
   impl_->running = true;
   // Every shard launches, traffic or not: an idle pool parks at zero CPU
   // and dynamic admission may route to it at any moment.

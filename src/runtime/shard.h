@@ -8,8 +8,7 @@
 // (least-loaded placement) and puts an admission controller in front:
 // each shard accepts a bounded number of in-flight sessions, and once
 // every shard is saturated further submits are *rejected with a reason*
-// (kResourceExhausted) instead of queued — graceful degradation, the
-// overload policy platform papers insist on. Rejected work never costs a
+// (kResourceExhausted) instead of queued. Rejected work never costs a
 // worker thread; accepted work keeps its latency budget.
 //
 // Admission is *dynamic*: start() launches every shard immediately and
@@ -20,8 +19,7 @@
 // least-loaded placement and the admission bound track reality under
 // long-running mixes — a slot freed by a finished transcode is
 // immediately available to the next submit. The front-end keeps no
-// session registry of its own: the overload policy asks each shard's
-// engine for its live sessions' degrade hooks and earliest deadline.
+// session registry of its own.
 #pragma once
 
 #include <cstdint>
@@ -31,35 +29,12 @@
 
 namespace mmsoc::runtime {
 
-/// What the admission controller does when capacity runs out, beyond
-/// rejecting: the graceful-degradation half of the overload story. The
-/// default policy is inert (reject-only), preserving the original
-/// admission semantics.
-struct OverloadPolicy {
-  /// Early-warning watermark: once aggregate in-flight sessions reach
-  /// this fraction of total capacity (shards * max_sessions_per_shard),
-  /// submit() fires every live session's SessionOptions::on_degrade
-  /// (at most once per session) before placing the new one — sessions
-  /// shrink their footprint *before* the front door slams. Degrade also
-  /// fires on an actual capacity rejection regardless of the watermark.
-  /// > 1.0 disables the early warning.
-  double degrade_watermark = 2.0;
-  /// Deadline-aware load shedding: when every shard is at its admission
-  /// bound, cancel the live deadline-bearing session *closest to missing
-  /// its deadline* (it has the least chance of finishing useful work),
-  /// wait up to shed_grace for its slot to come back, and admit the new
-  /// session in its place. Off = reject, the legacy behavior.
-  bool shed_earliest_deadline = false;
-  /// How long submit() waits for a shed session to retire and return
-  /// its admission slot before rejecting after all. Cancellation drains
-  /// in-flight firings, so retirement is quick but not instant.
-  std::chrono::nanoseconds shed_grace{5'000'000};  // 5 ms
-};
-
 struct ShardedEngineOptions {
   /// Independent Engine instances (think: one per socket / process).
+  /// Must be > 0: submit() and start() reject 0 with kInvalidArgument.
   std::size_t shards = 2;
   /// Admission bound: in-flight sessions a single shard will accept.
+  /// Must be > 0, like shards.
   std::size_t max_sessions_per_shard = 64;
   /// Worker pool + channel configuration applied to every shard. The
   /// per-engine on_session_complete hook is owned by the front-end (it
@@ -70,17 +45,6 @@ struct ShardedEngineOptions {
   /// and the front-end itself registers an "<prefix>.admission" track
   /// plus "<prefix>.admission.*" counters for accept/reject events.
   EngineOptions engine;
-  /// Per-socket sharding: give every shard a disjoint pinned CPU range —
-  /// shard i's worker w lands on CPU (i * engine.workers + w) mod
-  /// hardware_concurrency, so shards stop competing for the same cores
-  /// (the "one shard per socket" deployment). Implies engine.pin_workers;
-  /// requires an explicit engine.workers > 0 (the range width must be
-  /// known up front — start() fails with kInvalidArgument otherwise).
-  /// Pin failures fail start(), same as EngineOptions.
-  bool pin_shard_cpu_ranges = false;
-  /// Overload response beyond rejection (degrade callbacks, deadline-
-  /// aware shedding). Default-inert.
-  OverloadPolicy overload;
 };
 
 /// Where an admitted session landed; pass back to cancel() / report().
@@ -93,9 +57,9 @@ struct AdmissionStats {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
   /// Capacity rejections only (every shard at max in-flight) — the
-  /// overload signal. Invalid graphs / lifecycle misuse count as
-  /// `failed`, not `rejected`, so reject_rate() stays an admission
-  /// metric.
+  /// overload signal. Invalid graphs / options and lifecycle misuse
+  /// count as `failed`, not `rejected`, so reject_rate() stays an
+  /// admission metric.
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
   /// Sessions that closed (completed, retired after cancel/deadline, or
@@ -105,14 +69,6 @@ struct AdmissionStats {
   /// ShardedEngine::stats() snapshot the books balance:
   /// accepted == completed + inflight.
   std::uint64_t inflight = 0;
-  /// SessionOptions::on_degrade callbacks fired by the overload policy
-  /// (each live session degrades at most once, so this also counts
-  /// degraded sessions).
-  std::uint64_t degraded = 0;
-  /// Sessions cancelled by deadline-aware load shedding to admit new
-  /// work. Shed sessions still retire through the normal cancel path
-  /// and count toward `completed` when their slot returns.
-  std::uint64_t shed = 0;
   [[nodiscard]] double reject_rate() const noexcept {
     return submitted > 0
                ? static_cast<double>(rejected) / static_cast<double>(submitted)
@@ -138,7 +94,8 @@ class ShardedEngine {
       std::uint64_t iterations, SessionOptions session_options = {});
 
   /// Launch every shard's worker pool (idle shards park until traffic
-  /// arrives); non-blocking.
+  /// arrives); non-blocking. kInvalidArgument when shards or
+  /// max_sessions_per_shard is 0.
   [[nodiscard]] common::Status start();
   /// Close admission and block until every shard drained; first shard
   /// error wins.

@@ -17,6 +17,10 @@ namespace mmsoc {
 
 namespace {
 
+// Timeline events the collector retains for trace_json(); past this, drained
+// events still feed the derived metrics and count as dropped().
+constexpr std::size_t kMaxTraceEvents = 1 << 20;
+
 // now_ns_fast() calibration: ns = base_ns + (tsc - base_tsc) * slope. The
 // base pair is fixed at process-wide init; only the slope is refreshed
 // (each collector drain recomputes it from the base pair and a fresh
@@ -223,7 +227,7 @@ struct Telemetry::Impl {
         // Derived metrics first: they must see every drained event even
         // once the retained timeline is full.
         if (track.on_drain) track.on_drain(ev);
-        if (retained.size() >= opts.max_trace_events) {
+        if (retained.size() >= kMaxTraceEvents) {
           ++retained_overflow;
           continue;  // keep draining so rings stay fresh for metrics/dropped()
         }

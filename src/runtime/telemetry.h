@@ -126,7 +126,6 @@ class EventRing {
 
 struct TelemetryOptions {
   std::size_t ring_capacity = 4096;   // events per thread track
-  std::size_t max_trace_events = 1 << 20;  // retained timeline events
   // Collector drain period in milliseconds; 0 disables the background thread
   // (events are drained on flush()/trace_json() only — used by tests).
   int collect_period_ms = 10;

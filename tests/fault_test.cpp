@@ -1,8 +1,7 @@
 // Fault injection + failure recovery: the chaos layer (fault.h), the
 // retry/backoff machinery inside the boundary adapters, failure
-// escalation into the engine (kFailed / kQuarantined), and graceful
-// degradation under admission overload. Runs in the ThreadSanitizer
-// matrix: retry timers, watchdog quarantine, and cancel-during-retry
+// escalation into the engine (kFailed / kQuarantined). Runs under both
+// sanitizers: retry timers, watchdog quarantine, and cancel-during-retry
 // are exactly the interleavings that never crash an ordinary run.
 #include <atomic>
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "runtime/fault.h"
 #include "runtime/io.h"
 #include "runtime/pipelines.h"
-#include "runtime/shard.h"
 
 namespace {
 
@@ -787,96 +785,6 @@ TEST(ChaosMatrix, SeededSchedulesAreWorkerCountInvariantWithExactAccounting) {
           << "every retry traces back to an injected transient";
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Graceful degradation under overload (sharded front-end)
-// ---------------------------------------------------------------------------
-
-mpsoc::Mapping chain_mapping(std::size_t tasks, std::size_t pes) {
-  mpsoc::Mapping m(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) m[t] = t % pes;
-  return m;
-}
-
-TEST(Overload, DegradeHooksFireThenEarliestDeadlineSessionIsShed) {
-  ShardedEngineOptions opts;
-  opts.shards = 1;
-  opts.max_sessions_per_shard = 2;
-  opts.engine.workers = 1;
-  opts.overload.degrade_watermark = 0.5;  // early warning at half capacity
-  opts.overload.shed_earliest_deadline = true;
-  opts.overload.shed_grace = std::chrono::milliseconds(500);
-  ShardedEngine sharded(opts);
-  ASSERT_TRUE(sharded.start().is_ok());
-
-  auto near_miss = make_synthetic_chain(2, 20000.0);
-  auto far_miss = make_synthetic_chain(2, 20000.0);
-  auto newcomer = make_synthetic_chain(2, 200.0);
-
-  std::atomic<int> near_degraded{0};
-  std::atomic<int> far_degraded{0};
-  SessionOptions near_opts;
-  near_opts.timeout = std::chrono::seconds(2);  // closest to missing
-  near_opts.on_degrade = [&near_degraded](std::size_t) { ++near_degraded; };
-  SessionOptions far_opts;
-  far_opts.timeout = std::chrono::seconds(60);
-  far_opts.on_degrade = [&far_degraded](std::size_t) { ++far_degraded; };
-
-  auto near_t = sharded.submit(near_miss.graph, chain_mapping(2, 1),
-                               200'000'000, near_opts);
-  auto far_t = sharded.submit(far_miss.graph, chain_mapping(2, 1),
-                              200'000'000, far_opts);
-  ASSERT_TRUE(near_t.is_ok());
-  ASSERT_TRUE(far_t.is_ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
-  // Third arrival: capacity is 2, both slots taken -> degrade hooks have
-  // fired, the near-deadline session is shed, the newcomer admitted.
-  auto new_t = sharded.submit(newcomer.graph, chain_mapping(2, 1), 10);
-  ASSERT_TRUE(new_t.is_ok())
-      << "shedding must make room: " << new_t.status().to_text();
-  EXPECT_GE(near_degraded.load(), 1) << "degrade hook must have fired";
-  EXPECT_LE(near_degraded.load(), 1) << "and at most once per session";
-  EXPECT_EQ(far_degraded.load(), 1);
-
-  sharded.cancel_all();
-  ASSERT_TRUE(sharded.wait().is_ok());
-
-  EXPECT_EQ(sharded.report(near_t.value()).outcome, SessionOutcome::kCancelled)
-      << "the earliest-deadline session is the shed victim";
-  const auto stats = sharded.stats();
-  EXPECT_EQ(stats.accepted, 3u);
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.degraded, 2u);
-  EXPECT_EQ(stats.rejected, 0u) << "shedding replaced the rejection";
-  EXPECT_EQ(stats.completed + stats.inflight, stats.accepted)
-      << "admission books must balance after shed + cancel_all";
-}
-
-TEST(Overload, InertPolicyStillRejectsWithReason) {
-  ShardedEngineOptions opts;
-  opts.shards = 1;
-  opts.max_sessions_per_shard = 1;
-  opts.engine.workers = 1;
-  ShardedEngine sharded(opts);
-  ASSERT_TRUE(sharded.start().is_ok());
-  auto endless = make_synthetic_chain(2, 20000.0);
-  SessionOptions dl;
-  dl.timeout = std::chrono::seconds(30);
-  auto first =
-      sharded.submit(endless.graph, chain_mapping(2, 1), 200'000'000, dl);
-  ASSERT_TRUE(first.is_ok());
-  auto second = make_synthetic_chain(2, 200.0);
-  auto t2 = sharded.submit(second.graph, chain_mapping(2, 1), 10);
-  EXPECT_FALSE(t2.is_ok()) << "default policy must keep reject semantics";
-  EXPECT_EQ(t2.status().code(), StatusCode::kResourceExhausted);
-  const auto stats = sharded.stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.degraded, 0u);
-  EXPECT_EQ(stats.rejected, 1u);
-  sharded.cancel_all();
-  ASSERT_TRUE(sharded.wait().is_ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -618,6 +618,26 @@ TEST(TranscodeSession, SlowDeviceShowsUpAsIoStallNotCompute) {
   EXPECT_GT(rep.tasks[session.source_task].io_stalls, 0u);
 }
 
+// A block size the FAT volume cannot format is a bad config: rejected up
+// front, naming the field, never raised or reported as a device error.
+TEST(TranscodeSession, RejectsBlockSizeBelowVolumeMinimum) {
+  for (const std::uint32_t bs : {0u, 64u, 127u}) {
+    auto cfg = small_transcode(4);
+    cfg.block_size = bs;
+    IoContext io;
+    const auto made = make_file_transcode_session(io, cfg);
+    ASSERT_FALSE(made.is_ok()) << "block_size " << bs;
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(made.status().message().find("block_size"), std::string::npos)
+        << made.status().to_text();
+  }
+  auto cfg = small_transcode(4);
+  cfg.block_size = 128;
+  IoContext io;
+  const auto made = make_file_transcode_session(io, cfg);
+  EXPECT_TRUE(made.is_ok()) << made.status().to_text();
+}
+
 struct TranscodeRun {
   SessionOutcome outcome = SessionOutcome::kPending;
   Status status;
@@ -688,7 +708,7 @@ TEST(BoundarySessions, RejectFramesThatAreNotWholeMacroblocks) {
     tcfg.height = h;
     const auto made = make_file_transcode_session(io, tcfg);
     ASSERT_FALSE(made.is_ok()) << w << "x" << h;
-    EXPECT_EQ(made.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

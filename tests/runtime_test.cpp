@@ -957,24 +957,6 @@ TEST(Engine, LastQueuedTaskIsStealableWhileOwnerBlocksMidBatch) {
   EXPECT_EQ(runner.sink->tokens.load(), 64u);
 }
 
-TEST(Engine, PinWorkersRunsToCompletionOrFailsLoudly) {
-  EngineOptions opts;
-  opts.workers = 2;
-  opts.pin_workers = true;
-  Engine engine(opts);
-  auto pipe = make_synthetic_chain(3, 500.0);
-  ASSERT_TRUE(engine.submit(pipe.graph, {0, 1, 0}, 20).is_ok());
-  const auto status = engine.run();
-#if defined(__linux__)
-  ASSERT_TRUE(status.is_ok()) << status.to_text();
-  EXPECT_EQ(engine.report(0).outcome, SessionOutcome::kCompleted);
-  EXPECT_EQ(pipe.sink->tokens.load(), 20u);
-#else
-  // Unsupported platforms must surface a Status, never silently unpin.
-  EXPECT_FALSE(status.is_ok());
-#endif
-}
-
 TEST(Engine, ReportExposesPerTaskMeanServiceTime) {
   auto pipe = make_synthetic_chain(3, 2000.0);
   auto report = run_pipeline(pipe.graph, {0, 0, 0}, 16);

@@ -340,49 +340,54 @@ TEST(ShardedEngine, DestructorWhileRunningCancelsAllShards) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
 }
 
-// An auto pool size makes the per-shard CPU range unknowable; silently
-// running unpinned would violate the pinning contract, so start() fails.
-TEST(ShardedEngine, PinShardCpuRangesRejectsAutoWorkerCount) {
+// Rejection also holds into running shards: with the one slot held by a
+// live session, a further submit is refused with a reason.
+TEST(ShardedEngine, RejectsWithReasonIntoRunningShards) {
   ShardedEngineOptions opts;
-  opts.shards = 2;
-  opts.engine.workers = 0;  // auto
-  opts.pin_shard_cpu_ranges = true;
+  opts.shards = 1;
+  opts.max_sessions_per_shard = 1;
+  opts.engine.workers = 1;
   ShardedEngine sharded(opts);
-  const auto status = sharded.start();
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(sharded.start().is_ok());
+  auto endless = make_synthetic_chain(2, 20000.0);
+  ASSERT_TRUE(
+      sharded.submit(endless.graph, chain_mapping(2, 1), 200'000'000).is_ok());
+  auto second = make_synthetic_chain(2, 200.0);
+  auto t2 = sharded.submit(second.graph, chain_mapping(2, 1), 10);
+  EXPECT_FALSE(t2.is_ok()) << "a full front-end must reject";
+  EXPECT_EQ(t2.status().code(), common::StatusCode::kResourceExhausted);
+  EXPECT_NE(t2.status().message().find("admission reject"), std::string::npos);
+  EXPECT_EQ(sharded.stats().rejected, 1u);
+  sharded.cancel_all();
+  ASSERT_TRUE(sharded.wait().is_ok());
 }
 
-// Per-socket shards: each shard's workers pin to a disjoint CPU range
-// (shard i starts at CPU i * workers, wrapped mod hardware threads).
-TEST(ShardedEngine, PinShardCpuRangesRunsToCompletionOrFailsLoudly) {
-  ShardedEngineOptions opts;
-  opts.shards = 2;
-  opts.engine.workers = 2;  // explicit: the range width must be known
-  opts.pin_shard_cpu_ranges = true;
-  ShardedEngine sharded(opts);
-  std::vector<SyntheticPipeline> pipes;
-  std::vector<SessionTicket> tickets;
-  pipes.reserve(4);
-  for (int i = 0; i < 4; ++i) {
-    pipes.push_back(make_synthetic_chain(3, 500.0));
-    auto r = sharded.submit(pipes.back().graph, chain_mapping(3, 1), 12);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_text();
-    tickets.push_back(r.value());
+// A zero shard count or admission bound is a bad config: start() and
+// submit() refuse it with kInvalidArgument (a failure, not an admission
+// reject) instead of silently running with 1.
+TEST(ShardedEngine, ZeroShardsOrSessionBoundIsInvalidArgument) {
+  for (const bool zero_shards : {true, false}) {
+    ShardedEngineOptions opts;
+    opts.engine.workers = 1;
+    if (zero_shards) {
+      opts.shards = 0;
+    } else {
+      opts.max_sessions_per_shard = 0;
+    }
+    const char* field = zero_shards ? "shards" : "max_sessions_per_shard";
+    ShardedEngine sharded(opts);
+    auto pipe = make_synthetic_chain(2, 100.0);
+    const auto r = sharded.submit(pipe.graph, chain_mapping(2, 1), 5);
+    ASSERT_FALSE(r.is_ok()) << field;
+    EXPECT_EQ(r.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(field), std::string::npos);
+    const auto stats = sharded.stats();
+    EXPECT_EQ(stats.submitted, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.rejected, 0u);
+    const auto started = sharded.start();
+    EXPECT_EQ(started.code(), common::StatusCode::kInvalidArgument) << field;
   }
-  const auto status = sharded.run();
-#if defined(__linux__)
-  ASSERT_TRUE(status.is_ok()) << status.to_text();
-  for (const auto t : tickets) {
-    EXPECT_EQ(sharded.report(t).outcome, SessionOutcome::kCompleted);
-  }
-  for (const auto& pipe : pipes) {
-    EXPECT_EQ(pipe.sink->tokens.load(), 12u);
-  }
-#else
-  // Unsupported platforms must surface a Status, never silently unpin.
-  EXPECT_FALSE(status.is_ok());
-#endif
 }
 
 // stats() promises a *consistent* snapshot: accepted == completed +
