@@ -11,6 +11,15 @@
 
 namespace mmsoc::common {
 
+/// SplitMix64's finalizer: a bijective 64-bit mix in which every input
+/// bit affects every output bit. Hashing a counter with it gives a
+/// stateless random stream.
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// Small, fast, explicitly-seeded PRNG. Satisfies UniformRandomBitGenerator
 /// so it can also feed <random> distributions when needed.
 class Rng {
@@ -22,10 +31,7 @@ class Rng {
     std::uint64_t x = seed;
     for (auto& lane : s_) {
       x += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      lane = z ^ (z >> 31);
+      lane = mix64(x);
     }
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;  // avoid all-zero state
   }

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/rng.h"
+
 namespace mmsoc::runtime {
 
 using common::Result;
@@ -21,10 +23,7 @@ constexpr std::uint64_t kSaltCorrupt = 0x636f'7272ull;
 constexpr std::uint64_t kSaltJitter = 0x6a69'7474ull;
 
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return common::mix64(x + 0x9e3779b97f4a7c15ull);
 }
 
 double to_unit_double(std::uint64_t h) noexcept {

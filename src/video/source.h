@@ -8,12 +8,12 @@
 // saturation).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "common/gaussian.h"
 #include "common/rng.h"
 #include "video/frame.h"
 
@@ -72,13 +72,11 @@ class SyntheticVideo {
   /// Rendering is bit-exact: noise lattices are tabulated per frame and
   /// per cell row, but every pixel keeps the arithmetic and evaluation
   /// order of the per-pixel definition, so output bytes depend only on
-  /// (size, scene, frame_index). The sensor noise is one Gaussian stream
-  /// per frame (Rng::next_gaussian's, in raster order), produced a row at
-  /// a time by common::GaussianStream: its polar attempts are drawn in
-  /// blocks, the rejection step is branch-free, and a row's transform is
-  /// batched through a vector log. add_sensor_noise rounds each row and
-  /// redoes it with the exact libm values when the guard band says the
-  /// fast ones could round differently.
+  /// (size, scene, frame_index). The sensor noise is stateless: frame f
+  /// has the key common::mix64(seed ^ (0xABCD + f * 0x10001)), and pixel
+  /// (x, y) of a W-wide plane adds sigma times the sensor_noise_table()
+  /// entry indexed by the top 12 bits of mix64(key + y * W + x) (see
+  /// add_sensor_noise). No pixel depends on another's draw.
   static void render_luma(const SceneParams& scene, int frame_index,
                           Plane& luma);
 
@@ -93,14 +91,20 @@ class SyntheticVideo {
   int separator_left_ = 0;
 };
 
-/// One row of sensor-noised luma: out[x] = clamp_u8(int(v[x] + sigma * g
-/// + 0.5)) for the next v.size() values g of `noise`, byte for byte as
-/// with next_gaussian's values. The row is rounded from the stream's fast
-/// values. A pixel whose sum lies within 1e-9 * (1 + |sigma|) of an
-/// integer (the sum minus and plus that band truncate differently)
-/// could round otherwise with the exact values, so its row is redone with
-/// noise.exact(). Near 0, where both sides truncate to 0, nothing is redone.
+/// Entries of the sensor-noise table.
+inline constexpr std::size_t kSensorNoiseTableSize = 4096;
+
+/// The sensor-noise table: the standard normal quantile at each bin
+/// midpoint, Phi^-1((i + 0.5) / 4096), rounded to a multiple of 2^-20 so
+/// that the host libm's last-ulp differences cannot reach it (the nearest
+/// entry lies 1.8e-4 grid steps from a rounding tie). Symmetric, so its
+/// mean is exactly 0. Built once, on first use.
+std::span<const double, kSensorNoiseTableSize> sensor_noise_table();
+
+/// One row of sensor-noised luma whose first pixel has noise counter
+/// `counter`: out[x] = clamp_u8(int(v[x] + sigma * g + 0.5)) with
+/// g = sensor_noise_table()[mix64(counter + x) >> 52].
 void add_sensor_noise(std::span<const double> v, double sigma,
-                      common::GaussianStream& noise, std::uint8_t* out);
+                      std::uint64_t counter, std::uint8_t* out);
 
 }  // namespace mmsoc::video

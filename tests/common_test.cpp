@@ -2,17 +2,14 @@
 // PRNG, fixed-point, math utilities, status types.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "common/bitstream.h"
 #include "common/crc32.h"
 #include "common/fixed.h"
-#include "common/gaussian.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -287,95 +284,6 @@ TEST(Rng, GaussianMoments) {
   const double var = sum2 / n - m * m;
   EXPECT_NEAR(m, 0.0, 0.05);
   EXPECT_NEAR(var, 1.0, 0.05);
-}
-
-// ------------------------------------------------------- gaussian stream
-
-// next_gaussian's polar attempts, one at a time: the accepted (u, v, s).
-struct PolarAttempt {
-  double u, v, s;
-};
-
-PolarAttempt next_accepted_attempt(Rng& rng) {
-  double u, v, s;
-  do {
-    u = rng.next_double_in(-1.0, 1.0);
-    v = rng.next_double_in(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  return {u, v, s};
-}
-
-constexpr std::uint64_t kStreamSeeds[] = {1, 17, 0xABCD, 0x8000000000000005ull};
-
-std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
-
-TEST(GaussianStream, BlockDrawsAreNextGaussiansAttemptsBitForBit) {
-  for (const std::uint64_t seed : kStreamSeeds) {
-    Rng reference(seed), blocks(seed);
-    std::vector<double> uv(2 * kPolarBlock), s(kPolarBlock);
-    std::size_t compared = 0, mismatched = 0;
-    while (compared < 300000) {
-      const std::size_t n = draw_polar_block(blocks, uv.data(), s.data(), 0);
-      for (std::size_t i = 0; i < n; ++i, ++compared) {
-        const PolarAttempt a = next_accepted_attempt(reference);
-        mismatched += bits(a.u) != bits(uv[2 * i]) ||
-                      bits(a.v) != bits(uv[2 * i + 1]) || bits(a.s) != bits(s[i]);
-      }
-    }
-    EXPECT_EQ(mismatched, 0u) << "seed " << seed << ", " << compared << " attempts";
-  }
-}
-
-TEST(GaussianStream, RowsAreNextGaussiansValues) {
-  // Row widths cycle through odd and even ones, so rows start on either
-  // half of a pair, and include empty and one-value rows.
-  constexpr std::size_t kWidths[] = {352, 33, 1, 0, 176, 7, 2, 61};
-  double worst = 0.0;
-  std::size_t values = 0;
-  for (const std::uint64_t seed : kStreamSeeds) {
-    Rng reference(seed);
-    GaussianStream stream(seed);
-    std::size_t mismatched = 0, out_of_bound = 0;
-    for (std::size_t row = 0, drawn = 0; drawn < 300000; ++row) {
-      const std::size_t width = kWidths[row % std::size(kWidths)];
-      const auto fast_row = stream.next(width);
-      const std::vector<double> fast(fast_row.begin(), fast_row.end());
-      const auto exact = stream.exact();
-      ASSERT_EQ(exact.size(), width);
-      drawn += width;
-      values += width;
-      for (std::size_t x = 0; x < width; ++x) {
-        const double g = reference.next_gaussian();
-        mismatched += bits(g) != bits(exact[x]);
-        const double error = std::abs(fast[x] - g);
-        out_of_bound += error > GaussianStream::kMaxRelError * std::abs(g);
-        if (g != 0.0) worst = std::max(worst, error / std::abs(g));
-      }
-    }
-    EXPECT_EQ(mismatched, 0u) << "seed " << seed;
-    EXPECT_EQ(out_of_bound, 0u) << "seed " << seed;
-  }
-  EXPECT_GE(values, 1000000u);
-  char measured[32];
-  std::snprintf(measured, sizeof measured, "%.3g", worst);
-  RecordProperty("max_relative_error", measured);
-}
-
-TEST(GaussianStream, BatchedScaleIsWithinItsBoundAcrossTheRange) {
-  // s from 2^-104 (u and v one step from 0) up to just below 1, where
-  // log s -> 0 and the relative error of the log is hardest to keep.
-  std::vector<double> s;
-  for (int e = -104; e < 0; ++e)
-    for (int k = 0; k < 64; ++k) s.push_back(std::ldexp(1.0 + k / 64.0, e));
-  for (double x = 1.0; s.size() < 20000;) s.push_back(x = std::nextafter(x, 0.0));
-  std::vector<double> m(s.size());
-  polar_scale(s.data(), m.data(), s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const double exact = std::sqrt(-2.0 * std::log(s[i]) / s[i]);
-    EXPECT_LE(std::abs(m[i] - exact), GaussianStream::kMaxRelError * exact)
-        << "s " << s[i];
-  }
 }
 
 TEST(Rng, BernoulliFrequency) {

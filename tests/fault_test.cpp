@@ -143,10 +143,8 @@ TEST(IoErrorSummary, RecordAndMergeKeepTheEpisodeShape) {
 /// Replay `units` reads through a wrapped always-succeeding inner
 /// endpoint, retrying injected transient errors like the adapter would
 /// (same unit, next attempt), and record each op's outcome code.
-std::vector<StatusCode> replay_reads(FaultInjector& inj, std::size_t endpoint,
-                                     TryReadFn wrapped, std::uint64_t units,
+std::vector<StatusCode> replay_reads(TryReadFn wrapped, std::uint64_t units,
                                      std::uint32_t max_attempts) {
-  (void)endpoint;
   std::vector<StatusCode> outcomes;
   for (std::uint64_t u = 0; u < units; ++u) {
     for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -172,7 +170,7 @@ TEST(FaultInjector, TransientScheduleIsIdenticalAcrossInjectorsWithOneSeed) {
     auto wrapped = inj.wrap_read(ep, [](std::uint64_t i) {
       return Result<Payload>(unit_payload(i));
     });
-    auto outcomes = replay_reads(inj, ep, std::move(wrapped), kUnits, 4);
+    auto outcomes = replay_reads(std::move(wrapped), kUnits, 4);
     return std::pair(outcomes, inj.stats(ep));
   };
 

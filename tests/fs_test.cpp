@@ -48,9 +48,9 @@ TEST(BlockDevice, BoundsChecked) {
 TEST(BlockDevice, SeekAccounting) {
   BlockDevice dev(100, 128);
   std::vector<std::uint8_t> buf(128);
-  dev.read(0, buf);   // head 0 -> 0
-  dev.read(50, buf);  // +50
-  dev.read(10, buf);  // +40
+  ASSERT_TRUE(dev.read(0, buf).is_ok());   // head 0 -> 0
+  ASSERT_TRUE(dev.read(50, buf).is_ok());  // +50
+  ASSERT_TRUE(dev.read(10, buf).is_ok());  // +40
   EXPECT_EQ(dev.seek_distance(), 90u);
   EXPECT_EQ(dev.reads(), 3u);
   dev.reset_stats();
@@ -60,12 +60,12 @@ TEST(BlockDevice, SeekAccounting) {
 TEST(BlockDevice, SequentialCheaperThanRandom) {
   BlockDevice dev(1000, 128);
   std::vector<std::uint8_t> buf(128);
-  for (std::uint32_t b = 0; b < 100; ++b) dev.read(b, buf);
+  for (std::uint32_t b = 0; b < 100; ++b) ASSERT_TRUE(dev.read(b, buf).is_ok());
   const double sequential = dev.modeled_time_us();
   dev.reset_stats();
   Rng rng(2);
   for (int i = 0; i < 100; ++i) {
-    dev.read(static_cast<std::uint32_t>(rng.next_below(1000)), buf);
+    ASSERT_TRUE(dev.read(static_cast<std::uint32_t>(rng.next_below(1000)), buf).is_ok());
   }
   const double random = dev.modeled_time_us();
   EXPECT_GT(random, 2.0 * sequential);

@@ -540,7 +540,7 @@ TEST(StreamingSession, LossyDefaultMatchesGoldenAtEveryWorkerCount) {
   for (const std::size_t workers : {1, 2, 4}) {
     const StreamRun r = run_stream(cfg, workers);
     ASSERT_EQ(r.outcome, SessionOutcome::kCompleted) << workers << " workers";
-    EXPECT_EQ(r.luma_crc, 0x10ef1bf0u) << workers << " workers";
+    EXPECT_EQ(r.luma_crc, 0x5bde66deu) << workers << " workers";
     EXPECT_EQ(r.luma_bytes, 98304u) << workers << " workers";
     EXPECT_EQ(r.decode_conceals, 14u) << workers << " workers";
     EXPECT_EQ(r.concealed, 7u) << workers << " workers";
@@ -686,9 +686,9 @@ TEST(TranscodeSession, DefaultMatchesGoldenAtEveryWorkerCount) {
   for (const std::size_t workers : {1, 2, 4}) {
     const TranscodeRun r = run_transcode(TranscodeSessionConfig{}, workers);
     ASSERT_EQ(r.outcome, SessionOutcome::kCompleted) << workers << " workers";
-    EXPECT_EQ(r.out_crc, 0xd9d2cb09u) << workers << " workers";
-    EXPECT_EQ(r.bytes_out, 5585u) << workers << " workers";
-    EXPECT_EQ(r.bytes_on_disk, 5585u) << workers << " workers";
+    EXPECT_EQ(r.out_crc, 0xf5d90b5au) << workers << " workers";
+    EXPECT_EQ(r.bytes_out, 5724u) << workers << " workers";
+    EXPECT_EQ(r.bytes_on_disk, 5724u) << workers << " workers";
   }
 }
 

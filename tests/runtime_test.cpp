@@ -1077,9 +1077,9 @@ TEST(VideoPipeline, CifStreamMatchesRecordedGolden) {
   auto report = run_pipeline(pipe.graph, mapping, 8, opts);
   ASSERT_TRUE(report.is_ok()) << report.status().to_text();
   EXPECT_EQ(pipe.sink->frames_coded, 8u);
-  EXPECT_EQ(pipe.sink->bitstream_crc, 0x5EF90BE5u);
-  EXPECT_EQ(pipe.sink->recon_crc, 0x76524A0Fu);
-  EXPECT_EQ(pipe.sink->bitstream_bytes, 20263u);
+  EXPECT_EQ(pipe.sink->bitstream_crc, 0x7993C2B0u);
+  EXPECT_EQ(pipe.sink->recon_crc, 0xE848F6E8u);
+  EXPECT_EQ(pipe.sink->bitstream_bytes, 20055u);
   // Frame-sized edges (a CIF plane or residual, over half the 256 KiB
   // channel byte budget) are double-buffered; the small motion-vector and
   // bitstream edges may fill their whole channel.

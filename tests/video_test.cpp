@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "common/gaussian.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "video/codec.h"
@@ -142,11 +141,12 @@ TEST(SyntheticVideo, FramesDifferOverTime) {
   EXPECT_LT(psnr_luma(a, b), 40.0);  // genuinely different content
 }
 
-// Golden CRC-32s of every plane, recorded from the original per-pixel
-// renderer: the tabulated one must reproduce it byte for byte. Kinds are
-// low motion, high motion, high detail, flat (seed 7), and high motion
-// with a negative pan (seed 3, pan (-3.5, -1.25)); sizes include ones
-// that are not multiples of 16, and odd ones whose chroma rounds down.
+// Golden CRC-32s of every plane: Cb and Cr recorded from the original
+// per-pixel renderer, Y from the counter-hashed sensor noise. The
+// renderer must reproduce them byte for byte. Kinds are low motion, high
+// motion, high detail, flat (seed 7), and high motion with a negative pan
+// (seed 3, pan (-3.5, -1.25)); sizes include ones that are not multiples
+// of 16, and odd ones whose chroma rounds down.
 struct RenderGolden {
   int kind, width, height, frame;
   std::uint32_t y, cb, cr;
@@ -175,74 +175,74 @@ std::uint32_t plane_crc(const Plane& p) {
 
 TEST(SyntheticVideo, RenderMatchesRecordedGoldenCrcs) {
   constexpr RenderGolden kGolden[] = {
-    {0, 352, 288, 0, 0xB8A971F1u, 0x4DD6198Bu, 0x791CE77Du},
-    {0, 352, 288, 1, 0x87AB2A2Cu, 0x9560035Fu, 0x4890983Eu},
-    {0, 352, 288, 119, 0x37B20A9Cu, 0x45ACF65Du, 0x05D07A25u},
-    {0, 352, 288, 500, 0xE19AB973u, 0xF546B935u, 0x7F566524u},
-    {0, 176, 144, 0, 0x710AC173u, 0xA4E026C0u, 0x0A4BD579u},
-    {0, 176, 144, 1, 0x4E1E0B0Cu, 0xCD75C5F0u, 0x14390B0Du},
-    {0, 176, 144, 119, 0x9AC24F02u, 0xAEDF78D2u, 0x5E4465CEu},
-    {0, 176, 144, 500, 0x37DB7DC4u, 0x9DE0F170u, 0x54F60A55u},
-    {0, 72, 40, 0, 0x3C40CFFDu, 0x4D2D9E2Du, 0x4C7120CBu},
-    {0, 72, 40, 1, 0x49208889u, 0xA4261913u, 0x2F8E5663u},
-    {0, 72, 40, 119, 0x928A7574u, 0x31D76559u, 0x8FC56E2Cu},
-    {0, 72, 40, 500, 0x6359C7E6u, 0xB0BA885Au, 0x8B49DDE6u},
-    {0, 33, 17, 0, 0xDD429A34u, 0x597070BDu, 0x78B15B2Cu},
-    {0, 33, 17, 1, 0xA97A0540u, 0xB194F95Bu, 0x68B56955u},
-    {0, 33, 17, 119, 0xAAB51B41u, 0x1191FFBDu, 0x801896CEu},
-    {0, 33, 17, 500, 0xE0492FE0u, 0xDBC0DCEBu, 0x98CA37FCu},
-    {1, 352, 288, 0, 0x68A70DE7u, 0x4DD6198Bu, 0x791CE77Du},
-    {1, 352, 288, 1, 0xA43ADCE3u, 0x2BFFF5C6u, 0xCA5257A7u},
-    {1, 352, 288, 119, 0x5E345C39u, 0xA6C77A7Bu, 0xCEAAC46Eu},
-    {1, 352, 288, 500, 0xF262C673u, 0xD0807FCBu, 0xA7D258DEu},
-    {1, 176, 144, 0, 0xB0778130u, 0xA4E026C0u, 0x0A4BD579u},
-    {1, 176, 144, 1, 0xDDE67D63u, 0xEC98728Bu, 0xF0F2306Eu},
-    {1, 176, 144, 119, 0x01782051u, 0x8A678332u, 0x5E5BC959u},
-    {1, 176, 144, 500, 0x42C0D987u, 0x6815DB17u, 0x5C105C1Eu},
-    {1, 72, 40, 0, 0xE575D4A3u, 0x4D2D9E2Du, 0x4C7120CBu},
-    {1, 72, 40, 1, 0x78A0A3CFu, 0x0AC160CEu, 0xA5D10E9Fu},
-    {1, 72, 40, 119, 0x288F742Bu, 0xBB487078u, 0x42A00378u},
-    {1, 72, 40, 500, 0x31D28A9Bu, 0xD42065A7u, 0xA76015C2u},
-    {1, 33, 17, 0, 0x85E61256u, 0x597070BDu, 0x78B15B2Cu},
-    {1, 33, 17, 1, 0xDA7C53DFu, 0x553D23B1u, 0x426A5407u},
-    {1, 33, 17, 119, 0xC8EBA68Au, 0x6F08A68Cu, 0xA49C8764u},
-    {1, 33, 17, 500, 0x9A7DC2B1u, 0x486CC560u, 0xEFC673D5u},
-    {2, 352, 288, 0, 0x3277DF6Bu, 0x4DD6198Bu, 0x791CE77Du},
-    {2, 352, 288, 1, 0x716C0384u, 0x8DC5A8F6u, 0xE314363Fu},
-    {2, 352, 288, 119, 0x31D4908Du, 0xCAA108EEu, 0x68F7E2ADu},
-    {2, 352, 288, 500, 0x80DC80DBu, 0xD6CB81ABu, 0x7C84F30Au},
-    {2, 176, 144, 0, 0x285106E2u, 0xA4E026C0u, 0x0A4BD579u},
-    {2, 176, 144, 1, 0x72092002u, 0xECA41C01u, 0xC957127Bu},
-    {2, 176, 144, 119, 0x7B299858u, 0x3A99620Fu, 0x788E10C6u},
-    {2, 176, 144, 500, 0x82CF256Bu, 0x61462AD4u, 0x85328BE2u},
-    {2, 72, 40, 0, 0x559A3EFFu, 0x4D2D9E2Du, 0x4C7120CBu},
-    {2, 72, 40, 1, 0x2E47CC42u, 0xDF19F265u, 0x04610D61u},
-    {2, 72, 40, 119, 0x946E938Eu, 0x0663E7BBu, 0x2C9F8BA8u},
-    {2, 72, 40, 500, 0x52898AFAu, 0x54251ECFu, 0x4E9A922Du},
-    {2, 33, 17, 0, 0xFA671315u, 0x597070BDu, 0x78B15B2Cu},
-    {2, 33, 17, 1, 0xD0B45380u, 0x5DE5E3F5u, 0xAB82C7CAu},
-    {2, 33, 17, 119, 0x2E9B0F8Bu, 0x4E2FF57Eu, 0x8CA4045Cu},
-    {2, 33, 17, 500, 0x270381D2u, 0xE041444Cu, 0x0EF6AA27u},
-    {3, 352, 288, 0, 0x4A908C6Fu, 0x4DD6198Bu, 0x791CE77Du},
-    {3, 352, 288, 1, 0x17BAA607u, 0x4DD6198Bu, 0x791CE77Du},
-    {3, 352, 288, 119, 0x694AF2FCu, 0x4DD6198Bu, 0x791CE77Du},
-    {3, 352, 288, 500, 0x4E59306Fu, 0x4DD6198Bu, 0x791CE77Du},
-    {3, 176, 144, 0, 0x8E9B47D1u, 0xA4E026C0u, 0x0A4BD579u},
-    {3, 176, 144, 1, 0x29A8CA4Cu, 0xA4E026C0u, 0x0A4BD579u},
-    {3, 176, 144, 119, 0x33C86A93u, 0xA4E026C0u, 0x0A4BD579u},
-    {3, 176, 144, 500, 0x44F7F3F1u, 0xA4E026C0u, 0x0A4BD579u},
-    {3, 72, 40, 0, 0x93EF749Cu, 0x4D2D9E2Du, 0x4C7120CBu},
-    {3, 72, 40, 1, 0x191EF36Fu, 0x4D2D9E2Du, 0x4C7120CBu},
-    {3, 72, 40, 119, 0xC17BDF4Eu, 0x4D2D9E2Du, 0x4C7120CBu},
-    {3, 72, 40, 500, 0x16FDEE92u, 0x4D2D9E2Du, 0x4C7120CBu},
-    {3, 33, 17, 0, 0x82E9B973u, 0x597070BDu, 0x78B15B2Cu},
-    {3, 33, 17, 1, 0x1D900EA0u, 0x597070BDu, 0x78B15B2Cu},
-    {3, 33, 17, 119, 0x3DF898E9u, 0x597070BDu, 0x78B15B2Cu},
-    {3, 33, 17, 500, 0x0417F169u, 0x597070BDu, 0x78B15B2Cu},
-    {4, 72, 40, 0, 0x334A0174u, 0xDC3633B5u, 0x20DAA366u},
-    {4, 72, 40, 1, 0x8335C545u, 0x4A3561E6u, 0x9BA44DA7u},
-    {4, 72, 40, 119, 0x39431A99u, 0x146AB8E3u, 0x9A918DA8u},
-    {4, 72, 40, 500, 0x695BE38Du, 0x31FE70C9u, 0x5C349644u},
+    {0, 352, 288, 0, 0xA307C2D5u, 0x4DD6198Bu, 0x791CE77Du},
+    {0, 352, 288, 1, 0x9666AD9Du, 0x9560035Fu, 0x4890983Eu},
+    {0, 352, 288, 119, 0x54827BE8u, 0x45ACF65Du, 0x05D07A25u},
+    {0, 352, 288, 500, 0xD006AC2Au, 0xF546B935u, 0x7F566524u},
+    {0, 176, 144, 0, 0x3679B4EAu, 0xA4E026C0u, 0x0A4BD579u},
+    {0, 176, 144, 1, 0x53FEDD41u, 0xCD75C5F0u, 0x14390B0Du},
+    {0, 176, 144, 119, 0x1F05B1C8u, 0xAEDF78D2u, 0x5E4465CEu},
+    {0, 176, 144, 500, 0xBB66D1F5u, 0x9DE0F170u, 0x54F60A55u},
+    {0, 72, 40, 0, 0x3A7C5D49u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {0, 72, 40, 1, 0xBE4B854Cu, 0xA4261913u, 0x2F8E5663u},
+    {0, 72, 40, 119, 0xDD0A6E47u, 0x31D76559u, 0x8FC56E2Cu},
+    {0, 72, 40, 500, 0x24BFB50Fu, 0xB0BA885Au, 0x8B49DDE6u},
+    {0, 33, 17, 0, 0x420061E6u, 0x597070BDu, 0x78B15B2Cu},
+    {0, 33, 17, 1, 0x9236185Cu, 0xB194F95Bu, 0x68B56955u},
+    {0, 33, 17, 119, 0xA7DBCD93u, 0x1191FFBDu, 0x801896CEu},
+    {0, 33, 17, 500, 0xAE79AC1Eu, 0xDBC0DCEBu, 0x98CA37FCu},
+    {1, 352, 288, 0, 0x0AF66120u, 0x4DD6198Bu, 0x791CE77Du},
+    {1, 352, 288, 1, 0xB778E287u, 0x2BFFF5C6u, 0xCA5257A7u},
+    {1, 352, 288, 119, 0x03F1E78Bu, 0xA6C77A7Bu, 0xCEAAC46Eu},
+    {1, 352, 288, 500, 0xCB068943u, 0xD0807FCBu, 0xA7D258DEu},
+    {1, 176, 144, 0, 0x9D37D96Cu, 0xA4E026C0u, 0x0A4BD579u},
+    {1, 176, 144, 1, 0xFCF286A7u, 0xEC98728Bu, 0xF0F2306Eu},
+    {1, 176, 144, 119, 0xBE98A42Fu, 0x8A678332u, 0x5E5BC959u},
+    {1, 176, 144, 500, 0x5C271690u, 0x6815DB17u, 0x5C105C1Eu},
+    {1, 72, 40, 0, 0xAEFFCCC6u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {1, 72, 40, 1, 0x263F0491u, 0x0AC160CEu, 0xA5D10E9Fu},
+    {1, 72, 40, 119, 0xDE57AB3Au, 0xBB487078u, 0x42A00378u},
+    {1, 72, 40, 500, 0x34E1D1F3u, 0xD42065A7u, 0xA76015C2u},
+    {1, 33, 17, 0, 0x8279364Bu, 0x597070BDu, 0x78B15B2Cu},
+    {1, 33, 17, 1, 0x59D8BC12u, 0x553D23B1u, 0x426A5407u},
+    {1, 33, 17, 119, 0x264C9D01u, 0x6F08A68Cu, 0xA49C8764u},
+    {1, 33, 17, 500, 0x473AB6AAu, 0x486CC560u, 0xEFC673D5u},
+    {2, 352, 288, 0, 0x609A489Au, 0x4DD6198Bu, 0x791CE77Du},
+    {2, 352, 288, 1, 0x708BC85Fu, 0x8DC5A8F6u, 0xE314363Fu},
+    {2, 352, 288, 119, 0x23155472u, 0xCAA108EEu, 0x68F7E2ADu},
+    {2, 352, 288, 500, 0x2DB5B365u, 0xD6CB81ABu, 0x7C84F30Au},
+    {2, 176, 144, 0, 0x230CE712u, 0xA4E026C0u, 0x0A4BD579u},
+    {2, 176, 144, 1, 0x770909E8u, 0xECA41C01u, 0xC957127Bu},
+    {2, 176, 144, 119, 0xBA246619u, 0x3A99620Fu, 0x788E10C6u},
+    {2, 176, 144, 500, 0x8DE5B336u, 0x61462AD4u, 0x85328BE2u},
+    {2, 72, 40, 0, 0x03FB8D72u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {2, 72, 40, 1, 0x41A35423u, 0xDF19F265u, 0x04610D61u},
+    {2, 72, 40, 119, 0x07A7D9CFu, 0x0663E7BBu, 0x2C9F8BA8u},
+    {2, 72, 40, 500, 0x938A7C41u, 0x54251ECFu, 0x4E9A922Du},
+    {2, 33, 17, 0, 0x6CAECC90u, 0x597070BDu, 0x78B15B2Cu},
+    {2, 33, 17, 1, 0x42EF18B9u, 0x5DE5E3F5u, 0xAB82C7CAu},
+    {2, 33, 17, 119, 0x5220B752u, 0x4E2FF57Eu, 0x8CA4045Cu},
+    {2, 33, 17, 500, 0xA76D007Eu, 0xE041444Cu, 0x0EF6AA27u},
+    {3, 352, 288, 0, 0xB9530B5Au, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 352, 288, 1, 0xEBED990Bu, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 352, 288, 119, 0x79064B1Bu, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 352, 288, 500, 0xC6D3FDE9u, 0x4DD6198Bu, 0x791CE77Du},
+    {3, 176, 144, 0, 0xC6DB4CB1u, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 176, 144, 1, 0xE567B91Eu, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 176, 144, 119, 0x8F459E11u, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 176, 144, 500, 0x37C57FACu, 0xA4E026C0u, 0x0A4BD579u},
+    {3, 72, 40, 0, 0x0B426A47u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 72, 40, 1, 0xD607F8A5u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 72, 40, 119, 0x34DF8169u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 72, 40, 500, 0x9801F869u, 0x4D2D9E2Du, 0x4C7120CBu},
+    {3, 33, 17, 0, 0x6C88D5ADu, 0x597070BDu, 0x78B15B2Cu},
+    {3, 33, 17, 1, 0xAA325C08u, 0x597070BDu, 0x78B15B2Cu},
+    {3, 33, 17, 119, 0x26A95FCDu, 0x597070BDu, 0x78B15B2Cu},
+    {3, 33, 17, 500, 0xCE80C6E0u, 0x597070BDu, 0x78B15B2Cu},
+    {4, 72, 40, 0, 0x504580B5u, 0xDC3633B5u, 0x20DAA366u},
+    {4, 72, 40, 1, 0x9CB00C6Bu, 0x4A3561E6u, 0x9BA44DA7u},
+    {4, 72, 40, 119, 0x07C5AB47u, 0x146AB8E3u, 0x9A918DA8u},
+    {4, 72, 40, 500, 0x84E85FB6u, 0x31FE70C9u, 0x5C349644u},
   };
   for (const auto& g : kGolden) {
     const Frame f = SyntheticVideo::render(g.width, g.height,
@@ -266,10 +266,10 @@ TEST(SyntheticVideo, RenderLumaIntoReusedPlaneMatchesRender) {
 }
 
 // The per-pixel definition of render_luma, as the renderer computed it
-// before any tabulation or batching: two value-noise octaves evaluated at
-// each pixel, the objects added in order, and one Rng::next_gaussian()
-// per pixel in raster order. Every expression and evaluation order is the
-// renderer's, so the bytes must match exactly.
+// before any tabulation: two value-noise octaves evaluated at each pixel,
+// the objects added in order, and one sensor-noise table entry per pixel,
+// hashed from the pixel's counter. Every expression and evaluation order
+// is the renderer's, so the bytes must match exactly.
 double oracle_lattice(std::uint64_t seed, int xi, int yi) {
   std::uint64_t h = seed;
   h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(xi)) * 0x9E3779B97F4A7C15ull;
@@ -278,6 +278,21 @@ double oracle_lattice(std::uint64_t seed, int xi, int yi) {
   h *= 0xBF58476D1CE4E5B9ull;
   h ^= h >> 32;
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// SplitMix64's finalizer, which hashes the sensor noise's frame key and
+// pixel counters.
+std::uint64_t oracle_mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+// Standard normal sensor noise of pixel i = y * width + x of a frame.
+double oracle_noise(std::uint64_t seed, int frame, std::size_t i) {
+  const std::uint64_t key =
+      oracle_mix64(seed ^ (0xABCDull + static_cast<std::uint64_t>(frame) * 0x10001ull));
+  return sensor_noise_table()[oracle_mix64(key + i) >> 52];
 }
 
 // One value-noise octave sampled at world position (wx, wy): the four
@@ -337,7 +352,6 @@ Plane oracle_render_luma(const SceneParams& scene, int frame, int width,
                        delta, w, h});
   }
   const double ox = scene.pan_x * frame, oy = scene.pan_y * frame;
-  Rng noise(scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame) * 0x10001ull));
   OracleOctave coarse_octave(scene.seed, 24.0), fine_octave(scene.seed + 1, 5.0);
   Plane luma(width, height);
   for (int y = 0; y < height; ++y) {
@@ -350,7 +364,8 @@ Plane oracle_render_luma(const SceneParams& scene, int frame, int width,
         const double dx = x - o.left, dy = y - o.top;
         if (dy >= 0 && dy < o.h && dx >= 0 && dx < o.w) v += o.delta;
       }
-      const double noisy = v + scene.noise_sigma * noise.next_gaussian();
+      const std::size_t i = static_cast<std::size_t>(y) * width + x;
+      const double noisy = v + scene.noise_sigma * oracle_noise(scene.seed, frame, i);
       luma.set(x, y, common::clamp_u8(static_cast<int>(noisy + 0.5)));
     }
   }
@@ -359,8 +374,8 @@ Plane oracle_render_luma(const SceneParams& scene, int frame, int width,
 
 TEST(SyntheticVideo, RenderMatchesPerPixelReference) {
   // High motion, high detail, flat (sensor noise sigma 0.3) and the
-  // negative-pan golden scene, at CIF, QCIF, an odd width (a Gaussian
-  // pair straddles two rows) and a width short of its padded stride.
+  // negative-pan golden scene, at CIF, QCIF, an odd width and a width
+  // short of its padded stride.
   struct Size {
     int width, height;
   };
@@ -383,44 +398,63 @@ TEST(SyntheticVideo, RenderMatchesPerPixelReference) {
   }
 }
 
-// A pixel whose noisy sum lies within the guard band of an integer is
-// redone with the exact Gaussian values. Craft rows with a pixel where
-// the fast and exact values round to different bytes: without the guard,
-// add_sensor_noise would keep the fast byte.
-TEST(SyntheticVideo, SensorNoiseGuardKeepsTheExactByte) {
-  constexpr std::size_t kWidth = 61;  // odd: rows start on either half of a pair
-  constexpr double kSigma = 1.0;
-  const auto byte_of = [](double v, double g) {
-    return common::clamp_u8(static_cast<int>(v + kSigma * g + 0.5));
-  };
-  common::GaussianStream noise(12345);
-  int crafted = 0;
-  for (int row = 0; row < 200; ++row) {
-    common::GaussianStream probe = noise;  // the same row, drawn ahead
-    const auto fast_row = probe.next(kWidth);
-    const std::vector<double> fast(fast_row.begin(), fast_row.end());
-    const auto exact = probe.exact();
-    std::vector<double> v(kWidth, 128.0);
-    for (std::size_t x = 0; x < kWidth; ++x) {
-      if (fast[x] == exact[x]) continue;
-      // Walk v, an ulp at a time, across the value where the sums reach 1.
-      double c = 0.5 - exact[x];
-      for (int k = 0; k < 32; ++k) c = std::nextafter(c, -2.0);
-      for (int k = 0; k < 64; ++k, c = std::nextafter(c, 2.0)) {
-        if (byte_of(c, fast[x]) != byte_of(c, exact[x])) {
-          v[x] = c;
-          ++crafted;
-          break;
-        }
-      }
-      if (v[x] != 128.0) break;
+// Each entry is Phi^-1((i + 0.5) / 4096) to within 1e-6, checked through
+// Phi(x) = erfc(-x / sqrt 2) / 2, and lies on the 2^-20 grid.
+TEST(SensorNoise, TableIsTheNormalQuantileAtBinMidpoints) {
+  const auto table = sensor_noise_table();
+  const auto phi = [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); };
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const double p = (static_cast<double>(i) + 0.5) / static_cast<double>(table.size());
+    EXPECT_EQ(table[i], -table[table.size() - 1 - i]) << i;
+    if (i > 0) {
+      EXPECT_LT(table[i - 1], table[i]) << i;
     }
-    std::vector<std::uint8_t> expected(kWidth), out(kWidth);
-    for (std::size_t x = 0; x < kWidth; ++x) expected[x] = byte_of(v[x], exact[x]);
-    add_sensor_noise(v, kSigma, noise, out.data());
-    EXPECT_EQ(out, expected) << "row " << row;
+    EXPECT_LE(phi(table[i] - 1e-6), p) << i;
+    EXPECT_GE(phi(table[i] + 1e-6), p) << i;
+    EXPECT_EQ(table[i] * 0x1.0p20, std::round(table[i] * 0x1.0p20)) << i;
   }
-  EXPECT_GE(crafted, 10);
+}
+
+// One CIF frame of raw noise has the table's moments, and neither
+// horizontal, vertical nor frame-to-frame neighbours are correlated.
+TEST(SensorNoise, CifFrameIsUncorrelatedWithTheTablesMoments) {
+  constexpr std::size_t kWidth = 352, kHeight = 288, kPixels = kWidth * kHeight;
+  constexpr std::uint64_t kSeed = 1;
+  std::vector<double> g(kPixels), next(kPixels);
+  for (std::size_t i = 0; i < kPixels; ++i) {
+    g[i] = oracle_noise(kSeed, 0, i);
+    next[i] = oracle_noise(kSeed, 1, i);
+  }
+  double table_variance = 0.0;
+  for (const double t : sensor_noise_table()) table_variance += t * t;
+  table_variance /= static_cast<double>(kSensorNoiseTableSize);
+
+  double mean = 0.0, variance = 0.0;
+  for (const double x : g) mean += x;
+  mean /= kPixels;
+  for (const double x : g) variance += (x - mean) * (x - mean);
+  variance /= kPixels;
+  EXPECT_NEAR(mean, 0.0, 0.01);
+  EXPECT_NEAR(variance, table_variance, 0.01 * table_variance);
+
+  // Pearson correlation of g[i] and b[i + lag] over the given pixels.
+  const auto correlation = [&](const std::vector<double>& b, std::size_t lag,
+                               auto&& included) {
+    double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0, n = 0;
+    for (std::size_t i = 0; i + lag < kPixels; ++i) {
+      if (!included(i)) continue;
+      const double x = g[i], y = b[i + lag];
+      sa += x, sb += y, saa += x * x, sbb += y * y, sab += x * y, n += 1;
+    }
+    const double cov = sab / n - (sa / n) * (sb / n);
+    return cov / std::sqrt((saa / n - (sa / n) * (sa / n)) *
+                           (sbb / n - (sb / n) * (sb / n)));
+  };
+  const auto all = [](std::size_t) { return true; };
+  const auto not_last_column = [](std::size_t i) { return i % kWidth != kWidth - 1; };
+  EXPECT_LT(std::abs(correlation(g, 1, not_last_column)), 0.01) << "horizontal";
+  EXPECT_LT(std::abs(correlation(g, kWidth, all)), 0.01) << "vertical";
+  EXPECT_LT(std::abs(correlation(next, 0, all)), 0.01) << "frame to frame";
 }
 
 TEST(SyntheticVideo, ScriptLengthAndSeparators) {
