@@ -6,8 +6,10 @@
 #include "bench_util.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/bitstream.h"
 #include "core/appgraphs.h"
 #include "video/codec.h"
 #include "video/metrics.h"
@@ -116,6 +118,40 @@ void BM_Reconstruct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Reconstruct);
+
+// VARIABLE LENGTH ENCODE of one CIF luma frame of a high-motion scene, as
+// the Fig. 1 VLC stage runs it: header, vectors (P) and 1584 blocks into a
+// recycled buffer. Arg 0 codes the I frame, arg 1 the P frame after it.
+void BM_EntropyCode(benchmark::State& state) {
+  constexpr int w = 352, h = 288;
+  constexpr std::size_t n = static_cast<std::size_t>(w) * h;
+  const bool intra = state.range(0) == 0;
+  const auto scene = video::scene_high_motion(1);
+  const auto ref = video::SyntheticVideo::render(w, h, scene, 0).y();
+  const auto cur = video::SyntheticVideo::render(w, h, scene, intra ? 0 : 1).y();
+  const video::FrameHeader hd{
+      intra ? video::FrameType::kIntra : video::FrameType::kPredicted, 8, w, h,
+      false};
+  video::MotionField field;
+  if (!intra) {
+    field = video::estimate_frame(cur, ref, 8, video::SearchAlgorithm::kThreeStep);
+  }
+  std::vector<std::int16_t> residual(n), levels(n);
+  std::vector<float> coeffs(n);
+  video::Plane pred(w, h);
+  video::predict(hd, cur, ref, field, /*chroma=*/false, pred, residual);
+  video::forward_dct(residual, coeffs);
+  video::quantize(hd, coeffs, levels);
+  std::vector<std::uint8_t> bytes;
+  for (auto _ : state) {
+    common::BitWriter out(std::move(bytes));
+    benchmark::DoNotOptimize(video::entropy_code(hd, field, {levels}, out));
+    bytes = out.take();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EntropyCode)->ArgName("predicted")->Arg(0)->Arg(1);
 
 void BM_EncodeFrameIntra(benchmark::State& state) {
   video::EncoderConfig cfg;

@@ -4,46 +4,33 @@
 
 namespace mmsoc::common {
 
-void BitWriter::flush_full_bytes() {
-  while (acc_bits_ >= 8) {
-    acc_bits_ -= 8;
-    buf_.push_back(static_cast<std::uint8_t>((acc_ >> acc_bits_) & 0xFFu));
-  }
-}
-
-void BitWriter::put_bits(std::uint64_t value, unsigned count) {
-  if (count == 0) return;
+void BitWriter::spill(std::uint64_t value, unsigned count) {
   if (count > 64) count = 64;
-  if (count < 64) value &= (std::uint64_t{1} << count) - 1;
-  // Split into two appends if the accumulator would overflow 64 bits.
-  if (acc_bits_ + count > 64) {
-    const unsigned hi = count - (64 - acc_bits_);
-    put_bits(value >> hi, count - hi);
-    put_bits(value, hi);
-    return;
+  const unsigned low = acc_bits_ + count - 64;  // field bits left pending
+  // `acc_ << 64` would be UB; with an empty accumulator the field is the
+  // whole word. Shifting left also drops any stale bits above acc_bits_.
+  const std::uint64_t word =
+      (acc_bits_ == 0 ? 0 : acc_ << (64 - acc_bits_)) | (value >> low);
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(word >> (56 - 8 * i));
   }
-  // `acc_ << 64` would be UB (and acc_ may hold stale bits above
-  // acc_bits_), so replace rather than shift when the field fills the
-  // whole accumulator.
-  if (count == 64) {
-    acc_ = value;
-    acc_bits_ = 64;
-    bit_count_ += 64;
-    flush_full_bytes();
-    return;
-  }
-  acc_ = (acc_ << count) | value;
-  acc_bits_ += count;
-  bit_count_ += count;
-  flush_full_bytes();
+  buf_.insert(buf_.end(), bytes, bytes + 8);
+  acc_ = value;  // its low `low` bits; the bits above are never read
+  acc_bits_ = low;
 }
 
 void BitWriter::put_ue(std::uint32_t value) {
-  // code = value+1 written as N-1 zeros followed by the N bits of value+1.
+  // code = value+1 written as N-1 zeros followed by the N bits of value+1,
+  // i.e. value+1 in a field of 2N-1 bits (two fields when that exceeds 64).
   const std::uint64_t v = std::uint64_t{value} + 1;
   const unsigned n = std::bit_width(v);
-  put_bits(0, n - 1);
-  put_bits(v, n);
+  if (n <= 32) {
+    put_bits(v, 2 * n - 1);
+  } else {
+    put_bits(0, n - 1);
+    put_bits(v, n);
+  }
 }
 
 void BitWriter::put_se(std::int32_t value) {
@@ -55,18 +42,20 @@ void BitWriter::put_se(std::int32_t value) {
 }
 
 void BitWriter::align_to_byte() {
+  // The buffer holds whole words, so the accumulator carries the offset.
   const unsigned rem = acc_bits_ % 8;
   if (rem != 0) put_bits(0, 8 - rem);
 }
 
 std::vector<std::uint8_t> BitWriter::take() {
   align_to_byte();
-  flush_full_bytes();
+  for (unsigned b = acc_bits_; b >= 8; b -= 8) {
+    buf_.push_back(static_cast<std::uint8_t>(acc_ >> (b - 8)));
+  }
   std::vector<std::uint8_t> out;
   out.swap(buf_);
   acc_ = 0;
   acc_bits_ = 0;
-  bit_count_ = 0;
   return out;
 }
 

@@ -9,18 +9,37 @@
 #include <cstdint>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace mmsoc::common {
 
-/// Accumulates bits MSB-first into a growable byte buffer.
+/// Accumulates bits MSB-first into a growable byte buffer. Bits gather in
+/// a 64-bit accumulator and reach the buffer one whole word at a time, so
+/// the common short field costs a shift and an OR.
 class BitWriter {
  public:
   BitWriter() = default;
 
+  /// Write into `buffer`'s storage: the buffer is cleared and its capacity
+  /// kept, so a writer built on a recycled buffer allocates only to grow
+  /// it. take() hands the buffer back.
+  explicit BitWriter(std::vector<std::uint8_t>&& buffer) noexcept
+      : buf_(std::move(buffer)) {
+    buf_.clear();
+  }
+
   /// Append the low `count` bits of `value`, MSB of the field first.
   /// `count` must be in [0, 64].
-  void put_bits(std::uint64_t value, unsigned count);
+  void put_bits(std::uint64_t value, unsigned count) {
+    if (count < 64) value &= (std::uint64_t{1} << count) - 1;
+    if (acc_bits_ + count < 64) {
+      acc_ = (acc_ << count) | value;  // count < 64 here
+      acc_bits_ += count;
+      return;
+    }
+    spill(value, count);
+  }
 
   /// Append a single bit (0 or 1).
   void put_bit(unsigned bit) { put_bits(bit & 1u, 1); }
@@ -35,23 +54,21 @@ class BitWriter {
   void align_to_byte();
 
   /// Total bits written so far.
-  [[nodiscard]] std::size_t bit_count() const noexcept { return bit_count_; }
+  [[nodiscard]] std::size_t bit_count() const noexcept {
+    return buf_.size() * 8 + acc_bits_;
+  }
 
   /// Finish (byte-aligns) and return the underlying buffer.
   [[nodiscard]] std::vector<std::uint8_t> take();
 
-  /// View of the bytes written so far, excluding any partial final byte.
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
-    return {buf_.data(), buf_.size()};
-  }
-
  private:
-  std::vector<std::uint8_t> buf_;
-  std::uint64_t acc_ = 0;   // bit accumulator, filled from MSB side
-  unsigned acc_bits_ = 0;   // number of valid bits in acc_
-  std::size_t bit_count_ = 0;
+  std::vector<std::uint8_t> buf_;  // whole 64-bit words, big-endian
+  std::uint64_t acc_ = 0;   // pending bits in the low acc_bits_ positions
+  unsigned acc_bits_ = 0;   // in [0, 63]
 
-  void flush_full_bytes();
+  // Completes the accumulator's word with the high bits of the field,
+  // appends it and keeps the field's low bits pending.
+  void spill(std::uint64_t value, unsigned count);
 };
 
 /// Reads bits MSB-first from a byte buffer. Reading past the end is

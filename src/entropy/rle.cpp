@@ -2,46 +2,13 @@
 
 #include <cstdlib>
 
-#include "entropy/zigzag.h"
-
 namespace mmsoc::entropy {
-
-std::vector<RunLevel> run_length_encode(
-    std::span<const std::int16_t, 64> block) {
-  std::vector<RunLevel> events;
-  std::uint8_t run = 0;
-  for (int scan = 1; scan < 64; ++scan) {  // skip DC at scan 0
-    const std::int16_t v = block[kZigZag8x8[scan]];
-    if (v == 0) {
-      ++run;
-    } else {
-      events.push_back(RunLevel{run, v});
-      run = 0;
-    }
-  }
-  events.push_back(RunLevel{0, 0});  // EOB
-  return events;
-}
-
-bool run_length_decode(std::span<const RunLevel> events,
-                       std::span<std::int16_t, 64> block) {
-  for (int scan = 1; scan < 64; ++scan) block[kZigZag8x8[scan]] = 0;
-  int scan = 1;
-  for (const auto& e : events) {
-    if (e.is_eob()) return true;
-    scan += e.run;
-    if (scan >= 64) return false;
-    block[kZigZag8x8[scan]] = e.level;
-    ++scan;
-  }
-  return false;  // missing EOB
-}
 
 int run_level_to_symbol(const RunLevel& rl) noexcept {
   if (rl.is_eob()) return kEobSymbol;
   const int mag = std::abs(rl.level);
   if (rl.run <= 31 && mag <= 16) {
-    // 1 + run * 16 + (mag - 1) in [1, 992]
+    // 1 + run * 16 + (mag - 1) in [1, 512]
     return 1 + rl.run * 16 + (mag - 1);
   }
   return kEscapeSymbol;

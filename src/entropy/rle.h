@@ -1,14 +1,13 @@
-// (run, level) coding of quantized DCT coefficients.
+// The (run, level) symbol alphabet of quantized DCT coefficients.
 //
-// The video VLC stage (Fig. 1 "VARIABLE LENGTH ENCODE") first converts a
-// zig-zag-scanned 8x8 block into (zero-run, nonzero-level) pairs plus an
-// end-of-block marker, then entropy-codes the pair alphabet with the
-// canonical Huffman coder. This is the classic MPEG-style structure.
+// The video VLC stage (Fig. 1 "VARIABLE LENGTH ENCODE", video/vlc.h)
+// walks a zig-zag-scanned 8x8 block as (zero-run, nonzero-level) events
+// plus an end-of-block marker, and entropy-codes them with the canonical
+// Huffman coder. This is the classic MPEG-style structure; this header
+// fixes the mapping from an event to its Huffman symbol and back.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace mmsoc::entropy {
 
@@ -19,18 +18,6 @@ struct RunLevel {
   [[nodiscard]] bool is_eob() const noexcept { return level == 0; }
   bool operator==(const RunLevel&) const = default;
 };
-
-/// Scan a row-major 8x8 quantized block in zig-zag order into (run, level)
-/// pairs terminated by an EOB marker. The DC coefficient (scan position 0)
-/// is NOT included — video codecs code DC differentially elsewhere.
-[[nodiscard]] std::vector<RunLevel> run_length_encode(
-    std::span<const std::int16_t, 64> block);
-
-/// Inverse of run_length_encode: reconstruct AC coefficients into `block`
-/// (DC position left untouched). Returns false if the events overflow the
-/// block.
-bool run_length_decode(std::span<const RunLevel> events,
-                       std::span<std::int16_t, 64> block);
 
 /// Map a (run, level) event to a compact symbol for Huffman coding:
 /// events with |level| <= 16 and run <= 31 map to one symbol (the sign is

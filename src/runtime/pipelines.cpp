@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "audio/filterbank.h"
 #include "audio/psycho.h"
@@ -220,10 +221,11 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
     f.store_array(1, levels.data(), levels.size());
   });
 
-  // VLC: frame header, motion vectors and luma blocks, one chunk per frame.
+  // VLC: frame header, motion vectors and luma blocks, one chunk per frame,
+  // written into the out-edge's recycled buffer.
   g.set_body(find_task(g, "vlc"), [n, header, sink](TaskFiring& f) {
     const auto hd = header(f.iteration);
-    common::BitWriter out;
+    common::BitWriter out(std::move(f.outputs[0]));
     sink->vlc_symbols += video::entropy_code(
         hd, field_from_payload(hd, *f.inputs[1]),
         {payload_exactly<std::int16_t>(*f.inputs[0], n, "level")}, out);

@@ -6,6 +6,12 @@
 // deterministic default code built from a parametric model of typical
 // coefficient statistics, so no table needs to be transmitted (standard
 // practice: MPEG's tables are likewise fixed by the standard).
+//
+// The encoder finds a block's nonzero AC levels in one pass (a 64-bit
+// zig-zag mask walked lowest bit first) and emits each common event as one
+// precomputed codeword-plus-sign field; the decoder places each event at
+// its zig-zag position as it reads it. Neither builds an event list, so
+// coding a block allocates nothing.
 #pragma once
 
 #include <cstdint>

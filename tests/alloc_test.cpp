@@ -160,11 +160,14 @@ TEST(DataPlane, SteadyStateIterationsDoNotAllocate) {
       << long_allocs << " over " << kLong;
 }
 
-// Plane-sized allocations (at least one luma plane, w*h bytes) of one
-// 1-worker Fig. 1 run of `frames` frames at CIF. The closed-loop bodies
-// fill planes they own, so once the channels' buffers are warm no frame
-// allocates one.
-std::uint64_t plane_allocations_of_fig1_run(std::uint64_t frames) {
+// Heap allocations of one 1-worker Fig. 1 run of `frames` frames at CIF:
+// all of them, and those of at least one luma plane (w*h bytes).
+struct Fig1Allocations {
+  std::uint64_t all = 0;
+  std::uint64_t planes = 0;
+};
+
+Fig1Allocations allocations_of_fig1_run(std::uint64_t frames) {
   VideoPipelineConfig cfg;
   cfg.width = 352;
   cfg.height = 288;
@@ -172,27 +175,55 @@ std::uint64_t plane_allocations_of_fig1_run(std::uint64_t frames) {
   EngineOptions opts;
   opts.workers = 1;
   g_large_bytes.store(static_cast<std::size_t>(cfg.width) * cfg.height);
-  const std::uint64_t before = g_large_count.load();
+  const std::uint64_t all_before = g_alloc_count.load();
+  const std::uint64_t planes_before = g_large_count.load();
   const auto report =
       run_pipeline(pipe.graph, round_robin_mapping(pipe.graph, 1), frames, opts);
-  const std::uint64_t after = g_large_count.load();
+  const Fig1Allocations made{g_alloc_count.load() - all_before,
+                             g_large_count.load() - planes_before};
   g_large_bytes.store(SIZE_MAX);
   EXPECT_TRUE(report.is_ok()) << report.status().to_text();
   EXPECT_EQ(pipe.sink->frames_reconstructed, frames);
-  return after - before;
+  return made;
 }
 
-TEST(DataPlane, Fig1BodiesAllocateNoPlanePerFrame) {
+// Per-frame allocations of a warm Fig. 1 run: the difference of two runs
+// of different lengths, so setup and teardown cancel. A first run builds
+// the process's one-time tables (the VLC code, the sensor-noise table).
+struct Fig1PerFrame {
+  double all = 0;
+  double planes = 0;
+};
+
+Fig1PerFrame fig1_allocations_per_frame() {
   constexpr std::uint64_t kShort = 24;
   constexpr std::uint64_t kLong = 72;
-  const std::uint64_t short_allocs = plane_allocations_of_fig1_run(kShort);
-  const std::uint64_t long_allocs = plane_allocations_of_fig1_run(kLong);
-  const double per_frame =
-      (static_cast<double>(long_allocs) - static_cast<double>(short_allocs)) /
-      static_cast<double>(kLong - kShort);
-  EXPECT_LT(per_frame, 0.01)
-      << short_allocs << " plane-sized allocations over " << kShort
-      << " frames, " << long_allocs << " over " << kLong;
+  allocations_of_fig1_run(kShort);
+  const auto short_run = allocations_of_fig1_run(kShort);
+  const auto long_run = allocations_of_fig1_run(kLong);
+  const auto per_frame = [](std::uint64_t s, std::uint64_t l) {
+    return (static_cast<double>(l) - static_cast<double>(s)) /
+           static_cast<double>(kLong - kShort);
+  };
+  return {per_frame(short_run.all, long_run.all),
+          per_frame(short_run.planes, long_run.planes)};
+}
+
+// The closed-loop bodies fill planes they own, so once the channels'
+// buffers are warm no frame allocates one.
+TEST(DataPlane, Fig1BodiesAllocateNoPlanePerFrame) {
+  const double per_frame = fig1_allocations_per_frame().planes;
+  EXPECT_LT(per_frame, 0.01) << per_frame << " plane-sized allocations per frame";
+}
+
+// No body allocates per block or per symbol: the VLC writes its bits into
+// the out-edge's recycled buffer. What is left per frame is capture's
+// render_luma scratch (15 vectors) and 3 MotionField vectors: the
+// estimator's, and the copies the MC predictor and the VLC rebuild from
+// its payload. One allocation per CIF block would add 1584.
+TEST(DataPlane, Fig1FramesAllocateOnlyCaptureAndMotionScratch) {
+  const double per_frame = fig1_allocations_per_frame().all;
+  EXPECT_LE(per_frame, 24.0) << per_frame << " allocations per frame";
 }
 
 // Back-to-back sessions on one running engine: Fig.1 encodes, then disk

@@ -2,9 +2,11 @@
 // PRNG, fixed-point, math utilities, status types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -59,6 +61,70 @@ TEST(BitWriter, SixtyFourBitValue) {
   const auto bytes = w.take();
   BitReader r(bytes);
   EXPECT_EQ(r.get_bits(64), v);
+}
+
+// Fields appended one bit at a time, MSB first, zero-padded to a byte:
+// the reference the writer's word-at-a-time accumulator is checked against.
+class BitByBit {
+ public:
+  void put(std::uint64_t value, unsigned count) {
+    for (unsigned i = count; i-- > 0;) bits_.push_back((value >> i) & 1u);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const {
+    std::vector<std::uint8_t> out((bits_.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < bits_.size(); ++i) {
+      if (bits_[i]) out[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<bool> bits_;
+};
+
+TEST(BitWriter, PutBitsMatchesBitByBitAtEveryAccumulatorOffset) {
+  Rng rng(17);
+  for (const unsigned count : {0u, 1u, 7u, 8u, 31u, 32u, 56u, 57u, 64u}) {
+    // Offsets past 64 start after the accumulator has spilled once.
+    for (unsigned offset = 0; offset < 128; ++offset) {
+      BitWriter w;
+      BitByBit ref;
+      for (unsigned left = offset; left > 0;) {
+        const unsigned c = std::min<unsigned>(
+            left, static_cast<unsigned>(rng.next_in(1, 13)));
+        const std::uint64_t v = rng.next();
+        w.put_bits(v, c);
+        ref.put(v, c);
+        left -= c;
+      }
+      const std::uint64_t v = rng.next();  // bits above `count` are ignored
+      w.put_bits(v, count);
+      ref.put(v, count);
+      ASSERT_EQ(w.bit_count(), offset + count);
+      w.put_bits(0b101, 3);
+      ref.put(0b101, 3);
+      ASSERT_EQ(w.take(), ref.bytes())
+          << "count " << count << " at offset " << offset;
+    }
+  }
+}
+
+TEST(BitWriter, ReusedBufferDropsStaleBytesAndKeepsCapacity) {
+  std::vector<std::uint8_t> stale(256, 0xA5);
+  const std::uint8_t* storage = stale.data();
+  BitWriter fresh;
+  BitWriter reused(std::move(stale));
+  EXPECT_EQ(reused.bit_count(), 0u);
+  Rng rng(19);
+  for (int i = 0; i < 100; ++i) {  // under 1600 bits: fits the old capacity
+    const auto c = static_cast<unsigned>(rng.next_in(0, 16));
+    const std::uint64_t v = rng.next();
+    fresh.put_bits(v, c);
+    reused.put_bits(v, c);
+  }
+  const auto bytes = reused.take();
+  EXPECT_EQ(bytes, fresh.take());
+  EXPECT_EQ(bytes.data(), storage);
 }
 
 TEST(BitStream, RandomFieldRoundTrip) {

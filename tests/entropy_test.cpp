@@ -1,4 +1,5 @@
-// Tests for entropy coding: zig-zag, Huffman, run-length, rate buffer.
+// Tests for entropy coding: zig-zag, Huffman, (run, level) symbols, rate
+// buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,55 +224,6 @@ TEST(Entropy, UniformDistributionMaximizesEntropy) {
 }
 
 // --------------------------------------------------------------------- rle
-
-TEST(Rle, EmptyBlockIsJustEob) {
-  std::array<std::int16_t, 64> block{};
-  const auto events = run_length_encode(block);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_TRUE(events[0].is_eob());
-}
-
-TEST(Rle, RoundTripRandomSparseBlocks) {
-  Rng rng(6);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::array<std::int16_t, 64> block{};
-    block[0] = static_cast<std::int16_t>(rng.next_in(-500, 500));  // DC untouched
-    const int nonzeros = static_cast<int>(rng.next_below(20));
-    for (int i = 0; i < nonzeros; ++i) {
-      const auto pos = 1 + rng.next_below(63);
-      auto v = static_cast<std::int16_t>(rng.next_in(-300, 300));
-      if (v == 0) v = 1;
-      block[pos] = v;
-    }
-    const auto events = run_length_encode(block);
-    std::array<std::int16_t, 64> decoded{};
-    decoded[0] = block[0];
-    ASSERT_TRUE(run_length_decode(events, decoded));
-    EXPECT_EQ(decoded, block) << "trial " << trial;
-  }
-}
-
-TEST(Rle, DenseBlockRoundTrip) {
-  std::array<std::int16_t, 64> block;
-  for (int i = 0; i < 64; ++i) block[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(i + 1);
-  const auto events = run_length_encode(block);
-  std::array<std::int16_t, 64> decoded{};
-  decoded[0] = block[0];
-  ASSERT_TRUE(run_length_decode(events, decoded));
-  EXPECT_EQ(decoded, block);
-}
-
-TEST(Rle, MissingEobFailsDecode) {
-  std::vector<RunLevel> events = {{0, 5}, {2, -3}};  // no EOB
-  std::array<std::int16_t, 64> block{};
-  EXPECT_FALSE(run_length_decode(events, block));
-}
-
-TEST(Rle, OverflowingRunFailsDecode) {
-  std::vector<RunLevel> events = {{63, 5}, {10, 2}, {0, 0}};
-  std::array<std::int16_t, 64> block{};
-  EXPECT_FALSE(run_length_decode(events, block));
-}
 
 TEST(Rle, SymbolMappingRoundTripsInRange) {
   for (int run = 0; run <= 31; ++run) {

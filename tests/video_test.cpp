@@ -3,6 +3,7 @@
 // and the transcoding study.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -10,9 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitstream.h"
 #include "common/crc32.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
+#include "entropy/rle.h"
+#include "entropy/zigzag.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/metrics.h"
@@ -957,6 +961,228 @@ TEST(Vlc, TruncatedStreamFailsCleanly) {
   // fail; all leave the reader in a detectable state.
   const bool ok = decode_block(r, true, dc2, decoded);
   if (!ok) SUCCEED();
+}
+
+// The VLC as a plain zig-zag walk: each (run, level) event coded through
+// HuffmanCode::encode, then its sign bit or its escape fields, then EOB.
+BlockCodeStats reference_encode_block(std::span<const std::int16_t, 64> levels,
+                                      bool code_dc, std::int16_t& dc_pred,
+                                      common::BitWriter& out) {
+  const auto& table = default_vlc_table();
+  const std::size_t start = out.bit_count();
+  BlockCodeStats stats;
+  out.put_se(code_dc ? levels[0] - dc_pred : levels[0]);
+  if (code_dc) dc_pred = levels[0];
+  ++stats.symbols;
+  int run = 0;
+  for (int scan = 1; scan < 64; ++scan) {
+    const std::int16_t v = levels[entropy::kZigZag8x8[scan]];
+    if (v == 0) {
+      ++run;
+      continue;
+    }
+    const entropy::RunLevel rl{static_cast<std::uint8_t>(run), v};
+    const int symbol = entropy::run_level_to_symbol(rl);
+    table.encode(static_cast<std::size_t>(symbol), out);
+    ++stats.symbols;
+    if (symbol == entropy::kEscapeSymbol) {
+      out.put_bits(rl.run, 6);
+      out.put_se(v);
+    } else {
+      out.put_bit(v < 0 ? 1 : 0);
+    }
+    run = 0;
+  }
+  table.encode(entropy::kEobSymbol, out);
+  ++stats.symbols;
+  stats.bits = static_cast<std::uint32_t>(out.bit_count() - start);
+  return stats;
+}
+
+using Block = std::array<std::int16_t, 64>;
+
+void set_scan(Block& b, int scan, int level) {
+  b[entropy::kZigZag8x8[scan]] = static_cast<std::int16_t>(level);
+}
+
+std::int16_t nonzero_level(Rng& rng, int lo, int hi) {
+  const auto v = static_cast<std::int16_t>(rng.next_in(lo, hi));
+  return v != 0 ? v : std::int16_t{1};
+}
+
+// Blocks that reach every path of the coder: sparse and dense, empty AC,
+// long runs, escape magnitudes, the int16 extremes.
+std::vector<Block> vlc_test_blocks() {
+  Rng rng(24);
+  std::vector<Block> blocks;
+  for (int i = 0; i < 200; ++i) {  // sparse, mostly table events
+    Block b{};
+    b[0] = static_cast<std::int16_t>(rng.next_in(-300, 300));
+    const int n = static_cast<int>(rng.next_below(6));
+    for (int k = 0; k < n; ++k) {
+      b[1 + rng.next_below(63)] = nonzero_level(rng, -20, 20);
+    }
+    blocks.push_back(b);
+  }
+  for (int i = 0; i < 40; ++i) {  // dense: every AC level nonzero
+    Block b{};
+    for (auto& v : b) v = nonzero_level(rng, -40, 40);
+    blocks.push_back(b);
+  }
+  for (const int dc : {0, 1, -1, 32767, -32768, 32767, -32768, 0}) {
+    Block b{};  // all-zero AC; DC extremes chain through the predictor
+    b[0] = static_cast<std::int16_t>(dc);
+    blocks.push_back(b);
+  }
+  for (int run = 31; run <= 62; ++run) {  // long first runs, and after a level
+    Block b{};
+    set_scan(b, 1 + run, run % 2 ? 3 : -5);
+    blocks.push_back(b);
+    if (run <= 61) {
+      Block c{};
+      set_scan(c, 1, 2);
+      set_scan(c, 2 + run, -1);
+      blocks.push_back(c);
+    }
+  }
+  for (int i = 0; i < 60; ++i) {  // escape magnitudes, both signs
+    Block b{};
+    const int mag = i < 2 ? 16 + i : static_cast<int>(rng.next_in(17, 32767));
+    const int pos = 1 + static_cast<int>(rng.next_below(63));
+    set_scan(b, pos, i % 2 ? -mag : mag);
+    set_scan(b, 63, nonzero_level(rng, -16, 16));
+    blocks.push_back(b);
+  }
+  Block extremes{};
+  extremes[0] = -32768;
+  set_scan(extremes, 1, -32768);
+  set_scan(extremes, 2, 32767);
+  set_scan(extremes, 40, -32768);
+  blocks.push_back(extremes);
+  return blocks;
+}
+
+TEST(Vlc, EncodeMatchesReferenceWalkBitForBit) {
+  const auto blocks = vlc_test_blocks();
+  for (const bool code_dc : {true, false}) {
+    common::BitWriter fast, reference;
+    std::int16_t fast_pred = 0, reference_pred = 0;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const auto got = encode_block(blocks[i], code_dc, fast_pred, fast);
+      const auto want =
+          reference_encode_block(blocks[i], code_dc, reference_pred, reference);
+      ASSERT_EQ(got.symbols, want.symbols) << "block " << i;
+      ASSERT_EQ(got.bits, want.bits) << "block " << i;
+      ASSERT_EQ(fast_pred, reference_pred) << "block " << i;
+      ASSERT_EQ(fast.bit_count(), reference.bit_count()) << "block " << i;
+    }
+    const auto bytes = fast.take();
+    ASSERT_EQ(bytes, reference.take()) << "code_dc " << code_dc;
+
+    common::BitReader r(bytes);
+    std::int16_t dc_pred = 0;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      Block decoded{};
+      ASSERT_TRUE(decode_block(r, code_dc, dc_pred, decoded)) << "block " << i;
+      ASSERT_EQ(decoded, blocks[i]) << "block " << i;
+    }
+    EXPECT_EQ(dc_pred, code_dc ? blocks.back()[0] : 0);
+  }
+}
+
+// A crafted block: DC 0, then (run, level) events, each escape-coded
+// where the table has no symbol for it; {0, 0} is the EOB.
+void put_events(common::BitWriter& w, const std::vector<entropy::RunLevel>& events) {
+  const auto& table = default_vlc_table();
+  w.put_se(0);
+  for (const auto& e : events) {
+    const int symbol = entropy::run_level_to_symbol(e);
+    table.encode(static_cast<std::size_t>(symbol), w);
+    if (symbol == entropy::kEscapeSymbol) {
+      w.put_bits(e.run, 6);
+      w.put_se(e.level);
+    } else if (symbol != entropy::kEobSymbol) {
+      w.put_bit(e.level < 0 ? 1 : 0);
+    }
+  }
+}
+
+bool decodes(const std::vector<std::uint8_t>& bytes, bool code_dc = false,
+             std::int16_t dc_pred = 0) {
+  common::BitReader r(bytes);
+  Block levels{};
+  return decode_block(r, code_dc, dc_pred, levels);
+}
+
+TEST(Vlc, MissingEobFailsDecode) {
+  // Pad the last byte with ones: in a canonical code a run of ones is a
+  // codeword only at the longest length, so the padding cannot complete a
+  // symbol and the block just ends.
+  const auto lengths = default_vlc_table().lengths();
+  ASSERT_GT(*std::max_element(lengths.begin(), lengths.end()), 7);
+  const auto ones_padded = [](common::BitWriter& w) {
+    const std::size_t bits = w.bit_count();
+    auto bytes = w.take();
+    const auto pad = static_cast<unsigned>(bytes.size() * 8 - bits);
+    if (pad > 0) bytes.back() |= static_cast<std::uint8_t>((1u << pad) - 1);
+    return bytes;
+  };
+  common::BitWriter with_eob, without_eob;
+  put_events(with_eob, {{0, 5}, {2, -3}, {0, 0}});
+  put_events(without_eob, {{0, 5}, {2, -3}});
+  EXPECT_TRUE(decodes(ones_padded(with_eob)));
+  EXPECT_FALSE(decodes(ones_padded(without_eob)));
+}
+
+TEST(Vlc, OverflowingRunFailsDecode) {
+  common::BitWriter w;
+  put_events(w, {{63, 5}, {10, 2}, {0, 0}});
+  EXPECT_FALSE(decodes(w.take()));
+}
+
+TEST(Vlc, MoreThan63EventsFailDecode) {
+  // 63 level-1 events fill the block; a 64th is one too many.
+  const auto level_ones = [](std::size_t n) {
+    std::vector<entropy::RunLevel> events(n, entropy::RunLevel{0, 1});
+    events.push_back({0, 0});
+    common::BitWriter w;
+    put_events(w, events);
+    return w.take();
+  };
+  EXPECT_TRUE(decodes(level_ones(63)));
+  EXPECT_FALSE(decodes(level_ones(64)));
+}
+
+TEST(Vlc, ZeroOrOutOfRangeEscapeLevelFailsDecode) {
+  const auto escaped = [](std::int32_t level) {
+    const auto& table = default_vlc_table();
+    common::BitWriter w;
+    w.put_se(0);
+    table.encode(entropy::kEscapeSymbol, w);
+    w.put_bits(3, 6);
+    w.put_se(level);
+    table.encode(entropy::kEobSymbol, w);
+    return w.take();
+  };
+  EXPECT_TRUE(decodes(escaped(40)));
+  EXPECT_TRUE(decodes(escaped(-32768)));
+  EXPECT_FALSE(decodes(escaped(0)));
+  EXPECT_FALSE(decodes(escaped(32768)));
+}
+
+TEST(Vlc, OutOfRangeDcFailsDecode) {
+  const auto dc_block = [](std::int32_t dc) {
+    common::BitWriter w;
+    w.put_se(dc);
+    default_vlc_table().encode(entropy::kEobSymbol, w);
+    return w.take();
+  };
+  EXPECT_TRUE(decodes(dc_block(-32768)));
+  EXPECT_FALSE(decodes(dc_block(32768)));
+  EXPECT_FALSE(decodes(dc_block(-32769)));
+  EXPECT_TRUE(decodes(dc_block(1), /*code_dc=*/true, /*dc_pred=*/32766));
+  EXPECT_FALSE(decodes(dc_block(1), /*code_dc=*/true, /*dc_pred=*/32767));
+  EXPECT_FALSE(decodes(dc_block(-1), /*code_dc=*/true, /*dc_pred=*/-32768));
 }
 
 // -------------------------------------------------------------------- codec
