@@ -1,6 +1,8 @@
 #include "common/bitstream.h"
 
 #include <bit>
+#include <limits>
+#include <stdexcept>
 
 namespace mmsoc::common {
 
@@ -34,6 +36,10 @@ void BitWriter::put_ue(std::uint32_t value) {
 }
 
 void BitWriter::put_se(std::int32_t value) {
+  // INT32_MIN would map to 2^32, which wraps to the code of 0.
+  if (value == std::numeric_limits<std::int32_t>::min()) {
+    throw std::invalid_argument("put_se: INT32_MIN has no se(v) code");
+  }
   // Standard signed Exp-Golomb mapping: 0,1,-1,2,-2,... -> 0,1,2,3,4,...
   const std::uint32_t mapped =
       value > 0 ? static_cast<std::uint32_t>(value) * 2 - 1

@@ -47,7 +47,8 @@ class BitWriter {
   /// Append an unsigned Exp-Golomb code (order 0), used for side data.
   void put_ue(std::uint32_t value);
 
-  /// Append a signed Exp-Golomb code (order 0).
+  /// Append a signed Exp-Golomb code (order 0). Throws
+  /// std::invalid_argument for INT32_MIN, which get_se cannot return.
   void put_se(std::int32_t value);
 
   /// Pad with zero bits to the next byte boundary.

@@ -129,13 +129,7 @@ std::string report_row(const DeploymentReport& r) {
                 r.meets_realtime ? "Y" : "N", r.realtime_margin, r.latency_ms,
                 r.energy_per_iteration_mj, r.average_power_w,
                 r.mean_utilization, r.area_mm2);
-  std::string row(buf);
-  if (r.has_measurement()) {
-    std::snprintf(buf, sizeof buf, "  | meas %8.2f fps (model x%.2f)",
-                  r.measured_throughput_hz, r.model_error_ratio);
-    row += buf;
-  }
-  return row;
+  return std::string(buf);
 }
 
 }  // namespace mmsoc::core

@@ -26,17 +26,6 @@ struct DeploymentReport {
   double average_power_w = 0.0;
   double mean_utilization = 0.0;
   double area_mm2 = 0.0;
-
-  // Filled by runtime::evaluate_measured when the graph was actually
-  // executed on the dataflow runtime; 0 when only analytically evaluated.
-  double measured_wall_s = 0.0;
-  double measured_throughput_hz = 0.0;
-  /// Measured initiation interval / predicted initiation interval.
-  double model_error_ratio = 0.0;
-
-  [[nodiscard]] bool has_measurement() const noexcept {
-    return measured_wall_s > 0.0;
-  }
 };
 
 /// Map and evaluate one application on one platform.

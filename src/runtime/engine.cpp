@@ -39,8 +39,7 @@ std::uint64_t to_ns(Clock::time_point t) {
 constexpr int kLive = 0;
 constexpr int kCancelledByUser = 1;
 constexpr int kDeadlineExpired = 2;
-constexpr int kFailedByBoundary = 3;      // Engine::fail_session
-constexpr int kQuarantinedByWatchdog = 4; // stall-watchdog escalation
+constexpr int kFailedByBoundary = 3;  // Engine::fail_session
 
 // Dispatch granularity: a worker that pops a task fires up to this many
 // consecutive iterations (stopping early on empty input, full output,
@@ -79,7 +78,6 @@ std::string_view to_string(SessionOutcome outcome) noexcept {
     case SessionOutcome::kDeadlineExceeded: return "deadline_exceeded";
     case SessionOutcome::kAborted: return "aborted";
     case SessionOutcome::kFailed: return "failed";
-    case SessionOutcome::kQuarantined: return "quarantined";
   }
   return "?";
 }
@@ -315,13 +313,11 @@ struct Engine::Impl {
   Histogram* h_unit_queue_wait_ns = nullptr;  // drain-fed from kUnitFlow
   Histogram* h_unit_service_ns = nullptr;     // drain-fed from kUnitFlow
   Counter* m_watchdog_stalls = nullptr;
-  Counter* m_watchdog_recoveries = nullptr;
-  // Stall-watchdog registration + retained dump strings / recoveries.
+  // Stall-watchdog registration + retained dump strings.
   std::uint64_t watchdog_id = 0;
   static constexpr std::size_t kMaxStallReports = 16;
   mutable std::mutex stall_mu;
   std::vector<std::string> stall_reports_;
-  std::vector<Engine::StallRecovery> stall_recoveries_;
 
   /// One event of task `r` on a worker's ring.
   static void emit(EventRing& ring, EventKind kind, const TaskRun& r,
@@ -360,7 +356,6 @@ struct Engine::Impl {
     h_unit_queue_wait_ns = m.histogram(p + ".unit_queue_wait_ns");
     h_unit_service_ns = m.histogram(p + ".unit_service_ns");
     m_watchdog_stalls = m.counter(p + ".watchdog.stalls");
-    m_watchdog_recoveries = m.counter(p + ".watchdog.recoveries");
     // Handles above resolve before the callback can observe an event.
     // ~Impl unhooks the callback before these members die.
     const auto on_drain = [this](const TelemetryEvent& ev) {
@@ -1117,9 +1112,7 @@ struct Engine::Impl {
     if (tel == nullptr) return;
     const int threshold = tel->options().watchdog_periods;
     if (threshold <= 0) return;
-    const int quarantine = tel->options().watchdog_quarantine_periods;
     std::vector<std::string> dumps;
-    std::vector<Engine::StallRecovery> recoveries;
     {
       std::lock_guard lock(sessions_mu);
       for (auto& [s, sp] : live) {
@@ -1144,24 +1137,9 @@ struct Engine::Impl {
           sess.wd_flagged = true;
           dumps.push_back(dump_session_locked(sess, out));
         }
-        // Escalation from detect to recover: a flagged session that
-        // stays wedged for `quarantine` ADDITIONAL periods is cancelled
-        // and drained through the normal cancellation machinery, so its
-        // back-pressured peers unblock and the engine keeps serving the
-        // co-resident sessions. 0 = detect-only.
-        if (quarantine > 0 && sess.wd_flagged &&
-            sess.wd_stagnant_periods >= threshold + quarantine) {
-          Engine::StallRecovery rec;
-          rec.session = s;
-          rec.graph = sess.graph->name();
-          rec.stagnant_periods = sess.wd_stagnant_periods;
-          rec.dump = dump_session_locked(sess, out);
-          recoveries.push_back(std::move(rec));
-          cancel_session_locked(sess, kQuarantinedByWatchdog);
-        }
       }
     }
-    if (dumps.empty() && recoveries.empty()) return;
+    if (dumps.empty()) return;
     {
       std::lock_guard lock(stall_mu);
       for (auto& d : dumps) {
@@ -1170,19 +1148,8 @@ struct Engine::Impl {
         }
         stall_reports_.push_back(std::move(d));
       }
-      for (auto& r : recoveries) {
-        if (stall_recoveries_.size() >= kMaxStallReports) {
-          stall_recoveries_.erase(stall_recoveries_.begin());
-        }
-        stall_recoveries_.push_back(std::move(r));
-      }
     }
-    if (m_watchdog_stalls != nullptr && !dumps.empty()) {
-      m_watchdog_stalls->add(dumps.size());
-    }
-    if (m_watchdog_recoveries != nullptr && !recoveries.empty()) {
-      m_watchdog_recoveries->add(recoveries.size());
-    }
+    if (m_watchdog_stalls != nullptr) m_watchdog_stalls->add(dumps.size());
   }
 
   /// Caller holds sessions_mu. Gates are thread-safe reads by contract;
@@ -1643,14 +1610,6 @@ struct Engine::Impl {
         rep.outcome = SessionOutcome::kFailed;
         rep.status =
             failure_status(rep.graph, sess.failed_unit, sess.failed_status);
-      } else if (code == kQuarantinedByWatchdog) {
-        rep.outcome = SessionOutcome::kQuarantined;
-        rep.status = Status(
-            StatusCode::kUnavailable,
-            "session '" + rep.graph +
-                "' quarantined by the stall watchdog after " +
-                std::to_string(rep.completed_firings) + " of " +
-                std::to_string(total) + " firings");
       } else if (rep.completed_firings == total) {
         rep.outcome = SessionOutcome::kCompleted;
         rep.status = Status::ok();
@@ -1770,11 +1729,6 @@ std::uint64_t Engine::steal_count() const noexcept {
 std::vector<std::string> Engine::stall_reports() const {
   std::lock_guard lock(impl_->stall_mu);
   return impl_->stall_reports_;
-}
-
-std::vector<Engine::StallRecovery> Engine::stall_recoveries() const {
-  std::lock_guard lock(impl_->stall_mu);
-  return impl_->stall_recoveries_;
 }
 
 void Engine::fail_session(std::size_t session, std::uint64_t unit,

@@ -168,7 +168,6 @@ enum class SessionOutcome {
   kDeadlineExceeded,  ///< per-session timeout expired
   kAborted,           ///< engine stopped early (another session's error)
   kFailed,            ///< boundary failure (Engine::fail_session) — kUnavailable
-  kQuarantined,       ///< wedged; cancelled by the stall watchdog — kUnavailable
 };
 
 [[nodiscard]] std::string_view to_string(SessionOutcome outcome) noexcept;
@@ -440,21 +439,6 @@ class Engine {
   /// for diagnosis. One dump per stall episode: a session is re-armed
   /// only after it makes progress again. Thread-safe.
   [[nodiscard]] std::vector<std::string> stall_reports() const;
-
-  /// One watchdog recovery: a flagged session that stayed wedged past
-  /// TelemetryOptions::watchdog_quarantine_periods additional drain
-  /// periods and was quarantined — cancelled and drained through the
-  /// normal cancellation machinery so the rest of the engine keeps
-  /// serving. Its report carries SessionOutcome::kQuarantined.
-  struct StallRecovery {
-    std::size_t session = 0;
-    std::string graph;
-    int stagnant_periods = 0;  ///< zero-progress drain periods at quarantine
-    std::string dump;          ///< per-task state at the moment of quarantine
-  };
-  /// Recoveries performed so far (most recent last, bounded). Empty
-  /// unless watchdog_quarantine_periods > 0. Thread-safe.
-  [[nodiscard]] std::vector<StallRecovery> stall_recoveries() const;
 
  private:
   struct Impl;

@@ -61,7 +61,6 @@ void FaultStats::merge(const FaultStats& o) noexcept {
   transient_errors += o.transient_errors;
   latency_spikes += o.latency_spikes;
   corruptions += o.corruptions;
-  stuck_ops += o.stuck_ops;
   permanent_errors += o.permanent_errors;
 }
 
@@ -144,9 +143,6 @@ Status FaultInjector::decide(std::size_t endpoint, std::uint64_t unit,
     st = Status(StatusCode::kCorruptData,
                 "injected permanent device failure at unit " +
                     std::to_string(unit));
-  } else if (unit >= plan.stuck_at_unit) {
-    st = Status(StatusCode::kResourceExhausted,
-                "injected stuck device at unit " + std::to_string(unit));
   } else {
     const double rate = is_write ? plan.write_error_rate : plan.read_error_rate;
     if (rate > 0.0) {
@@ -177,10 +173,6 @@ Status FaultInjector::decide(std::size_t endpoint, std::uint64_t unit,
     switch (st.code()) {
       case StatusCode::kCorruptData:
         ++stats.permanent_errors;
-        ++injected;
-        break;
-      case StatusCode::kResourceExhausted:
-        ++stats.stuck_ops;
         ++injected;
         break;
       case StatusCode::kUnavailable:

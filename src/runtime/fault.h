@@ -3,7 +3,7 @@
 //
 // The engine proves itself on clean modeled devices; production
 // multimedia platforms live on flaky ones — lossy networks, storage
-// that stalls or errors transiently, devices that wedge outright. This
+// that stalls or errors transiently, devices that fail outright. This
 // header supplies the three pieces the rest of the runtime threads
 // through the boundary:
 //
@@ -31,13 +31,10 @@
 //                  completes
 //  - kUnavailable  transient device error — retried under RetryPolicy;
 //                  exhaustion escalates to a session failure
-//  - kResourceExhausted
-//                  stuck device — the adapter parks the unit (no retry,
-//                  no failure); the session stalls and recovery is the
-//                  stall watchdog's job (quarantine)
-//  - anything else permanent error (e.g. a volume error, kInternal) —
-//                  the adapter fails the session immediately
-//                  (Engine::fail_session -> kUnavailable)
+//  - anything else permanent error (e.g. a volume error, kInternal, or
+//                  a device that reports itself stuck with
+//                  kResourceExhausted) — the adapter fails the session
+//                  immediately (Engine::fail_session -> kUnavailable)
 #pragma once
 
 #include <cstdint>
@@ -102,10 +99,6 @@ struct FaultPlan {
   /// per 64 deterministically flipped). Downstream decoders are
   /// expected to conceal; the count is reported for accounting.
   double corruption_rate = 0.0;
-  /// Stuck-device window: from this unit on the endpoint reports
-  /// kResourceExhausted — the device has wedged. The adapter parks and
-  /// the stall watchdog quarantines the session. ~0 = never.
-  std::uint64_t stuck_at_unit = ~std::uint64_t{0};
   /// Permanent failure: ops on units >= this index fail with a
   /// non-retryable error (kCorruptData). ~0 = never.
   std::uint64_t fail_at_unit = ~std::uint64_t{0};
@@ -117,12 +110,10 @@ struct FaultStats {
   std::uint64_t transient_errors = 0;  ///< kUnavailable injected
   std::uint64_t latency_spikes = 0;
   std::uint64_t corruptions = 0;
-  std::uint64_t stuck_ops = 0;         ///< ops answered "device wedged"
   std::uint64_t permanent_errors = 0;
 
   [[nodiscard]] std::uint64_t injected() const noexcept {
-    return transient_errors + latency_spikes + corruptions + stuck_ops +
-           permanent_errors;
+    return transient_errors + latency_spikes + corruptions + permanent_errors;
   }
   void merge(const FaultStats& o) noexcept;
 };
@@ -145,10 +136,10 @@ class FaultInjector {
   std::size_t add_endpoint(std::string name, FaultPlan plan);
 
   /// Wrap a fallible read: injected faults are reported through the
-  /// TryReadFn status convention (transient = kUnavailable, stuck =
-  /// kResourceExhausted, permanent = kCorruptData); corruption and
-  /// latency spikes perturb successful inner reads. The wrapper borrows
-  /// this injector — it must outlive every wrapper it handed out.
+  /// TryReadFn status convention (transient = kUnavailable, permanent =
+  /// kCorruptData); corruption and latency spikes perturb successful
+  /// inner reads. The wrapper borrows this injector — it must outlive
+  /// every wrapper it handed out.
   [[nodiscard]] TryReadFn wrap_read(std::size_t endpoint, TryReadFn inner);
   [[nodiscard]] TryWriteFn wrap_write(std::size_t endpoint, TryWriteFn inner);
 

@@ -211,11 +211,6 @@ std::uint64_t BoundaryAdapter::failed_unit() const {
   return failed_unit_;
 }
 
-bool BoundaryAdapter::stuck() const {
-  std::lock_guard lock(mu_);
-  return stuck_;
-}
-
 BoundaryStats BoundaryAdapter::stats() const {
   std::lock_guard lock(mu_);
   return stats_;
@@ -289,9 +284,8 @@ BoundaryAdapter::FailureNotice BoundaryAdapter::claim_failure_locked() {
 
 void BoundaryAdapter::escalate(std::uint64_t unit, std::uint32_t attempt,
                                const Status& status, double busy_s) {
-  // The fault.h tiers: stuck -> park (the stall watchdog's problem),
-  // transient -> backoff retry, exhaustion/permanent -> boundary failure.
-  const bool park = status.code() == StatusCode::kResourceExhausted;
+  // The fault.h tiers: transient -> backoff retry, exhaustion and
+  // everything else -> boundary failure.
   const bool retry = status.code() == StatusCode::kUnavailable &&
                      attempt + 1 < retry_.max_attempts;
   BoundaryErrorFn observer;
@@ -299,7 +293,6 @@ void BoundaryAdapter::escalate(std::uint64_t unit, std::uint32_t attempt,
     std::lock_guard lock(mu_);
     stats_.io_busy_s += busy_s;
     ++stats_.errors;
-    if (park) stuck_ = true;
     if (retry) {
       // inflight_ stays true: the pending timer IS the in-flight job, so
       // teardown quiesces on it like on any other drain.
@@ -311,14 +304,6 @@ void BoundaryAdapter::escalate(std::uint64_t unit, std::uint32_t attempt,
     observer = on_error_;
   }
   if (observer) observer(unit, status, /*will_retry=*/retry);
-  if (park) {
-    // Park only after the observer ran: teardown quiesces on inflight_
-    // and must not overtake a callback on this thread. The gate stays
-    // closed (a sink keeps its held unit and occupancy slot).
-    std::lock_guard lock(mu_);
-    retire_locked();
-    return;
-  }
   if (retry) {
     const auto backoff_ns = static_cast<std::uint64_t>(
         retry_.backoff_us(unit, attempt + 1) * 1000.0);
@@ -401,7 +386,7 @@ void AsyncSource::attach(std::uint64_t total_units,
 }
 
 void AsyncSource::pump_locked() {
-  if (inflight_ || stuck_ || io_failed_.load(std::memory_order_relaxed) ||
+  if (inflight_ || io_failed_.load(std::memory_order_relaxed) ||
       next_read_ >= total_ || buffered_.size() >= depth_) {
     return;
   }
@@ -419,7 +404,7 @@ void AsyncSource::drain() {
         return;
       }
       if (!take_retry_locked(unit, attempt)) {
-        if (stuck_ || next_read_ >= total_ || buffered_.size() >= depth_) {
+        if (next_read_ >= total_ || buffered_.size() >= depth_) {
           retire_locked();  // ~AsyncSource may be waiting to tear down
           return;
         }
@@ -527,7 +512,7 @@ void AsyncSink::bind(mpsoc::TaskGraph& graph, mpsoc::TaskId task) {
 }
 
 void AsyncSink::pump_locked() {
-  if (inflight_ || stuck_ || pending_.empty()) return;
+  if (inflight_ || pending_.empty()) return;
   post_drain_locked(next_write_, "writing");
 }
 
@@ -575,7 +560,7 @@ void AsyncSink::drain() {
         return;
       }
       if (!take_retry_locked(unit, attempt)) {
-        if (stuck_ || pending_.empty()) {
+        if (pending_.empty()) {
           retire_locked();
           return;
         }
@@ -615,7 +600,7 @@ void AsyncSink::drain() {
 void AsyncSink::flush() {
   std::unique_lock lock(mu_);
   idle_.wait(lock, [this] {
-    return !inflight_ && (pending_.empty() || stuck_ ||
+    return !inflight_ && (pending_.empty() ||
                           io_failed_.load(std::memory_order_relaxed));
   });
 }

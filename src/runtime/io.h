@@ -28,8 +28,8 @@
 // One endpoint convention: every endpoint exposes exactly one fallible
 // read or write (TryReadFn / TryWriteFn, status tiers in fault.h), and
 // both adapters take only that. End of stream is kOutOfRange; a device
-// error is retried or parks or fails the session — it is never turned
-// into a silently empty unit.
+// error is retried or fails the session — it is never turned into a
+// silently empty unit.
 //
 // Hand-off protocol (IoContext thread <-> engine worker), per adapter:
 // all mutable state sits behind the adapter mutex except the gate word,
@@ -211,9 +211,9 @@ using BoundaryErrorFn = std::function<void(
 /// What AsyncSource and AsyncSink share: the adapter mutex, the one
 /// in-flight I/O job, the payload pool, the failure/error plumbing, and
 /// the single implementation of the TryReadFn/TryWriteFn status
-/// escalation (fault.h): kResourceExhausted parks, kUnavailable retries
-/// on the IoContext timer under the RetryPolicy, exhaustion and every
-/// other error fail the boundary. The adapters add only what differs —
+/// escalation (fault.h): kUnavailable retries on the IoContext timer
+/// under the RetryPolicy, exhaustion and every other error fail the
+/// boundary. The adapters add only what differs —
 /// the source's prefetch buffer, the sink's banked copies and the unit
 /// its writer holds.
 class BoundaryAdapter {
@@ -237,8 +237,6 @@ class BoundaryAdapter {
   /// handler installed the same information was already pushed to it.
   [[nodiscard]] common::Status failure() const;
   [[nodiscard]] std::uint64_t failed_unit() const;
-  /// True once the endpoint reported a stuck device (adapter parked).
-  [[nodiscard]] bool stuck() const;
 
   [[nodiscard]] BoundaryStats stats() const;
 
@@ -282,8 +280,8 @@ class BoundaryAdapter {
   /// Under mu_: claim a failure no handler has seen yet.
   FailureNotice claim_failure_locked();
   /// Drain job, off the lock: the device op on `unit` (try `attempt`)
-  /// failed with `status` after `busy_s` — park, schedule a retry, or
-  /// fail the boundary. The drain job must return right after.
+  /// failed with `status` after `busy_s` — schedule a retry or fail the
+  /// boundary. The drain job must return right after.
   void escalate(std::uint64_t unit, std::uint32_t attempt,
                 const common::Status& status, double busy_s);
   /// Terminal failure: record it (first wins), run the handler *before*
@@ -307,9 +305,6 @@ class BoundaryAdapter {
   bool retry_armed_ = false;
   std::uint64_t retry_unit_ = 0;
   std::uint32_t retry_attempt_ = 0;
-  /// Stuck device (kResourceExhausted): adapter parked, gate closed, no
-  /// more device ops; the stall watchdog quarantines the session.
-  bool stuck_ = false;
   /// Terminal failure record (first failure wins).
   common::Status failed_status_;
   std::uint64_t failed_unit_ = 0;
@@ -423,7 +418,7 @@ class AsyncSink final : public BoundaryAdapter {
   std::deque<mpsoc::Payload> pending_;
   std::uint64_t next_write_ = 0;
   /// The unit the writer holds — popped from pending_ once, its index
-  /// assigned once — through its write, every retry backoff, or a park.
+  /// assigned once — through its write and every retry backoff.
   /// Owned by the in-flight drain job (with none in flight, by mu_).
   mpsoc::Payload held_;
   bool holding_ = false;

@@ -133,22 +133,16 @@ struct TelemetryOptions {
   // stamped at its source, carried through the channel ledgers, and traced
   // end to end (kUnitFlow/kUnitComplete events, per-stage wait/service
   // accounting, per-session latency histograms). 1 traces every unit, 0
-  // disables unit tracing entirely. The default 1-in-16 is what the
-  // end-to-end benchmark's traced runs use; their cost against untraced
-  // runs is its trace.overhead_share metric (benchmark/README.md).
+  // disables unit tracing entirely. The end-to-end benchmark's traced runs
+  // set 0 and trace with their own per-stage spans instead; their cost
+  // against untraced runs is its trace.overhead_share metric
+  // (benchmark/README.md).
   std::size_t unit_sample_period = 16;
   // Stall watchdog: a session that completes zero firings across this many
   // consecutive collector drain periods is flagged and its per-task
   // gate/channel/queue state dumped (see Engine stall reports). 0 disables
   // the watchdog.
   int watchdog_periods = 8;
-  // Watchdog escalation (detect -> recover): a flagged session still
-  // making zero progress after this many ADDITIONAL drain periods is
-  // quarantined — cancelled and drained through the normal cancellation
-  // machinery (SessionOutcome::kQuarantined, status kUnavailable) and
-  // recorded as an Engine::StallRecovery — so one wedged device never
-  // wedges the engine. 0 = detect-only (flag + dump, never cancel).
-  int watchdog_quarantine_periods = 0;
 };
 
 // Owns the per-thread rings, the string-intern table, the metrics registry,

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <numeric>
 
-#include "mpsoc/mapping.h"
-
 namespace mmsoc::runtime {
 
 namespace {
@@ -152,40 +150,6 @@ std::string format_comparison(const ModelComparison& c) {
     out += line;
   }
   return out;
-}
-
-common::Result<core::DeploymentReport> evaluate_measured(
-    const mpsoc::TaskGraph& graph, const mpsoc::Platform& platform,
-    mpsoc::MapperKind mapper, double target_hz, std::uint64_t iterations,
-    const EngineOptions& options) {
-  // map_graph is deterministic for a given (graph, platform, mapper), so
-  // this mapping is the same one core::evaluate reports on below.
-  const auto mapped = mpsoc::map_graph(graph, platform, mapper);
-  if (!mapped.schedule.feasible) {
-    return common::Result<core::DeploymentReport>(
-        common::StatusCode::kInvalidArgument,
-        "no feasible mapping of '" + graph.name() + "' onto '" +
-            platform.name + "'");
-  }
-  core::DeploymentReport report =
-      core::evaluate(graph, platform, mapper, target_hz);
-
-  auto measured = run_pipeline(graph, mapped.mapping, iterations, options);
-  if (!measured.is_ok()) {
-    return common::Result<core::DeploymentReport>(measured.status());
-  }
-  const auto& sr = measured.value();
-  if (sr.outcome != SessionOutcome::kCompleted) {
-    // A cancelled/expired measurement run has no steady-state II to
-    // report — surface the session's own status instead of bogus numbers.
-    return common::Result<core::DeploymentReport>(sr.status);
-  }
-  report.measured_wall_s = sr.wall_s;
-  report.measured_throughput_hz = sr.measured_throughput_hz();
-  const double predicted_ii = mapped.schedule.initiation_interval_s();
-  report.model_error_ratio =
-      predicted_ii > 0.0 ? sr.measured_ii_s() / predicted_ii : 0.0;
-  return report;
 }
 
 }  // namespace mmsoc::runtime

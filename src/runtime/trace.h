@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/deploy.h"
 #include "mpsoc/schedule.h"
 #include "runtime/engine.h"
 
@@ -87,13 +86,5 @@ struct ModelComparison {
 
 /// Fixed-width text table of a comparison.
 [[nodiscard]] std::string format_comparison(const ModelComparison& c);
-
-/// Deploy integration: analytic core::evaluate, then actually execute
-/// the graph on the runtime and fill DeploymentReport's measured fields.
-/// The graph must be fully executable.
-[[nodiscard]] common::Result<core::DeploymentReport> evaluate_measured(
-    const mpsoc::TaskGraph& graph, const mpsoc::Platform& platform,
-    mpsoc::MapperKind mapper, double target_hz, std::uint64_t iterations,
-    const EngineOptions& options = {});
 
 }  // namespace mmsoc::runtime

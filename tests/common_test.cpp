@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -201,6 +203,20 @@ INSTANTIATE_TEST_SUITE_P(Values, ExpGolombRoundTrip,
                          ::testing::Values(0u, 1u, 2u, 3u, 7u, 8u, 100u,
                                            255u, 256u, 65535u, 1u << 20,
                                            0x7FFFFFFEu));
+
+TEST(ExpGolomb, SignedExtremes) {
+  BitWriter w;
+  EXPECT_THROW(w.put_se(std::numeric_limits<std::int32_t>::min()),
+               std::invalid_argument);
+  EXPECT_EQ(w.bit_count(), 0u) << "a rejected value writes nothing";
+  const std::int32_t values[] = {std::numeric_limits<std::int32_t>::min() + 1,
+                                 std::numeric_limits<std::int32_t>::max()};
+  for (const auto v : values) w.put_se(v);
+  const auto bytes = w.take();
+  BitReader r(bytes);
+  for (const auto v : values) EXPECT_EQ(r.get_se(), v);
+  EXPECT_TRUE(r.ok());
+}
 
 TEST(ExpGolomb, SequenceRoundTrip) {
   Rng rng(7);

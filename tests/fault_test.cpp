@@ -1,8 +1,9 @@
 // Fault injection + failure recovery: the chaos layer (fault.h), the
 // retry/backoff machinery inside the boundary adapters, failure
-// escalation into the engine (kFailed / kQuarantined). Runs under both
-// sanitizers: retry timers, watchdog quarantine, and cancel-during-retry
-// are exactly the interleavings that never crash an ordinary run.
+// escalation into the engine (kFailed). Runs under both sanitizers:
+// retry timers, fail-fast escalation from the I/O thread, and
+// cancel-during-retry are exactly the interleavings that never crash an
+// ordinary run.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -214,28 +215,25 @@ TEST(FaultInjector, CorruptionIsDeterministicCountedAndDistinct) {
   EXPECT_NE(a, unit_payload(3, 96)) << "and must actually change the bytes";
 }
 
-TEST(FaultInjector, StuckAndPermanentWindowsUseTheRightCodes) {
+TEST(FaultInjector, PermanentWindowUsesTheRightCode) {
   FaultPlan plan;
-  plan.stuck_at_unit = 3;
   plan.fail_at_unit = 5;
   FaultInjector inj(1);
   const std::size_t ep = inj.add_endpoint("dev", plan);
   auto wrapped = inj.wrap_read(
       ep, [](std::uint64_t i) { return Result<Payload>(unit_payload(i)); });
   EXPECT_TRUE(wrapped(0).is_ok());
-  EXPECT_EQ(wrapped(3).status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(wrapped(4).status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(wrapped(5).status().code(), StatusCode::kCorruptData)
-      << "fail_at_unit wins over stuck_at_unit";
+  EXPECT_TRUE(wrapped(4).is_ok());
+  EXPECT_EQ(wrapped(5).status().code(), StatusCode::kCorruptData);
+  EXPECT_EQ(wrapped(6).status().code(), StatusCode::kCorruptData);
   const auto stats = inj.stats(ep);
-  EXPECT_EQ(stats.stuck_ops, 2u);
-  EXPECT_EQ(stats.permanent_errors, 1u);
-  EXPECT_EQ(stats.injected(), 3u);
+  EXPECT_EQ(stats.permanent_errors, 2u);
+  EXPECT_EQ(stats.injected(), 2u);
   EXPECT_EQ(inj.endpoint_name(ep), "dev");
 }
 
 // ---------------------------------------------------------------------------
-// Boundary recovery through the engine: retry -> recover / fail / park
+// Boundary recovery through the engine: retry -> recover / fail
 // ---------------------------------------------------------------------------
 
 /// Two-task boundary graph (gated source -> collecting sink) + the
@@ -467,22 +465,20 @@ TEST(FailOpen, StoppedContextSurfacesUnavailableInsteadOfSilentSuccess) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog escalation: detect -> quarantine, neighbours keep serving
+// A device that reports itself stuck fails its session at once
 // ---------------------------------------------------------------------------
 
-TEST(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
+// kResourceExhausted is a permanent error like any other: the adapter
+// fails the session on the spot, with no telemetry and no watchdog. The
+// session timeout is only a backstop: a boundary that waits on the stuck
+// unit ends the session kDeadlineExceeded after 10 s instead of hanging
+// the test.
+TEST(FailFast, StuckDeviceFailsSessionWhileNeighbourCompletes) {
   constexpr std::uint64_t kUnits = 16;
-  TelemetryOptions topts;
-  topts.collect_period_ms = 0;  // tests drive the watchdog manually
-  topts.unit_sample_period = 0;
-  topts.watchdog_periods = 2;
-  topts.watchdog_quarantine_periods = 2;
-  Telemetry tel(topts);
-
+  constexpr std::uint64_t kStuckUnit = 2;
   IoContext io;
-  // The wedged device: delivers two units, then reports stuck forever.
   auto stuck_read = [](std::uint64_t i) -> Result<Payload> {
-    if (i >= 2) {
+    if (i >= kStuckUnit) {
       return Result<Payload>(
           Status(StatusCode::kResourceExhausted, "device wedged"));
     }
@@ -501,45 +497,29 @@ TEST(Watchdog, QuarantinesWedgedSessionWhileNeighbourCompletes) {
 
   EngineOptions eopts;
   eopts.workers = 2;
-  eopts.telemetry = &tel;
   Engine engine(eopts);
   ASSERT_TRUE(engine.start().is_ok());
-  auto wedged = engine.submit(stuck_rig.g, {0, 1}, kUnits);
+  SessionOptions backstop;
+  backstop.timeout = std::chrono::seconds(10);
+  auto wedged = engine.submit(stuck_rig.g, {0, 1}, kUnits, backstop);
   auto fine = engine.submit(good_rig.g, {1, 0}, kUnits);
   ASSERT_TRUE(wedged.is_ok());
   ASSERT_TRUE(fine.is_ok());
   wire(engine, wedged.value(), stuck_source, stuck_rig.src, kUnits);
   wire(engine, fine.value(), good_source, good_rig.src, kUnits);
-
-  // Drive the watchdog until it escalates: 2 stagnant periods to flag,
-  // 2 more to quarantine. Extra polls are harmless (progress re-arms).
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(10);
-  while (engine.stall_recoveries().empty() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    tel.poll_watchdogs();
-  }
   ASSERT_TRUE(engine.wait().is_ok())
-      << "quarantine must unwedge the engine, not wedge wait()";
-
-  const auto recoveries = engine.stall_recoveries();
-  ASSERT_EQ(recoveries.size(), 1u);
-  EXPECT_EQ(recoveries[0].session, wedged.value());
-  EXPECT_EQ(recoveries[0].graph, "fault-rig");
-  EXPECT_GE(recoveries[0].stagnant_periods, 4);
-  EXPECT_FALSE(recoveries[0].dump.empty());
-  EXPECT_EQ(tel.metrics().counter("engine.watchdog.recoveries")->value(), 1u);
+      << "a stuck device must fail its session, not wedge wait()";
 
   const auto& wrep = engine.report(wedged.value());
-  EXPECT_EQ(wrep.outcome, SessionOutcome::kQuarantined);
+  EXPECT_EQ(wrep.outcome, SessionOutcome::kFailed);
   EXPECT_EQ(wrep.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(wrep.status.message().find("quarantined"), std::string::npos);
-  EXPECT_TRUE(stuck_source.stuck());
+  EXPECT_EQ(wrep.failed_unit, kStuckUnit);
+  EXPECT_EQ(wrep.io_errors.retries, 0u) << "a stuck device is never retried";
+  EXPECT_EQ(stuck_source.failed_unit(), kStuckUnit);
 
   const auto& frep = engine.report(fine.value());
   EXPECT_EQ(frep.outcome, SessionOutcome::kCompleted)
-      << "the engine must keep serving sessions next to the quarantined one";
+      << "the engine must keep serving sessions next to the failed one";
   common::Crc32 clean;
   for (std::uint64_t i = 0; i < kUnits; ++i) clean.update(unit_payload(i));
   EXPECT_EQ(good_rig.crc(), clean.value());

@@ -1437,22 +1437,5 @@ TEST(Trace, ComparisonCarriesIoWaitColumn) {
   EXPECT_NE(format_comparison(cmp).find("io-wait"), std::string::npos);
 }
 
-TEST(Trace, EvaluateMeasuredFillsDeploymentReport) {
-  VideoPipelineConfig cfg;
-  cfg.width = 32;
-  cfg.height = 32;
-  auto pipe = make_video_encoder_pipeline(cfg);
-  const auto platform = core::device_platform(core::DeviceClass::kVideoCamera);
-  auto report = evaluate_measured(pipe.graph, platform,
-                                  mpsoc::MapperKind::kHeft, 30.0, 4);
-  ASSERT_TRUE(report.is_ok()) << report.status().to_text();
-  const auto& r = report.value();
-  EXPECT_TRUE(r.has_measurement());
-  EXPECT_GT(r.measured_wall_s, 0.0);
-  EXPECT_GT(r.measured_throughput_hz, 0.0);
-  EXPECT_GT(r.model_error_ratio, 0.0);
-  EXPECT_NE(core::report_row(r).find("meas"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mmsoc::runtime
