@@ -91,6 +91,26 @@ void BM_RenderLuma(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderLuma);
 
+// The MOTION ESTIMATOR on one CIF P frame, as the Fig. 1 motion-estimator
+// stage runs it: a three-step search at range 8 of every macroblock
+// against a reference carrying video::kReferenceBorder.
+void BM_EstimateFrame(benchmark::State& state) {
+  constexpr int w = 352, h = 288;
+  const auto scene = video::scene_high_motion(1);
+  video::Plane ref(w, h, 0, video::kReferenceBorder);
+  std::vector<std::uint8_t> packed(static_cast<std::size_t>(w) * h);
+  video::SyntheticVideo::render(w, h, scene, 0).y().copy_packed_to(packed.data());
+  ref.copy_packed_from(packed.data(), packed.size());
+  ref.extend_edges();
+  const auto cur = video::SyntheticVideo::render(w, h, scene, 1).y();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        video::estimate_frame(cur, ref, 8, video::SearchAlgorithm::kThreeStep));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EstimateFrame);
+
 // The reconstruction adder of one CIF P frame, as the Fig. 1 reconstruct
 // stage runs it: a decoded residual plus the prediction, rounded into a
 // reused plane.

@@ -70,10 +70,18 @@ const FbTables& fb_tables() noexcept {
 namespace {
 
 constexpr KernelTable kKernelsScalar = {
-    SimdLevel::kScalar, &sad16_scalar,      &fdct8x8_f32_scalar,
-    &idct8x8_f32_scalar, &fdct8x8_q15_scalar, &idct8x8_q15_scalar,
-    &quantize64_scalar,  &dequantize64_scalar, &fb_analyze_scalar,
-    &fb_synth_scalar};
+    .level = SimdLevel::kScalar,
+    .sad16 = &sad16_scalar,
+    .sad16_candidates = &sad16_candidates_scalar,
+    .fdct8x8_f32 = &fdct8x8_f32_scalar,
+    .idct8x8_f32 = &idct8x8_f32_scalar,
+    .fdct8x8_q15 = &fdct8x8_q15_scalar,
+    .idct8x8_q15 = &idct8x8_q15_scalar,
+    .quantize64 = &quantize64_scalar,
+    .dequantize64 = &dequantize64_scalar,
+    .reconstruct8x8 = &reconstruct8x8_scalar,
+    .fb_analyze = &fb_analyze_scalar,
+    .fb_synth = &fb_synth_scalar};
 
 }  // namespace
 }  // namespace detail

@@ -3,9 +3,10 @@
 // Wolf's paper puts the performance of a media MPSoC in its compute
 // kernels once the platform overhead is gone; this module is the
 // FFmpeg-dsputil-shaped answer on the host side. Each hot operation —
-// 16x16 SAD, 8x8 float and Q15 DCT/IDCT, the 64-coefficient quantizer
-// loops, and the 32-band filterbank MACs — is a slot in a per-ISA
-// function-pointer table. The table is chosen once at startup from CPUID
+// 16x16 SAD (one window, or one search step's batch of candidates), 8x8
+// float and Q15 DCT/IDCT, the 64-coefficient quantizer loops, the 8x8
+// reconstruction adder, and the 32-band filterbank MACs — is a slot in a
+// per-ISA function-pointer table. The table is chosen once at startup from CPUID
 // (best available of scalar/SSE2/AVX2; non-x86 hosts run scalar), can be
 // forced via the MMSOC_SIMD environment variable (scalar|sse2|avx2), and
 // can be switched at runtime with set_simd_level() so tests and benches
@@ -22,6 +23,9 @@
 //  - quantize64 emulates lroundf (half away from zero) exactly; inputs
 //    must satisfy |coeffs[i] / steps[i]| < 2^24 (the codec's DCT
 //    coefficients are orders of magnitude below this).
+//  - reconstruct8x8 rounds with the same truncate-plus-exact-fraction
+//    compare, which is exact for every float inside int range, and
+//    saturates to [0, 255] like the scalar clamp.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +47,13 @@ struct KernelTable {
   /// Sum of absolute differences between two 16x16 pixel windows.
   std::uint32_t (*sad16)(const std::uint8_t* a, std::ptrdiff_t a_stride,
                          const std::uint8_t* b, std::ptrdiff_t b_stride);
+  /// One motion-search step: sads[i] = sad16(cur, cur_stride, cands[i],
+  /// cand_stride) for i < n. The current window is loaded once for the
+  /// whole batch; every candidate window shares one stride.
+  void (*sad16_candidates)(const std::uint8_t* cur, std::ptrdiff_t cur_stride,
+                           const std::uint8_t* const* cands,
+                           std::ptrdiff_t cand_stride, int n,
+                           std::uint32_t* sads);
 
   /// 2-D 8x8 orthonormal DCT-II / DCT-III on row-major float blocks
   /// (in and out may alias).
@@ -60,6 +71,14 @@ struct KernelTable {
   /// coeffs[i] = float(levels[i]) * steps[i].
   void (*dequantize64)(const std::int16_t* levels, const float* steps,
                        float* coeffs);
+
+  /// The reconstruction adder on one 8x8 block: out = clamp_u8(
+  /// round_half_away(residual + pred)), with the residual row-major and
+  /// inside int range. The whole prediction is read before any output is
+  /// written, so `out` may alias `pred`.
+  void (*reconstruct8x8)(const float* residual, const std::uint8_t* pred,
+                         std::ptrdiff_t pred_stride, std::uint8_t* out,
+                         std::ptrdiff_t out_stride);
 
   /// 32-band analysis MAC: bands[k] = sum_n (window[n]*x[n]) * basis[k][n]
   /// over the 64-sample lapped window x.

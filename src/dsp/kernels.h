@@ -56,6 +56,11 @@ struct FbTables {
 // variant must match bit for bit.
 std::uint32_t sad16_scalar(const std::uint8_t* a, std::ptrdiff_t a_stride,
                            const std::uint8_t* b, std::ptrdiff_t b_stride);
+void sad16_candidates_scalar(const std::uint8_t* cur,
+                             std::ptrdiff_t cur_stride,
+                             const std::uint8_t* const* cands,
+                             std::ptrdiff_t cand_stride, int n,
+                             std::uint32_t* sads);
 void fdct8x8_f32_scalar(const float* in, float* out);
 void idct8x8_f32_scalar(const float* in, float* out);
 void fdct8x8_q15_scalar(const std::int16_t* in, std::int16_t* out);
@@ -64,6 +69,9 @@ void quantize64_scalar(const float* coeffs, const float* steps,
                        std::int16_t* levels);
 void dequantize64_scalar(const std::int16_t* levels, const float* steps,
                          float* coeffs);
+void reconstruct8x8_scalar(const float* residual, const std::uint8_t* pred,
+                           std::ptrdiff_t pred_stride, std::uint8_t* out,
+                           std::ptrdiff_t out_stride);
 void fb_analyze_scalar(const double* x64, double* bands32);
 void fb_synth_scalar(const double* bands32, double* y64);
 

@@ -7,6 +7,8 @@
 // AVX2 just gives full-width lanes: one 256-bit vector covers all 8
 // outputs of a DCT pass, vpmuldq provides the signed 32x32->64 multiply
 // directly, and psadbw handles two pixel rows per instruction.
+// reconstruct8x8 rounds with the quantizer's lround8_avx2, exact for every
+// float inside int range.
 #if defined(MMSOC_SIMD_X86) && defined(__AVX2__)
 
 #include <immintrin.h>
@@ -16,28 +18,43 @@
 namespace mmsoc::dsp::detail {
 namespace {
 
+// The current window stays in 8 registers, two rows each, for the whole
+// batch; two accumulators halve each candidate's add chain.
+void sad16_candidates_avx2(const std::uint8_t* cur, std::ptrdiff_t cur_stride,
+                           const std::uint8_t* const* cands,
+                           std::ptrdiff_t cand_stride, int n,
+                           std::uint32_t* sads) {
+  const auto rows = [](const std::uint8_t* p, std::ptrdiff_t stride) {
+    return _mm256_inserti128_si256(
+        _mm256_castsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + stride)), 1);
+  };
+  __m256i c[8];
+  for (int y = 0; y < 8; ++y) c[y] = rows(cur + 2 * y * cur_stride, cur_stride);
+  for (int i = 0; i < n; ++i) {
+    const std::uint8_t* b = cands[i];
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    for (int y = 0; y < 8; y += 2) {
+      acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(c[y], rows(b, cand_stride)));
+      acc1 = _mm256_add_epi64(
+          acc1, _mm256_sad_epu8(c[y + 1], rows(b + 2 * cand_stride, cand_stride)));
+      b += 4 * cand_stride;
+    }
+    const __m256i acc = _mm256_add_epi64(acc0, acc1);
+    const __m128i sum = _mm_add_epi64(_mm256_castsi256_si128(acc),
+                                      _mm256_extracti128_si256(acc, 1));
+    sads[i] = static_cast<std::uint32_t>(
+        _mm_cvtsi128_si32(sum) + _mm_cvtsi128_si32(_mm_srli_si128(sum, 8)));
+  }
+}
+
 std::uint32_t sad16_avx2(const std::uint8_t* a, std::ptrdiff_t a_stride,
                          const std::uint8_t* b, std::ptrdiff_t b_stride) {
-  __m256i acc = _mm256_setzero_si256();
-  for (int y = 0; y < 16; y += 2) {
-    const __m256i va = _mm256_inserti128_si256(
-        _mm256_castsi128_si256(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a))),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + a_stride)), 1);
-    const __m256i vb = _mm256_inserti128_si256(
-        _mm256_castsi128_si256(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b))),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + b_stride)), 1);
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(va, vb));
-    a += 2 * a_stride;
-    b += 2 * b_stride;
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return static_cast<std::uint32_t>(
-      _mm_cvtsi128_si32(sum) +
-      _mm_cvtsi128_si32(_mm_srli_si128(sum, 8)));
+  std::uint32_t sad = 0;
+  sad16_candidates_avx2(a, a_stride, &b, b_stride, 1, &sad);
+  return sad;
 }
 
 // One float 1-D pass: all 8 outputs in one vector; per-lane op sequence
@@ -160,6 +177,38 @@ void dequantize64_avx2(const std::int16_t* levels, const float* steps,
   }
 }
 
+// Four rows per step, one row per vector: the 8 prediction bytes widen
+// to floats, add the residual and round; the saturating packs interleave
+// the four rows by 128-bit lane, and one dword permute restores row order.
+void reconstruct8x8_avx2(const float* r, const std::uint8_t* pred,
+                         std::ptrdiff_t pred_stride, std::uint8_t* out,
+                         std::ptrdiff_t out_stride) {
+  __m128i p[8];
+  for (int y = 0; y < 8; ++y) {
+    p[y] = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(pred + y * pred_stride));
+  }
+  const auto row = [&](int y) {
+    const __m256 pf = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(p[y]));
+    return lround8_avx2(_mm256_add_ps(_mm256_loadu_ps(r + 8 * y), pf));
+  };
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  for (int y = 0; y < 8; y += 4) {
+    const __m256i o = _mm256_permutevar8x32_epi32(
+        _mm256_packus_epi16(_mm256_packs_epi32(row(y), row(y + 1)),
+                            _mm256_packs_epi32(row(y + 2), row(y + 3))),
+        order);
+    const __m128i lo = _mm256_castsi256_si128(o);
+    const __m128i hi = _mm256_extracti128_si256(o, 1);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + y * out_stride), lo);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + (y + 1) * out_stride),
+                     _mm_srli_si128(lo, 8));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + (y + 2) * out_stride), hi);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + (y + 3) * out_stride),
+                     _mm_srli_si128(hi, 8));
+  }
+}
+
 void fb_analyze_avx2(const double* x64, double* bands32) {
   const FbTables& t = fb_tables();
   alignas(32) double s[64];
@@ -202,10 +251,18 @@ void fb_synth_avx2(const double* bands32, double* y64) {
 }  // namespace
 
 const KernelTable kKernelsAvx2 = {
-    SimdLevel::kAvx2,   &sad16_avx2,       &fdct8x8_f32_avx2,
-    &idct8x8_f32_avx2,  &fdct8x8_q15_avx2, &idct8x8_q15_avx2,
-    &quantize64_avx2,   &dequantize64_avx2, &fb_analyze_avx2,
-    &fb_synth_avx2};
+    .level = SimdLevel::kAvx2,
+    .sad16 = &sad16_avx2,
+    .sad16_candidates = &sad16_candidates_avx2,
+    .fdct8x8_f32 = &fdct8x8_f32_avx2,
+    .idct8x8_f32 = &idct8x8_f32_avx2,
+    .fdct8x8_q15 = &fdct8x8_q15_avx2,
+    .idct8x8_q15 = &idct8x8_q15_avx2,
+    .quantize64 = &quantize64_avx2,
+    .dequantize64 = &dequantize64_avx2,
+    .reconstruct8x8 = &reconstruct8x8_avx2,
+    .fb_analyze = &fb_analyze_avx2,
+    .fb_synth = &fb_synth_avx2};
 
 }  // namespace mmsoc::dsp::detail
 

@@ -1,10 +1,12 @@
 // Scalar reference kernels — the bit-exactness oracle for every SIMD
 // variant. The loop bodies reproduce the pre-dispatch implementations in
-// dct.cpp, quantizer.cpp, filterbank.cpp and motion.cpp exactly; this TU
+// dct.cpp, quantizer.cpp, filterbank.cpp, motion.cpp and codec.cpp
+// exactly; this TU
 // builds with -ffp-contract=off so the float summation orders here are
 // the contract, not whatever the optimizer fuses.
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/mathutil.h"
 #include "dsp/kernels.h"
@@ -23,6 +25,16 @@ std::uint32_t sad16_scalar(const std::uint8_t* a, std::ptrdiff_t a_stride,
     b += b_stride;
   }
   return sad;
+}
+
+void sad16_candidates_scalar(const std::uint8_t* cur,
+                             std::ptrdiff_t cur_stride,
+                             const std::uint8_t* const* cands,
+                             std::ptrdiff_t cand_stride, int n,
+                             std::uint32_t* sads) {
+  for (int i = 0; i < n; ++i) {
+    sads[i] = sad16_scalar(cur, cur_stride, cands[i], cand_stride);
+  }
 }
 
 namespace {
@@ -158,6 +170,32 @@ void dequantize64_scalar(const std::int16_t* levels, const float* steps,
                          float* coeffs) {
   for (int i = 0; i < 64; ++i) {
     coeffs[i] = static_cast<float>(levels[i]) * steps[i];
+  }
+}
+
+// o = clamp_u8(round_half_away(r + p)) over the 64 pixels. t = trunc(v)
+// and frac = v - t are exact for every float, so rounding half away from
+// zero is one compare per side. Dequantized residuals stay far inside int
+// range, so the conversion is defined for any decoded stream. The block's
+// prediction is read before its output is written.
+void reconstruct8x8_scalar(const float* r, const std::uint8_t* pred,
+                           std::ptrdiff_t pred_stride, std::uint8_t* out,
+                           std::ptrdiff_t out_stride) {
+  std::uint8_t p[kDct * kDct];
+  std::uint8_t o[kDct * kDct];
+  for (int y = 0; y < kDct; ++y) {
+    std::memcpy(p + y * kDct, pred + y * pred_stride, kDct);
+  }
+  for (int i = 0; i < kDct * kDct; ++i) {
+    const float v = r[i] + p[i];
+    int t = static_cast<int>(v);
+    const float frac = v - static_cast<float>(t);
+    t += static_cast<int>(frac >= 0.5f) - static_cast<int>(frac <= -0.5f);
+    t = t < 0 ? 0 : t;
+    o[i] = static_cast<std::uint8_t>(t > 255 ? 255 : t);
+  }
+  for (int y = 0; y < kDct; ++y) {
+    std::memcpy(out + y * out_stride, o + y * kDct, kDct);
   }
 }
 

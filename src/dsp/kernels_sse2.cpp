@@ -2,7 +2,7 @@
 // compiles away unless the build enables x86 SIMD dispatch.
 //
 // Bit-exactness notes (see dispatch.h for the contract):
-//  - sad16: psadbw — integer, any association is exact.
+//  - sad16, sad16_candidates: psadbw — integer, any association is exact.
 //  - float DCT: vectorized ACROSS the 8 outputs of each 1-D pass, so each
 //    output lane performs the same mul/add sequence as scalar.
 //  - Q15 DCT: 32x32->64 multiplies with 64-bit accumulation, matching the
@@ -10,6 +10,9 @@
 //    32x32->64 multiply, so pmuludq plus a sign correction reconstructs it.
 //  - quantize64: emulates lroundf with truncate + exact-fraction compare
 //    (the fraction v - trunc(v) is exact by Sterbenz for |v| < 2^24).
+//  - reconstruct8x8: the same rounding on r + p, whose fraction is exact
+//    for every float inside int range; the two saturating packs clamp to
+//    [0, 255] exactly as the scalar clamp does.
 #if defined(MMSOC_SIMD_X86) && defined(__SSE2__)
 
 #include <emmintrin.h>
@@ -19,21 +22,41 @@
 namespace mmsoc::dsp::detail {
 namespace {
 
+// The current window stays in 16 registers (or their spill slots) for
+// the whole batch; two accumulators halve each candidate's add chain.
+void sad16_candidates_sse2(const std::uint8_t* cur, std::ptrdiff_t cur_stride,
+                           const std::uint8_t* const* cands,
+                           std::ptrdiff_t cand_stride, int n,
+                           std::uint32_t* sads) {
+  __m128i c[16];
+  for (int y = 0; y < 16; ++y) {
+    c[y] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur + y * cur_stride));
+  }
+  for (int i = 0; i < n; ++i) {
+    const std::uint8_t* b = cands[i];
+    __m128i acc0 = _mm_setzero_si128();
+    __m128i acc1 = _mm_setzero_si128();
+    for (int y = 0; y < 16; y += 2) {
+      acc0 = _mm_add_epi64(
+          acc0, _mm_sad_epu8(c[y], _mm_loadu_si128(
+                                       reinterpret_cast<const __m128i*>(b))));
+      acc1 = _mm_add_epi64(
+          acc1, _mm_sad_epu8(c[y + 1],
+                             _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                                 b + cand_stride))));
+      b += 2 * cand_stride;
+    }
+    const __m128i acc = _mm_add_epi64(acc0, acc1);
+    sads[i] = static_cast<std::uint32_t>(
+        _mm_cvtsi128_si32(acc) + _mm_cvtsi128_si32(_mm_srli_si128(acc, 8)));
+  }
+}
+
 std::uint32_t sad16_sse2(const std::uint8_t* a, std::ptrdiff_t a_stride,
                          const std::uint8_t* b, std::ptrdiff_t b_stride) {
-  __m128i acc = _mm_setzero_si128();
-  for (int y = 0; y < 16; ++y) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
-    a += a_stride;
-    b += b_stride;
-  }
-  const __m128i hi = _mm_srli_si128(acc, 8);
-  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc) +
-                                    _mm_cvtsi128_si32(hi));
+  std::uint32_t sad = 0;
+  sad16_candidates_sse2(a, a_stride, &b, b_stride, 1, &sad);
+  return sad;
 }
 
 // One float 1-D pass over the 8 lanes of one row: for every input element
@@ -188,6 +211,34 @@ void dequantize64_sse2(const std::int16_t* levels, const float* steps,
   }
 }
 
+// Two rows per step: each row's 8 prediction bytes widen to two float
+// vectors, add the residual, round, and the signed then unsigned
+// saturating packs give both rows' 16 output bytes.
+void reconstruct8x8_sse2(const float* r, const std::uint8_t* pred,
+                         std::ptrdiff_t pred_stride, std::uint8_t* out,
+                         std::ptrdiff_t out_stride) {
+  __m128i p[8];
+  for (int y = 0; y < 8; ++y) {
+    p[y] = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(pred + y * pred_stride));
+  }
+  const __m128i zero = _mm_setzero_si128();
+  const auto row = [&](int y) {
+    const __m128i p16 = _mm_unpacklo_epi8(p[y], zero);
+    const __m128 lo = _mm_cvtepi32_ps(_mm_unpacklo_epi16(p16, zero));
+    const __m128 hi = _mm_cvtepi32_ps(_mm_unpackhi_epi16(p16, zero));
+    return _mm_packs_epi32(
+        lround4_sse2(_mm_add_ps(_mm_loadu_ps(r + 8 * y), lo)),
+        lround4_sse2(_mm_add_ps(_mm_loadu_ps(r + 8 * y + 4), hi)));
+  };
+  for (int y = 0; y < 8; y += 2) {
+    const __m128i o = _mm_packus_epi16(row(y), row(y + 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + y * out_stride), o);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + (y + 1) * out_stride),
+                     _mm_srli_si128(o, 8));
+  }
+}
+
 void fb_analyze_sse2(const double* x64, double* bands32) {
   const FbTables& t = fb_tables();
   alignas(16) double s[64];
@@ -236,10 +287,18 @@ void fb_synth_sse2(const double* bands32, double* y64) {
 }  // namespace
 
 const KernelTable kKernelsSse2 = {
-    SimdLevel::kSse2,   &sad16_sse2,       &fdct8x8_f32_sse2,
-    &idct8x8_f32_sse2,  &fdct8x8_q15_sse2, &idct8x8_q15_sse2,
-    &quantize64_sse2,   &dequantize64_sse2, &fb_analyze_sse2,
-    &fb_synth_sse2};
+    .level = SimdLevel::kSse2,
+    .sad16 = &sad16_sse2,
+    .sad16_candidates = &sad16_candidates_sse2,
+    .fdct8x8_f32 = &fdct8x8_f32_sse2,
+    .idct8x8_f32 = &idct8x8_f32_sse2,
+    .fdct8x8_q15 = &fdct8x8_q15_sse2,
+    .idct8x8_q15 = &idct8x8_q15_sse2,
+    .quantize64 = &quantize64_sse2,
+    .dequantize64 = &dequantize64_sse2,
+    .reconstruct8x8 = &reconstruct8x8_sse2,
+    .fb_analyze = &fb_analyze_sse2,
+    .fb_synth = &fb_synth_sse2};
 
 }  // namespace mmsoc::dsp::detail
 

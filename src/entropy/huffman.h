@@ -4,8 +4,9 @@
 // used to remove entropy from the final data stream sent to the decoder."
 // This module builds length-limited canonical codes from symbol frequencies
 // (package-merge), serializes only the code lengths, and provides a fast
-// table-driven decoder. It is the shared lossless back end of the video
-// VLC stage (Fig. 1) and the audio frame packer (Fig. 2).
+// table-driven decoder. The video VLC stage (Fig. 1) builds its default
+// code from fixed lengths; the audio frame packer (Fig. 2) writes
+// fixed-width fields and does not use this module.
 #pragma once
 
 #include <cstdint>

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "dsp/dct.h"
+#include "dsp/dispatch.h"
 #include "video/vlc.h"
 
 namespace mmsoc::video {
@@ -47,34 +47,6 @@ void prediction(const FrameHeader& h, const Plane& ref,
     compensate_chroma(ref, field, out);
   } else {
     compensate(ref, field, out);
-  }
-}
-
-// One 8x8 block through the reconstruction adder,
-// o = clamp_u8(round_half_away(r + p)), as a plain 64-pixel loop that
-// GCC vectorizes at the baseline ISA. t = trunc(v) and frac = v - t are
-// exact for every float, so rounding half away from zero is one compare
-// per side. Dequantized residuals stay far inside int range, so the
-// conversion is defined for any decoded stream. The block's prediction is
-// read before its output is written, so `out` may alias `pred`.
-void reconstruct_block(const float* r, const std::uint8_t* pred,
-                       std::ptrdiff_t pred_stride, std::uint8_t* out,
-                       std::ptrdiff_t out_stride) noexcept {
-  alignas(16) std::uint8_t p[kCoeffs];
-  alignas(16) std::uint8_t o[kCoeffs];
-  for (int y = 0; y < kBlock; ++y) {
-    std::memcpy(p + y * kBlock, pred + y * pred_stride, kBlock);
-  }
-  for (std::size_t i = 0; i < kCoeffs; ++i) {
-    const float v = r[i] + p[i];
-    int t = static_cast<int>(v);
-    const float frac = v - static_cast<float>(t);
-    t += static_cast<int>(frac >= 0.5f) - static_cast<int>(frac <= -0.5f);
-    t = t < 0 ? 0 : t;
-    o[i] = static_cast<std::uint8_t>(t > 255 ? 255 : t);
-  }
-  for (int y = 0; y < kBlock; ++y) {
-    std::memcpy(out + y * out_stride, o + y * kBlock, kBlock);
   }
 }
 
@@ -222,9 +194,10 @@ void inverse_dct(const FrameHeader& h, std::span<const std::int16_t> levels,
 
 void reconstruct(std::span<const float> residual, const Plane& pred,
                  Plane& out) {
+  const auto add = dsp::kernels().reconstruct8x8;
   for_each_block(pred.width(), pred.height(), [&](int bx, int by, std::size_t i) {
-    reconstruct_block(&residual[i], pred.row(by) + bx, pred.stride(),
-                      out.row(by) + bx, out.stride());
+    add(&residual[i], pred.row(by) + bx, pred.stride(), out.row(by) + bx,
+        out.stride());
   });
 }
 

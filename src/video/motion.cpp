@@ -97,81 +97,164 @@ std::uint64_t sad16(const Plane& cur, const Plane& ref, int bx, int by, int dx,
 
 namespace {
 
-struct Candidate {
-  MotionVector mv;
-  std::uint64_t sad;
+// The most candidates one kernel call scores: a full-search row at the
+// widest range kReferenceBorder serves in place. Wider rows go in chunks.
+constexpr int kMaxBatch = 2 * kReferenceBorder + 1;
+
+// One macroblock's search: the current window, gathered once, scored
+// against one search step's candidate vectors per kernel call.
+class BlockSearch {
+ public:
+  BlockSearch(const Plane& cur, const Plane& ref, int bx, int by,
+              int range) noexcept
+      : ref_(ref), bx_(bx), by_(by),
+        score_(dsp::kernels().sad16_candidates),
+        lo_x_(-ref.border() - bx),
+        lo_y_(-ref.border() - by),
+        hi_x_(ref.width() + ref.border() - kMacroblockSize - bx),
+        hi_y_(ref.height() + ref.border() - kMacroblockSize - by),
+        in_place_(inside(-range, -range) && inside(range, range)),
+        cur_(window16(cur, bx, by, cur_win_, cur_stride_)) {}
+
+  // sads[i] = SAD of vector mv[i] for i < n (n <= kMaxBatch). The windows
+  // are read in place when all of them lie inside the reference's border;
+  // otherwise each is gathered edge-clamped into scratch, so every window
+  // of one call shares one stride.
+  void score(const MotionVector* mv, int n, std::uint32_t* sads) noexcept {
+    if (n == 0) return;
+    evaluations_ += static_cast<std::uint32_t>(n);
+    const std::uint8_t* wins[kMaxBatch];
+    const bool in_place =
+        in_place_ || std::all_of(mv, mv + n, [&](const MotionVector& v) {
+          return inside(v.dx, v.dy);
+        });
+    if (!in_place) {
+      gather(mv, n, wins);
+      score_(cur_, cur_stride_, wins, kMacroblockSize, n, sads);
+      return;
+    }
+    const std::uint8_t* origin = ref_.row(by_) + bx_;
+    const std::ptrdiff_t stride = ref_.stride();
+    for (int i = 0; i < n; ++i) wins[i] = origin + mv[i].dy * stride + mv[i].dx;
+    score_(cur_, cur_stride_, wins, stride, n, sads);
+  }
+
+  std::uint64_t score_at(MotionVector mv) noexcept {
+    std::uint32_t sad = 0;
+    score(&mv, 1, &sad);
+    return sad;
+  }
+
+  [[nodiscard]] std::uint32_t evaluations() const noexcept {
+    return evaluations_;
+  }
+
+ private:
+  [[nodiscard]] bool inside(int dx, int dy) const noexcept {
+    return dx >= lo_x_ && dx <= hi_x_ && dy >= lo_y_ && dy <= hi_y_;
+  }
+
+  void gather(const MotionVector* mv, int n,
+              const std::uint8_t** wins) noexcept {
+    for (int i = 0; i < n; ++i) {
+      std::uint8_t* dst = ref_win_ + i * kMacroblockSize * kMacroblockSize;
+      for (int r = 0; r < kMacroblockSize; ++r) {
+        copy_clamped_row(ref_, bx_ + mv[i].dx, by_ + mv[i].dy + r,
+                         kMacroblockSize, dst + r * kMacroblockSize);
+      }
+      wins[i] = dst;
+    }
+  }
+
+  const Plane& ref_;
+  int bx_, by_;
+  decltype(dsp::KernelTable::sad16_candidates) score_;
+  // The vectors whose window lies inside the reference's border.
+  int lo_x_, lo_y_, hi_x_, hi_y_;
+  bool in_place_;  // every window of the search range lies in the border
+  std::uint32_t evaluations_ = 0;
+  std::ptrdiff_t cur_stride_ = 0;
+  alignas(64) std::uint8_t cur_win_[kMacroblockSize * kMacroblockSize];
+  const std::uint8_t* cur_;
+  alignas(64) std::uint8_t
+      ref_win_[kMaxBatch * kMacroblockSize * kMacroblockSize];
 };
 
-Candidate eval(const Plane& cur, const Plane& ref, int bx, int by, int dx,
-               int dy, std::uint32_t& evals) noexcept {
-  ++evals;
-  return Candidate{MotionVector{dx, dy}, sad16(cur, ref, bx, by, dx, dy)};
-}
-
-MotionResult full_search(const Plane& cur, const Plane& ref, int bx, int by,
-                         int range) noexcept {
+MotionResult full_search(BlockSearch& s, int range) noexcept {
   MotionResult best;
   best.sad = ~std::uint64_t{0};
-  std::uint32_t evals = 0;
+  MotionVector mv[kMaxBatch];
+  std::uint32_t sads[kMaxBatch];
   for (int dy = -range; dy <= range; ++dy) {
-    for (int dx = -range; dx <= range; ++dx) {
-      const auto c = eval(cur, ref, bx, by, dx, dy, evals);
-      // Prefer shorter vectors on ties: cheaper to code, matches encoders.
-      if (c.sad < best.sad ||
-          (c.sad == best.sad &&
-           std::abs(c.mv.dx) + std::abs(c.mv.dy) <
-               std::abs(best.mv.dx) + std::abs(best.mv.dy))) {
-        best.mv = c.mv;
-        best.sad = c.sad;
+    for (int dx0 = -range; dx0 <= range; dx0 += kMaxBatch) {
+      const int n = std::min(kMaxBatch, range - dx0 + 1);
+      for (int i = 0; i < n; ++i) mv[i] = MotionVector{dx0 + i, dy};
+      s.score(mv, n, sads);
+      for (int i = 0; i < n; ++i) {
+        // Prefer shorter vectors on ties: cheaper to code, matches encoders.
+        if (sads[i] < best.sad ||
+            (sads[i] == best.sad &&
+             std::abs(mv[i].dx) + std::abs(mv[i].dy) <
+                 std::abs(best.mv.dx) + std::abs(best.mv.dy))) {
+          best.mv = mv[i];
+          best.sad = sads[i];
+        }
       }
     }
   }
-  best.evaluations = evals;
+  best.evaluations = s.evaluations();
   return best;
 }
 
-MotionResult three_step_search(const Plane& cur, const Plane& ref, int bx,
-                               int by, int range) noexcept {
+// One step of a pattern search around `center`: the pattern's points
+// within `range`, scored in one call. Moves `center` and `sad` to the
+// first strictly better point, if any.
+template <std::size_t N>
+void pattern_step(BlockSearch& s, const std::array<MotionVector, N>& pattern,
+                  int scale, int range, MotionVector& center,
+                  std::uint64_t& sad) noexcept {
+  MotionVector mv[N];
+  std::uint32_t sads[N];
+  int n = 0;
+  for (const auto& d : pattern) {
+    const MotionVector v{center.dx + d.dx * scale, center.dy + d.dy * scale};
+    if (std::abs(v.dx) > range || std::abs(v.dy) > range) continue;
+    mv[n++] = v;
+  }
+  s.score(mv, n, sads);
+  MotionVector next = center;
+  for (int i = 0; i < n; ++i) {
+    if (sads[i] < sad) {
+      sad = sads[i];
+      next = mv[i];
+    }
+  }
+  center = next;
+}
+
+// The eight neighbours of a three-step step, in raster order.
+constexpr std::array<MotionVector, 8> kSquare = {
+    MotionVector{-1, -1}, MotionVector{0, -1}, MotionVector{1, -1},
+    MotionVector{-1, 0},  MotionVector{1, 0},  MotionVector{-1, 1},
+    MotionVector{0, 1},   MotionVector{1, 1}};
+
+MotionResult three_step_search(BlockSearch& s, int range) noexcept {
   MotionResult best;
-  std::uint32_t evals = 0;
-  int cx = 0, cy = 0;
-  best.sad = sad16(cur, ref, bx, by, 0, 0);
-  ++evals;
+  best.sad = s.score_at(MotionVector{});
   // The initial step must satisfy step + step/2 + ... + 1 >= range or the
   // corners of the search window are unreachable; the smallest power of
   // two with 2*step - 1 >= range achieves that (a plain range/2 truncates:
   // range 5 gave steps 2,1 with maximum reach 3).
   int step = 1;
   while (2 * step - 1 < range) step *= 2;
-  while (step >= 1) {
-    int nx = cx, ny = cy;
-    std::uint64_t nbest = best.sad;
-    for (int sy = -1; sy <= 1; ++sy) {
-      for (int sx = -1; sx <= 1; ++sx) {
-        if (sx == 0 && sy == 0) continue;
-        const int dx = cx + sx * step;
-        const int dy = cy + sy * step;
-        if (std::abs(dx) > range || std::abs(dy) > range) continue;
-        const auto c = eval(cur, ref, bx, by, dx, dy, evals);
-        if (c.sad < nbest) {
-          nbest = c.sad;
-          nx = dx;
-          ny = dy;
-        }
-      }
-    }
-    cx = nx;
-    cy = ny;
-    best.sad = nbest;
-    step /= 2;
+  for (; step >= 1; step /= 2) {
+    pattern_step(s, kSquare, step, range, best.mv, best.sad);
   }
-  best.mv = MotionVector{cx, cy};
-  best.evaluations = evals;
+  best.evaluations = s.evaluations();
   return best;
 }
 
-MotionResult diamond_search(const Plane& cur, const Plane& ref, int bx, int by,
-                            int range) noexcept {
+MotionResult diamond_search(BlockSearch& s, int range) noexcept {
   // Large diamond search pattern until the center wins, then one small
   // diamond refinement (classic DS of Zhu & Ma).
   static constexpr std::array<MotionVector, 8> kLarge = {
@@ -183,54 +266,18 @@ MotionResult diamond_search(const Plane& cur, const Plane& ref, int bx, int by,
       MotionVector{-1, 0}};
 
   MotionResult best;
-  std::uint32_t evals = 0;
-  int cx = 0, cy = 0;
-  best.sad = sad16(cur, ref, bx, by, 0, 0);
-  ++evals;
-
+  best.sad = s.score_at(MotionVector{});
   // Guard against pathological loops on flat content.
   for (int iter = 0; iter < 4 * range + 8; ++iter) {
-    int nx = cx, ny = cy;
-    std::uint64_t nbest = best.sad;
-    for (const auto& d : kLarge) {
-      const int dx = cx + d.dx;
-      const int dy = cy + d.dy;
-      if (std::abs(dx) > range || std::abs(dy) > range) continue;
-      const auto c = eval(cur, ref, bx, by, dx, dy, evals);
-      if (c.sad < nbest) {
-        nbest = c.sad;
-        nx = dx;
-        ny = dy;
-      }
-    }
-    if (nx == cx && ny == cy) break;  // center is best: refine
-    cx = nx;
-    cy = ny;
-    best.sad = nbest;
+    const MotionVector center = best.mv;
+    pattern_step(s, kLarge, 1, range, best.mv, best.sad);
+    if (best.mv == center) break;  // center is best: refine
   }
   // Small-diamond refinement: argmin over the four fixed neighbours of the
-  // converged center. The center must not move mid-loop, or later
+  // converged center. The center must not move mid-step, or later
   // candidates are measured around a drifted point.
-  {
-    int nx = cx, ny = cy;
-    std::uint64_t nbest = best.sad;
-    for (const auto& d : kSmall) {
-      const int dx = cx + d.dx;
-      const int dy = cy + d.dy;
-      if (std::abs(dx) > range || std::abs(dy) > range) continue;
-      const auto c = eval(cur, ref, bx, by, dx, dy, evals);
-      if (c.sad < nbest) {
-        nbest = c.sad;
-        nx = dx;
-        ny = dy;
-      }
-    }
-    cx = nx;
-    cy = ny;
-    best.sad = nbest;
-  }
-  best.mv = MotionVector{cx, cy};
-  best.evaluations = evals;
+  pattern_step(s, kSmall, 1, range, best.mv, best.sad);
+  best.evaluations = s.evaluations();
   return best;
 }
 
@@ -238,19 +285,20 @@ MotionResult diamond_search(const Plane& cur, const Plane& ref, int bx, int by,
 
 MotionResult estimate_block(const Plane& cur, const Plane& ref, int bx, int by,
                             int range, SearchAlgorithm algo) noexcept {
+  BlockSearch s(cur, ref, bx, by, range);
   switch (algo) {
     case SearchAlgorithm::kFullSearch:
-      return full_search(cur, ref, bx, by, range);
+      return full_search(s, range);
     case SearchAlgorithm::kThreeStep:
-      return three_step_search(cur, ref, bx, by, range);
+      return three_step_search(s, range);
     case SearchAlgorithm::kDiamond:
-      return diamond_search(cur, ref, bx, by, range);
+      return diamond_search(s, range);
     case SearchAlgorithm::kNone:
       break;
   }
   MotionResult r;
-  r.sad = sad16(cur, ref, bx, by, 0, 0);
-  r.evaluations = 1;
+  r.sad = s.score_at(MotionVector{});
+  r.evaluations = s.evaluations();
   return r;
 }
 

@@ -12,13 +12,21 @@
 // 16x16 macroblocks and report the number of SAD evaluations so benches
 // can chart the cost/quality trade-off.
 //
-// Every window is read edge-clamped (Plane::at_clamped). A window that
-// lies inside its plane's edge-extended border (Plane::extend_edges) is
-// read in place, so a reference plane carrying kReferenceBorder serves a
-// whole default-range search from its own rows; only windows beyond the
-// border are gathered clamped into a scratch block. Once a plane's edges
-// are extended both give the same pixels, so results never depend on its
-// border.
+// A search scores one step's candidates per kernel call
+// (dsp::KernelTable::sad16_candidates), which loads the current block
+// once: a row of the full-search window (in chunks of 33 beyond range 16),
+// the <= 8 points of a three-step step, or a large or small diamond. The
+// selection then runs over the scores in scan order, so the vector, its
+// SAD, the tie-break and the evaluation count are those of scoring the
+// candidates one by one.
+//
+// Every window is read edge-clamped (Plane::at_clamped). When all of a
+// step's windows lie inside the reference's edge-extended border
+// (Plane::extend_edges) they are read in place, so a reference plane
+// carrying kReferenceBorder serves a whole default-range search from its
+// own rows; otherwise the step's windows are gathered clamped into
+// scratch. Once a plane's edges are extended both give the same pixels,
+// so results never depend on its border.
 #pragma once
 
 #include <cstdint>

@@ -2,39 +2,78 @@
 
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "entropy/rle.h"
 #include "entropy/zigzag.h"
 
 namespace mmsoc::video {
 
+namespace {
+
+constexpr int kMaxTableRun = 31;
+constexpr int kMaxTableLevel = 16;
+
+// The default code's lengths, fixed as data the way MPEG fixes its VLC
+// tables. They are the length-limited (16-bit) canonical Huffman code of
+// a parametric model of quantized-DCT statistics: EOB weighted 1.2,
+// (run, |level|) weighted 0.62^run * 0.45^(|level| - 1), escape 1e-4.
+// Vlc.DefaultCodeIsPackageMergeOfItsModel rebuilds them from that model.
+constexpr unsigned kEobBits = 2;
+constexpr unsigned kEscapeBits = 16;
+constexpr std::uint8_t kEventBits[kMaxTableRun + 1][kMaxTableLevel] = {
+    { 3,  4,  5,  6,  7,  8,  9, 11, 12, 13, 14, 15, 16, 16, 16, 16},  // run 0
+    { 3,  5,  6,  7,  8,  9, 10, 11, 12, 14, 15, 16, 16, 16, 16, 16},  // run 1
+    { 4,  5,  6,  7,  9, 10, 11, 12, 13, 14, 16, 16, 16, 16, 16, 16},  // run 2
+    { 5,  6,  7,  8,  9, 10, 12, 13, 14, 15, 16, 16, 16, 16, 16, 16},  // run 3
+    { 5,  7,  8,  9, 10, 11, 12, 13, 15, 16, 16, 16, 16, 16, 16, 16},  // run 4
+    { 6,  7,  8,  9, 11, 12, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16},  // run 5
+    { 7,  8,  9, 10, 11, 12, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16},  // run 6
+    { 7,  8, 10, 11, 12, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16},  // run 7
+    { 8,  9, 10, 11, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 8
+    { 9, 10, 11, 12, 13, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 9
+    { 9, 11, 12, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 10
+    {10, 11, 12, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 11
+    {11, 12, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 12
+    {11, 13, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 13
+    {12, 13, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 14
+    {13, 14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 15
+    {14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 16
+    {14, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 17
+    {15, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 18
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 19
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 20
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 21
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 22
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 23
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 24
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 25
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 26
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 27
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 28
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 29
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 30
+    {16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16},  // run 31
+};
+
+}  // namespace
+
 const entropy::HuffmanCode& default_vlc_table() {
-  // Parametric model of quantized-DCT statistics: P(run) and P(|level|)
-  // both roughly geometric; EOB is the most common symbol. The exact
-  // shape matters little — canonical Huffman adapts the lengths — but the
-  // ranking must be realistic so short codes land on common events.
   static const entropy::HuffmanCode table = [] {
-    std::vector<std::uint64_t> freqs(entropy::kRunLevelSymbols, 0);
-    constexpr double kRunDecay = 0.62;
-    constexpr double kLevelDecay = 0.45;
-    constexpr double kScale = 1e7;
-    freqs[entropy::kEobSymbol] = static_cast<std::uint64_t>(kScale * 1.2);
-    for (int run = 0; run <= 31; ++run) {
-      for (int mag = 1; mag <= 16; ++mag) {
-        const double p = std::pow(kRunDecay, run) * std::pow(kLevelDecay, mag - 1);
-        const auto f = static_cast<std::uint64_t>(kScale * p);
-        freqs[1 + run * 16 + (mag - 1)] = f > 0 ? f : 1;
+    std::array<std::uint8_t, entropy::kRunLevelSymbols> lengths{};
+    lengths[entropy::kEobSymbol] = kEobBits;
+    for (int run = 0; run <= kMaxTableRun; ++run) {
+      for (int mag = 1; mag <= kMaxTableLevel; ++mag) {
+        lengths[static_cast<std::size_t>(entropy::run_level_to_symbol(
+            {static_cast<std::uint8_t>(run), static_cast<std::int16_t>(mag)}))] =
+            kEventBits[run][mag - 1];
       }
     }
-    freqs[entropy::kEscapeSymbol] = static_cast<std::uint64_t>(kScale * 1e-4);
-    auto built = entropy::HuffmanCode::from_frequencies(freqs, 16);
-    // The model above is static and always valid; a failure here is a
-    // programming error, so fall back to a degenerate 1-symbol table to
-    // keep the function noexcept-ish in release builds.
+    lengths[entropy::kEscapeSymbol] = kEscapeBits;
+    auto built = entropy::HuffmanCode::from_lengths(lengths);
+    // The lengths above form a complete prefix code; a failure here is a
+    // programming error, so fall back to an empty table rather than throw.
     return built.is_ok() ? std::move(built).value() : entropy::HuffmanCode{};
   }();
   return table;
@@ -48,9 +87,6 @@ struct SignedCode {
   std::uint32_t code = 0;
   std::uint32_t bits = 0;
 };
-
-constexpr int kMaxTableRun = 31;
-constexpr int kMaxTableLevel = 16;
 
 // default_vlc_table() flattened once: every (run, |level|) that has its
 // own symbol, plus the EOB and escape codewords. A symbol without a code

@@ -3,9 +3,10 @@
 // Quantized 8x8 blocks are coded as a differential DC value (Exp-Golomb)
 // followed by Huffman-coded (run, level) events with separate sign bits
 // and an escape path for rare large values. Encoder and decoder share a
-// deterministic default code built from a parametric model of typical
-// coefficient statistics, so no table needs to be transmitted (standard
-// practice: MPEG's tables are likewise fixed by the standard).
+// default code whose lengths are fixed as data, so no table needs to be
+// transmitted (standard practice: MPEG's tables are likewise fixed by the
+// standard); the lengths are the Huffman code of a parametric model of
+// typical coefficient statistics.
 //
 // The encoder finds a block's nonzero AC levels in one pass (a 64-bit
 // zig-zag mask walked lowest bit first) and emits each common event as one

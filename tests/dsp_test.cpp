@@ -470,6 +470,117 @@ TEST(SimdDispatch, Sad16MatchesScalarOnRandomStridesAndOffsets) {
   }
 }
 
+TEST(SimdDispatch, Sad16CandidatesMatchScalar) {
+  // One search step's batch: n windows sharing one stride, read in place
+  // from a plane-like buffer or from a scratch copy laid out with the same
+  // stride, each scored against one current window at its own stride.
+  const auto scalar = kernel_table(SimdLevel::kScalar);
+  Rng rng(0xba7c4);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int n = 1 + static_cast<int>(iter % 33);
+    const auto cur_stride = static_cast<std::ptrdiff_t>(rng.next_in(16, 96));
+    const auto stride = static_cast<std::ptrdiff_t>(rng.next_in(16, 96));
+    const auto cur_off = static_cast<std::size_t>(rng.next_below(8));
+    std::vector<std::uint8_t> cur(cur_off + 16 * cur_stride);
+    // A plane 40 columns wider and taller than a window, and a scratch
+    // area of n windows stacked at `stride`.
+    std::vector<std::uint8_t> plane(56 * stride + 56);
+    std::vector<std::uint8_t> scratch(n * 16 * stride + 16);
+    for (auto* buf : {&cur, &plane, &scratch}) {
+      for (auto& v : *buf) v = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    const bool in_place = iter % 2 == 0;
+    std::vector<const std::uint8_t*> wins(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      wins[i] = in_place
+                    ? plane.data() + rng.next_below(40) * stride +
+                          rng.next_below(40)
+                    : scratch.data() + i * 16 * stride + rng.next_below(8);
+    }
+    std::vector<std::uint32_t> want(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      want[i] = scalar->sad16(cur.data() + cur_off, cur_stride, wins[i], stride);
+    }
+    for (const auto* table : runnable_tables()) {
+      std::vector<std::uint32_t> got(static_cast<std::size_t>(n) + 1, 0xdeadbeef);
+      table->sad16_candidates(cur.data() + cur_off, cur_stride, wins.data(),
+                              stride, n, got.data());
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << simd_level_name(table->level) << " iter " << iter << " window "
+            << i << " of " << n << (in_place ? " in place" : " in scratch");
+      }
+      EXPECT_EQ(got[n], 0xdeadbeef) << "wrote past n at "
+                                    << simd_level_name(table->level);
+    }
+  }
+}
+
+TEST(SimdDispatch, ReconstructAdderBitExact) {
+  // clamp_u8(round_half_away(r + p)) at every level: exact .5 ties of
+  // either sign, their float neighbours, sums far outside [0, 255], every
+  // prediction byte in every lane, any strides, and in place.
+  const auto scalar = kernel_table(SimdLevel::kScalar);
+  Rng rng(0x4ec0);
+  constexpr std::ptrdiff_t kMaxStride = 40;
+  alignas(32) float r_buf[65];
+  std::vector<std::uint8_t> pred(8 + 8 * kMaxStride), want(pred.size()),
+      got(pred.size());
+  for (int iter = 0; iter < 512; ++iter) {
+    float* r = r_buf + (iter % 2);
+    const auto stride = static_cast<std::ptrdiff_t>(rng.next_in(8, kMaxStride));
+    const auto off = static_cast<std::size_t>(rng.next_below(8));
+    for (auto& v : pred) v = static_cast<std::uint8_t>(rng.next_below(256));
+    for (int i = 0; i < 64; ++i) {
+      // Over 256 iterations each lane sees every prediction byte.
+      const auto p = static_cast<std::uint8_t>((iter + 37 * i) % 256);
+      pred[off + (i / 8) * stride + i % 8] = p;
+      const auto k = static_cast<float>(rng.next_in(-400, 700));
+      float sum = 0.0f;
+      switch ((iter + i) % 4) {
+        case 0:  // an exact tie
+          sum = k + (rng.next_below(2) != 0 ? 0.5f : -0.5f);
+          break;
+        case 1:  // a tie's float neighbour
+          sum = std::nextafter(k + 0.5f, rng.next_below(2) != 0 ? INFINITY
+                                                                  : -INFINITY);
+          break;
+        case 2:  // anything the IDCT gives
+          sum = static_cast<float>(rng.next_double_in(-400.0, 700.0));
+          break;
+        default:  // far outside the pixel range
+          sum = static_cast<float>(rng.next_double_in(-1e6, 1e6));
+          break;
+      }
+      r[i] = sum - static_cast<float>(p);
+    }
+    std::fill(want.begin(), want.end(), std::uint8_t{0});
+    scalar->reconstruct8x8(r, pred.data() + off, stride, want.data() + off,
+                           stride);
+    for (int i = 0; i < 64; ++i) {
+      const std::size_t at = off + (i / 8) * stride + i % 8;
+      ASSERT_EQ(want[at], common::clamp_u8(common::round_half_away(
+                              r[i] + static_cast<float>(pred[at]))))
+          << "scalar reference drifted at " << i << " iter " << iter;
+    }
+    for (const auto* table : runnable_tables()) {
+      std::fill(got.begin(), got.end(), std::uint8_t{0});
+      table->reconstruct8x8(r, pred.data() + off, stride, got.data() + off,
+                            stride);
+      EXPECT_EQ(got, want) << simd_level_name(table->level) << " iter " << iter;
+      // The contract allows out == pred.
+      auto inplace = pred;
+      table->reconstruct8x8(r, inplace.data() + off, stride,
+                            inplace.data() + off, stride);
+      for (int i = 0; i < 64; ++i) {
+        const std::size_t at = off + (i / 8) * stride + i % 8;
+        EXPECT_EQ(inplace[at], want[at])
+            << simd_level_name(table->level) << " in place iter " << iter;
+      }
+    }
+  }
+}
+
 TEST(SimdDispatch, FloatDctVariantsBitExact) {
   const auto scalar = kernel_table(SimdLevel::kScalar);
   Rng rng(0xdc7f32);

@@ -884,8 +884,158 @@ TEST(Motion, BorderedReferenceGivesTheSameField) {
   }
 }
 
+// Each search scored one candidate at a time through public sad16(), in
+// the scan order and with the selection rules of motion.h: the reference
+// the batched searches must equal in vector, SAD and evaluation count.
+MotionResult per_candidate_search(const Plane& cur, const Plane& ref, int bx,
+                                  int by, int range, SearchAlgorithm algo) {
+  MotionResult best;
+  const auto sad = [&](int dx, int dy) {
+    ++best.evaluations;
+    return sad16(cur, ref, bx, by, dx, dy);
+  };
+  const auto in_range = [&](int dx, int dy) {
+    return std::abs(dx) <= range && std::abs(dy) <= range;
+  };
+  // Moves the center to the first strictly better in-range point of
+  // `pattern` (scaled by `step`); true if it moved.
+  const auto step_to = [&](const std::vector<MotionVector>& pattern,
+                           int step) {
+    MotionVector next = best.mv;
+    for (const auto& d : pattern) {
+      const int dx = best.mv.dx + d.dx * step;
+      const int dy = best.mv.dy + d.dy * step;
+      if (!in_range(dx, dy)) continue;
+      if (const auto s = sad(dx, dy); s < best.sad) {
+        best.sad = s;
+        next = MotionVector{dx, dy};
+      }
+    }
+    const bool moved = !(next == best.mv);
+    best.mv = next;
+    return moved;
+  };
+  switch (algo) {
+    case SearchAlgorithm::kFullSearch:
+      best.sad = ~std::uint64_t{0};
+      for (int dy = -range; dy <= range; ++dy) {
+        for (int dx = -range; dx <= range; ++dx) {
+          const auto s = sad(dx, dy);
+          if (s < best.sad ||
+              (s == best.sad && std::abs(dx) + std::abs(dy) <
+                                    std::abs(best.mv.dx) + std::abs(best.mv.dy))) {
+            best.mv = MotionVector{dx, dy};
+            best.sad = s;
+          }
+        }
+      }
+      break;
+    case SearchAlgorithm::kThreeStep: {
+      best.sad = sad(0, 0);
+      int step = 1;
+      while (2 * step - 1 < range) step *= 2;
+      const std::vector<MotionVector> square = {{-1, -1}, {0, -1}, {1, -1},
+                                                {-1, 0},  {1, 0},  {-1, 1},
+                                                {0, 1},   {1, 1}};
+      for (; step >= 1; step /= 2) step_to(square, step);
+      break;
+    }
+    case SearchAlgorithm::kDiamond: {
+      best.sad = sad(0, 0);
+      const std::vector<MotionVector> large = {{0, -2}, {1, -1}, {2, 0},
+                                               {1, 1},  {0, 2},  {-1, 1},
+                                               {-2, 0}, {-1, -1}};
+      const std::vector<MotionVector> small = {{0, -1}, {1, 0}, {0, 1},
+                                               {-1, 0}};
+      for (int iter = 0; iter < 4 * range + 8 && step_to(large, 1); ++iter) {
+      }
+      step_to(small, 1);
+      break;
+    }
+    case SearchAlgorithm::kNone:
+      best.sad = sad(0, 0);
+      break;
+  }
+  return best;
+}
+
+TEST(Motion, SearchesEqualPerCandidateOracle) {
+  // Batching a step's candidates into one kernel call changes no result:
+  // every algorithm and range, on bordered and plain references, and on a
+  // plane with partial edge macroblocks, equals the per-candidate search
+  // in vector, SAD and evaluation count, block by block and through
+  // estimate_frame.
+  const auto scene = scene_high_motion(9);
+  for (const auto& [w, h] : {std::pair{352, 288}, std::pair{72, 40}}) {
+    std::vector<std::uint8_t> packed(static_cast<std::size_t>(w) * h);
+    SyntheticVideo::render(w, h, scene, 3).y().copy_packed_to(packed.data());
+    const Plane cur = SyntheticVideo::render(w, h, scene, 4).y();
+    for (const int b : {0, kReferenceBorder}) {
+      const Plane ref = bordered_copy(packed, w, h, b);
+      for (const auto algo :
+           {SearchAlgorithm::kFullSearch, SearchAlgorithm::kThreeStep,
+            SearchAlgorithm::kDiamond, SearchAlgorithm::kNone}) {
+        for (const int range : {1, 2, 5, 8, 16, 20}) {
+          const auto field = estimate_frame(cur, ref, range, algo);
+          ASSERT_EQ(field.blocks_x, (w + 15) / 16);
+          ASSERT_EQ(field.blocks_y, (h + 15) / 16);
+          for (int by = 0; by < field.blocks_y; ++by) {
+            for (int bx = 0; bx < field.blocks_x; ++bx) {
+              const auto want = per_candidate_search(
+                  cur, ref, bx * kMacroblockSize, by * kMacroblockSize, range,
+                  algo);
+              const auto& got =
+                  field.blocks[static_cast<std::size_t>(by) * field.blocks_x + bx];
+              const auto block = estimate_block(cur, ref, bx * kMacroblockSize,
+                                                by * kMacroblockSize, range, algo);
+              ASSERT_EQ(got.mv, want.mv)
+                  << w << "x" << h << " border " << b << " algo "
+                  << static_cast<int>(algo) << " range " << range << " block ("
+                  << bx << "," << by << ")";
+              ASSERT_EQ(got.sad, want.sad);
+              ASSERT_EQ(got.evaluations, want.evaluations);
+              ASSERT_EQ(block.mv, want.mv);
+              ASSERT_EQ(block.sad, want.sad);
+              ASSERT_EQ(block.evaluations, want.evaluations);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------- vlc
 
+
+TEST(Vlc, DefaultCodeIsPackageMergeOfItsModel) {
+  // The default code's lengths are data; they must stay the 16-bit-limited
+  // package-merge code of the parametric model they were derived from, so
+  // every stream coded before they became data decodes the same.
+  std::vector<std::uint64_t> freqs(entropy::kRunLevelSymbols, 0);
+  constexpr double kRunDecay = 0.62;
+  constexpr double kLevelDecay = 0.45;
+  constexpr double kScale = 1e7;
+  freqs[entropy::kEobSymbol] = static_cast<std::uint64_t>(kScale * 1.2);
+  for (int run = 0; run <= 31; ++run) {
+    for (int mag = 1; mag <= 16; ++mag) {
+      const double p = std::pow(kRunDecay, run) * std::pow(kLevelDecay, mag - 1);
+      const auto f = static_cast<std::uint64_t>(kScale * p);
+      freqs[1 + run * 16 + (mag - 1)] = f > 0 ? f : 1;
+    }
+  }
+  freqs[entropy::kEscapeSymbol] = static_cast<std::uint64_t>(kScale * 1e-4);
+  const auto built = entropy::HuffmanCode::from_frequencies(freqs, 16);
+  ASSERT_TRUE(built.is_ok());
+  const auto want = built.value().lengths();
+  const auto got = default_vlc_table().lengths();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "symbol " << i;
+    EXPECT_EQ(default_vlc_table().codeword(i), built.value().codeword(i))
+        << "symbol " << i;
+  }
+}
 
 TEST(Vlc, BlockRoundTripRandomLevels) {
   Rng rng(20);
