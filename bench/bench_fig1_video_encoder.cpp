@@ -11,6 +11,7 @@
 
 #include "common/bitstream.h"
 #include "core/appgraphs.h"
+#include "dsp/crc32.h"
 #include "video/codec.h"
 #include "video/metrics.h"
 #include "video/source.h"
@@ -77,19 +78,33 @@ void print_tables() {
 }
 
 // Capture, the graph's first box: one CIF luma render of a high-motion
-// scene into one reused plane, as the Fig. 1 capture stage does per frame.
+// scene by one reused renderer into one reused plane, as the Fig. 1
+// capture stage does per frame.
 void BM_RenderLuma(benchmark::State& state) {
-  const auto scene = video::scene_high_motion(1);
+  video::LumaRenderer renderer(video::scene_high_motion(1), 352, 288);
   video::Plane luma(352, 288);
   int frame = 0;
   for (auto _ : state) {
-    video::SyntheticVideo::render_luma(scene, frame++, luma);
+    renderer.render(frame++, luma);
     benchmark::DoNotOptimize(luma.row(0));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RenderLuma);
+
+// The digest the Fig. 1 reconstruct stage chains over every frame: the
+// dispatched CRC-32 of one packed CIF luma plane.
+void BM_Crc32Plane(benchmark::State& state) {
+  const auto luma = video::SyntheticVideo::render(352, 288, video::scene_high_motion(1), 0).y();
+  std::vector<std::uint8_t> packed(static_cast<std::size_t>(luma.width()) * luma.height());
+  luma.copy_packed_to(packed.data());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::crc32(packed));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(packed.size()));
+}
+BENCHMARK(BM_Crc32Plane);
 
 // The MOTION ESTIMATOR on one CIF P frame, as the Fig. 1 motion-estimator
 // stage runs it: a three-step search at range 8 of every macroblock

@@ -80,6 +80,8 @@ constexpr KernelTable kKernelsScalar = {
     .quantize64 = &quantize64_scalar,
     .dequantize64 = &dequantize64_scalar,
     .reconstruct8x8 = &reconstruct8x8_scalar,
+    .sensor_noise_row = &sensor_noise_row_scalar,
+    .crc32_update = &crc32_update_scalar,
     .fb_analyze = &fb_analyze_scalar,
     .fb_synth = &fb_synth_scalar};
 
@@ -110,8 +112,9 @@ bool cpu_supports_impl(SimdLevel level) noexcept {
 #if defined(__x86_64__) || defined(__i386__)
     case SimdLevel::kSse2:
       return __builtin_cpu_supports("sse2") != 0;
-    case SimdLevel::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
+    case SimdLevel::kAvx2:  // its CRC-32 folds with PCLMULQDQ
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
 #endif
     default:
       return false;

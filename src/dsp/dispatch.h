@@ -5,8 +5,9 @@
 // FFmpeg-dsputil-shaped answer on the host side. Each hot operation —
 // 16x16 SAD (one window, or one search step's batch of candidates), 8x8
 // float and Q15 DCT/IDCT, the 64-coefficient quantizer loops, the 8x8
-// reconstruction adder, and the 32-band filterbank MACs — is a slot in a
-// per-ISA function-pointer table. The table is chosen once at startup from CPUID
+// reconstruction adder, the 32-band filterbank MACs, the capture's
+// sensor-noise row and the CRC-32 update — is a slot in a per-ISA
+// function-pointer table. The table is chosen once at startup from CPUID
 // (best available of scalar/SSE2/AVX2; non-x86 hosts run scalar), can be
 // forced via the MMSOC_SIMD environment variable (scalar|sse2|avx2), and
 // can be switched at runtime with set_simd_level() so tests and benches
@@ -26,6 +27,14 @@
 //  - reconstruct8x8 rounds with the same truncate-plus-exact-fraction
 //    compare, which is exact for every float inside int range, and
 //    saturates to [0, 255] like the scalar clamp.
+//  - sensor_noise_row evaluates t = (v + sigma * g) + 0.5 in double, in
+//    that order and never fused (no FMA), truncates t toward zero and
+//    saturates to [0, 255]. In contract |t| < 2^31, where truncation is
+//    defined; the index mix64(counter + x) >> 52 is integer and wraps
+//    modulo 2^64 like the scalar code.
+//  - crc32_update is integer: the PCLMULQDQ fold and Barrett reduction
+//    compute the same polynomial remainder as the table, so every
+//    variant returns the same state for every input and any split of it.
 #pragma once
 
 #include <cstddef>
@@ -79,6 +88,18 @@ struct KernelTable {
   void (*reconstruct8x8)(const float* residual, const std::uint8_t* pred,
                          std::ptrdiff_t pred_stride, std::uint8_t* out,
                          std::ptrdiff_t out_stride);
+
+  /// One row of sensor-noised pixels: out[x] = clamp_u8(int((v[x] +
+  /// sigma * table[mix64(counter + x) >> 52]) + 0.5)) for x < n, with
+  /// common::mix64 and a 4096-entry noise table.
+  void (*sensor_noise_row)(const double* v, std::size_t n, double sigma,
+                           std::uint64_t counter, const double* table,
+                           std::uint8_t* out);
+
+  /// CRC-32 (IEEE 802.3, reflected) register after `n` more bytes: the
+  /// state is the register itself, before the final xor.
+  std::uint32_t (*crc32_update)(std::uint32_t state, const std::uint8_t* data,
+                                std::size_t n);
 
   /// 32-band analysis MAC: bands[k] = sum_n (window[n]*x[n]) * basis[k][n]
   /// over the 64-sample lapped window x.

@@ -74,6 +74,11 @@ void reconstruct8x8_scalar(const float* residual, const std::uint8_t* pred,
                            std::ptrdiff_t out_stride);
 void fb_analyze_scalar(const double* x64, double* bands32);
 void fb_synth_scalar(const double* bands32, double* y64);
+void sensor_noise_row_scalar(const double* v, std::size_t n, double sigma,
+                             std::uint64_t counter, const double* table,
+                             std::uint8_t* out);
+std::uint32_t crc32_update_scalar(std::uint32_t state, const std::uint8_t* data,
+                                  std::size_t n);
 
 // Variant tables, present only when their TU is compiled in. Constant-
 // initialized (function addresses only) so a table reference can never

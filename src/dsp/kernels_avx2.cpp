@@ -1,5 +1,5 @@
-// AVX2 kernel variants. Built with -mavx2 -ffp-contract=off; compiles away
-// unless x86 SIMD dispatch is enabled. No code in this TU runs before
+// AVX2 kernel variants. Built with -mavx2 -mpclmul -ffp-contract=off;
+// compiles away unless x86 SIMD dispatch is enabled. No code in this TU runs before
 // dispatch.cpp has checked CPUID: the exported table is constant-
 // initialized from function addresses only.
 //
@@ -8,7 +8,10 @@
 // outputs of a DCT pass, vpmuldq provides the signed 32x32->64 multiply
 // directly, and psadbw handles two pixel rows per instruction.
 // reconstruct8x8 rounds with the quantizer's lround8_avx2, exact for every
-// float inside int range.
+// float inside int range. sensor_noise_row hashes four counters per
+// vector (a 64-bit multiply from three 32x32->64 partial products) and
+// gathers their table entries; crc32_update folds 64 bytes per step with
+// PCLMULQDQ, which the AVX2 level's CPU check also requires.
 #if defined(MMSOC_SIMD_X86) && defined(__AVX2__)
 
 #include <immintrin.h>
@@ -248,6 +251,129 @@ void fb_synth_avx2(const double* bands32, double* y64) {
   }
 }
 
+// Low 64 bits of a * b in each lane, b a constant split into 32-bit
+// halves: lo(a)lo(b) + (hi(a)lo(b) + lo(a)hi(b)) << 32. The hi * hi
+// product only reaches bits 64 and up.
+inline __m256i mullo64_avx2(__m256i a, __m256i b_lo, __m256i b_hi) {
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b_lo),
+                       _mm256_mul_epu32(a, b_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+// Four pixels: t = (v + sigma * g) + 0.5 with g gathered at the top 12
+// bits of common::mix64(counter); mix64's last step, z ^ (z >> 31), does
+// not touch those bits. cvttpd truncates like the scalar int conversion.
+class NoiseQuad {
+ public:
+  NoiseQuad(double sigma, std::uint64_t counter, const double* table)
+      : sigma_(_mm256_set1_pd(sigma)),
+        counter_(_mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(counter)),
+                                  _mm256_setr_epi64x(0, 1, 2, 3))),
+        table_(table) {}
+
+  __m128i next(const double* v) {
+    __m256i z = counter_;
+    counter_ = _mm256_add_epi64(counter_, _mm256_set1_epi64x(4));
+    z = mullo64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), k1_lo_, k1_hi_);
+    z = mullo64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), k2_lo_, k2_hi_);
+    const __m256d g = _mm256_i64gather_pd(table_, _mm256_srli_epi64(z, 52), 8);
+    const __m256d t = _mm256_add_pd(
+        _mm256_add_pd(_mm256_loadu_pd(v), _mm256_mul_pd(sigma_, g)),
+        _mm256_set1_pd(0.5));
+    return _mm256_cvttpd_epi32(t);
+  }
+
+ private:
+  static constexpr std::uint64_t kMul1 = 0xBF58476D1CE4E5B9ull;
+  static constexpr std::uint64_t kMul2 = 0x94D049BB133111EBull;
+  const __m256i k1_lo_ = _mm256_set1_epi64x(static_cast<long long>(kMul1 & 0xFFFFFFFFu));
+  const __m256i k1_hi_ = _mm256_set1_epi64x(static_cast<long long>(kMul1 >> 32));
+  const __m256i k2_lo_ = _mm256_set1_epi64x(static_cast<long long>(kMul2 & 0xFFFFFFFFu));
+  const __m256i k2_hi_ = _mm256_set1_epi64x(static_cast<long long>(kMul2 >> 32));
+  __m256d sigma_;
+  __m256i counter_;
+  const double* table_;
+};
+
+// Sixteen pixels per step, saturated to bytes by packs (int32 -> int16)
+// then packus (int16 -> uint8); the last n % 16 run the scalar row.
+void sensor_noise_row_avx2(const double* v, std::size_t n, double sigma,
+                           std::uint64_t counter, const double* table,
+                           std::uint8_t* out) {
+  NoiseQuad quad(sigma, counter, table);
+  std::size_t x = 0;
+  for (; x + 16 <= n; x += 16) {
+    const __m128i a = quad.next(v + x);
+    const __m128i b = quad.next(v + x + 4);
+    const __m128i c = quad.next(v + x + 8);
+    const __m128i d = quad.next(v + x + 12);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
+                     _mm_packus_epi16(_mm_packs_epi32(a, b), _mm_packs_epi32(c, d)));
+  }
+  sensor_noise_row_scalar(v + x, n - x, sigma, counter + x, table, out + x);
+}
+
+// CRC-32 of a whole number of 16-byte blocks, at least 64 bytes, by
+// carry-less multiplication: four 128-bit lanes fold 64 bytes per step,
+// fold into one lane, then 128 -> 64 -> 32 bits and a Barrett reduction.
+// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+// PCLMULQDQ Instruction" (Intel, 2009); the bit-reflected constants are
+// the ones zlib's crc32_simd uses. `state` is the CRC register.
+std::uint32_t crc32_fold_pclmul(std::uint32_t state, const std::uint8_t* p,
+                                std::size_t n) {
+  const auto load = [](const std::uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  // fold(x, k, y) = x.lo * k.lo ^ x.hi * k.hi ^ y.
+  const auto fold = [](__m128i x, __m128i k, __m128i y) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         y);
+  };
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = fold(x1, k1k2, load(p));
+    x2 = fold(x2, k1k2, load(p + 16));
+    x3 = fold(x3, k1k2, load(p + 32));
+    x4 = fold(x4, k1k2, load(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits, then 64 -> 32 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00),
+                     _mm_srli_si128(x1, 4));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+// Inputs under 64 bytes and the last n % 16 bytes take the table path.
+std::uint32_t crc32_update_avx2(std::uint32_t state, const std::uint8_t* p,
+                                std::size_t n) {
+  if (n < 64) return crc32_update_scalar(state, p, n);
+  const std::size_t folded = n & ~std::size_t{15};
+  state = crc32_fold_pclmul(state, p, folded);
+  return crc32_update_scalar(state, p + folded, n - folded);
+}
+
 }  // namespace
 
 const KernelTable kKernelsAvx2 = {
@@ -261,6 +387,8 @@ const KernelTable kKernelsAvx2 = {
     .quantize64 = &quantize64_avx2,
     .dequantize64 = &dequantize64_avx2,
     .reconstruct8x8 = &reconstruct8x8_avx2,
+    .sensor_noise_row = &sensor_noise_row_avx2,
+    .crc32_update = &crc32_update_avx2,
     .fb_analyze = &fb_analyze_avx2,
     .fb_synth = &fb_synth_avx2};
 

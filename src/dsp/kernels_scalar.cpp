@@ -1,14 +1,17 @@
 // Scalar reference kernels — the bit-exactness oracle for every SIMD
 // variant. The loop bodies reproduce the pre-dispatch implementations in
-// dct.cpp, quantizer.cpp, filterbank.cpp, motion.cpp and codec.cpp
-// exactly; this TU
+// dct.cpp, quantizer.cpp, filterbank.cpp, motion.cpp, codec.cpp,
+// video/source.cpp (the sensor-noise row) and common/crc32.cpp exactly;
+// this TU
 // builds with -ffp-contract=off so the float summation orders here are
 // the contract, not whatever the optimizer fuses.
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 #include "common/mathutil.h"
+#include "common/rng.h"
 #include "dsp/kernels.h"
 
 namespace mmsoc::dsp::detail {
@@ -219,6 +222,71 @@ void fb_synth_scalar(const double* bands32, double* y64) {
     for (int k = 0; k < kFbBands; ++k) acc += bands32[k] * t.basis[k][n];
     y64[n] = t.synth_scale[n] * acc;
   }
+}
+
+// The table lookup is the only input-dependent load; pixels are
+// independent, so any variant may run them in any order.
+void sensor_noise_row_scalar(const double* v, std::size_t n, double sigma,
+                             std::uint64_t counter, const double* table,
+                             std::uint8_t* out) {
+  for (std::size_t x = 0; x < n; ++x) {
+    const double g = table[common::mix64(counter + x) >> 52];
+    const double t = (v[x] + sigma * g) + 0.5;
+    const int i = static_cast<int>(t);
+    out[x] = static_cast<std::uint8_t>(i < 0 ? 0 : (i > 255 ? 255 : i));
+  }
+}
+
+namespace {
+
+// Slice-by-8 CRC-32 tables: kCrcTables[0] is the classic byte table;
+// kCrcTables[k][i] is the CRC of byte i followed by k zero bytes, so
+// eight table lookups advance the state by eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// Little-endian load (compiles to one mov on x86).
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+std::uint32_t crc32_update_scalar(std::uint32_t state, const std::uint8_t* p,
+                                  std::size_t n) {
+  const auto& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ state;
+    const std::uint32_t hi = load_le32(p + 4);
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = t[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
 }
 
 }  // namespace mmsoc::dsp::detail

@@ -297,6 +297,10 @@ const KernelTable kKernelsSse2 = {
     .quantize64 = &quantize64_sse2,
     .dequantize64 = &dequantize64_sse2,
     .reconstruct8x8 = &reconstruct8x8_sse2,
+    // SSE2 has neither a 64-bit multiply nor a gather; a vector index with
+    // scalar table loads was no faster than the scalar row.
+    .sensor_noise_row = &sensor_noise_row_scalar,
+    .crc32_update = &crc32_update_scalar,
     .fb_analyze = &fb_analyze_sse2,
     .fb_synth = &fb_synth_sse2};
 

@@ -1,7 +1,7 @@
 #include "fs/import.h"
 
-#include "common/crc32.h"
 #include "common/rng.h"
+#include "dsp/crc32.h"
 
 namespace mmsoc::fs {
 
@@ -68,7 +68,7 @@ Result<std::vector<ImportedFile>> import_foreign_tree(
       ImportedFile imported;
       imported.path = path;
       imported.size = size;
-      imported.crc32 = common::crc32(contents);
+      imported.crc32 = dsp::crc32(contents);
       manifest.push_back(std::move(imported));
     }
   }

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/crc32.h"
+#include "dsp/crc32.h"
 
 namespace mmsoc::net {
 
@@ -19,7 +19,7 @@ std::vector<std::uint8_t> MediaPacket::serialize() const {
     out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
   }
   out.insert(out.end(), payload.begin(), payload.end());
-  const auto crc = common::crc32(out);
+  const auto crc = dsp::crc32(out);
   for (int i = 3; i >= 0; --i) {
     out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
   }
@@ -34,7 +34,7 @@ std::optional<MediaPacket> MediaPacket::parse(
       (static_cast<std::uint32_t>(bytes[bytes.size() - 3]) << 16) |
       (static_cast<std::uint32_t>(bytes[bytes.size() - 2]) << 8) |
       bytes[bytes.size() - 1];
-  if (common::crc32(bytes.first(bytes.size() - 4)) != stored_crc) {
+  if (dsp::crc32(bytes.first(bytes.size() - 4)) != stored_crc) {
     return std::nullopt;
   }
   MediaPacket p;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/bitstream.h"
-#include "common/crc32.h"
+#include "dsp/crc32.h"
 
 namespace mmsoc::net {
 
@@ -21,7 +21,7 @@ std::vector<std::uint8_t> Segment::serialize() const {
   out.push_back(is_ack ? 1 : 0);
   put32(static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
-  const auto crc = common::crc32(out);
+  const auto crc = dsp::crc32(out);
   put32(crc);
   return out;
 }
@@ -34,7 +34,7 @@ std::optional<Segment> Segment::parse(std::span<const std::uint8_t> bytes) {
            (static_cast<std::uint32_t>(bytes[off + 2]) << 8) | bytes[off + 3];
   };
   const auto stored_crc = get32(bytes.size() - 4);
-  if (common::crc32(bytes.first(bytes.size() - 4)) != stored_crc) {
+  if (dsp::crc32(bytes.first(bytes.size() - 4)) != stored_crc) {
     return std::nullopt;  // corrupted on the wire: treated as lost
   }
   Segment s;

@@ -14,9 +14,9 @@
 #include "audio/psycho.h"
 #include "audio/subband_codec.h"
 #include "common/bitstream.h"
-#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/appgraphs.h"
+#include "dsp/crc32.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/source.h"
@@ -156,14 +156,14 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   };
 
   // CAPTURE: deterministic synthetic scene, one luma frame per iteration
-  // rendered into a session-owned plane, broadcast to the motion
-  // estimator and the MC predictor.
+  // rendered by a session-owned renderer into a session-owned plane,
+  // broadcast to the motion estimator and the MC predictor.
   {
-    const auto scene = video::scene_high_motion(config.seed);
+    auto renderer = std::make_shared<video::LumaRenderer>(
+        video::scene_high_motion(config.seed), w, h);
     auto luma = std::make_shared<video::Plane>(w, h);
-    g.set_body(find_task(g, "capture"), [scene, luma](TaskFiring& f) {
-      video::SyntheticVideo::render_luma(scene, static_cast<int>(f.iteration),
-                                         *luma);
+    g.set_body(find_task(g, "capture"), [renderer, luma](TaskFiring& f) {
+      renderer->render(static_cast<int>(f.iteration), *luma);
       store_plane_packed(f, 0, *luma);  // -> motion estimator
       store_plane_packed(f, 1, *luma);  // -> MC predictor
     });
@@ -243,7 +243,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
   // CRC-chained so the whole reconstructed sequence is summarized in one
   // word.
   g.set_body(find_task(g, "reconstruct"),
-             [n, recon = plane(), crc = std::make_shared<common::Crc32>(),
+             [n, recon = plane(), crc = std::make_shared<dsp::Crc32>(),
               sink](TaskFiring& f) {
                fill_plane(*recon, *f.inputs[1]);  // the prediction
                video::reconstruct(
@@ -258,7 +258,7 @@ VideoPipeline make_video_encoder_pipeline(const VideoPipelineConfig& config) {
 
   // RATE BUFFER: the bitstream sink.
   g.set_body(find_task(g, "rate-buffer"),
-             [crc = std::make_shared<common::Crc32>(), sink](TaskFiring& f) {
+             [crc = std::make_shared<dsp::Crc32>(), sink](TaskFiring& f) {
                crc->update(*f.inputs[0]);
                sink->bitstream_crc = crc->value();
                sink->bitstream_bytes += f.inputs[0]->size();
@@ -340,7 +340,7 @@ AudioPipeline make_audio_encoder_pipeline(const AudioPipelineConfig& config) {
 
   // FRAME PACKER: the decodable frame, chained into the sink's digest.
   g.set_body(find_task(g, "frame-packer"),
-             [crc = std::make_shared<common::Crc32>(), sink](TaskFiring& f) {
+             [crc = std::make_shared<dsp::Crc32>(), sink](TaskFiring& f) {
                audio::QuantizedGranule q;
                std::memcpy(&q, f.inputs[0]->data(), sizeof q);
                const auto bytes = audio::pack_granule(q, {});
@@ -689,7 +689,7 @@ StreamingSession make_streaming_session(IoContext& io,
   // DISPLAY: CRC-chain the shown luma (one word summarizes the whole
   // displayed sequence) and forward it to the egress boundary.
   {
-    auto crc = std::make_shared<common::Crc32>();
+    auto crc = std::make_shared<dsp::Crc32>();
     g.set_body(display, [crc, state = s.state](TaskFiring& f) {
       crc->update(*f.inputs[0]);
       state->luma_crc = crc->value();
@@ -799,7 +799,7 @@ common::Result<FileTranscodeSession> make_file_transcode_session(
     out_ec.gop_size = config.gop_size;
     out_ec.qscale = config.out_qscale;
     auto re = std::make_shared<video::VideoEncoder>(out_ec);
-    auto crc = std::make_shared<common::Crc32>();
+    auto crc = std::make_shared<dsp::Crc32>();
     g.set_body(encode, [re, crc, state = s.state, w, h](TaskFiring& f) {
       const auto encoded = re->encode(frame_from_luma(*f.inputs[0], w, h));
       crc->update(encoded.bytes);

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "common/mathutil.h"
+#include "dsp/dispatch.h"
 
 namespace mmsoc::video {
 namespace {
@@ -26,26 +29,40 @@ double lattice_value(std::uint64_t seed, int xi, int yi) noexcept {
 // interpolated with smoothstep weights. The per-column cell index and
 // weight are tabulated once per frame, and the two lattice rows around a
 // raster row, already interpolated along x, are rebuilt only when the
-// row enters a new cell row. Every sample keeps the expressions and
-// evaluation order of a direct per-pixel evaluation, so it is bit-exact.
+// row enters a new cell row; entering the next one reuses the old bottom
+// row as the new top. Every sample keeps the expressions and evaluation
+// order of a direct per-pixel evaluation, so it is bit-exact. The
+// buffers are sized once, for any ox, so a frame allocates nothing.
 class NoiseOctave {
  public:
-  NoiseOctave(std::uint64_t seed, double cell, int width, double step,
-              double ox)
-      : seed_(seed), cell_(cell), x0_(static_cast<std::size_t>(width)),
-        sx_(x0_.size()), a_(x0_.size()), b_(x0_.size()) {
+  NoiseOctave(std::uint64_t seed, double cell, int width, double step)
+      : seed_(seed), cell_(cell), step_(step),
+        x0_(static_cast<std::size_t>(width)), sx_(x0_.size()),
+        a_(x0_.size()), b_(x0_.size()),
+        // The cell span of a raster row: floor(gx) grows by at most
+        // step * (width - 1) / cell + 1 across it, plus the right
+        // neighbour's cell and a margin for rounding in gx.
+        top_(width > 0 ? static_cast<std::size_t>(step * (width - 1) / cell) + 4
+                       : 0),
+        bottom_(top_.size()) {}
+
+  /// Pans the raster to world x offset `ox` for a new frame.
+  void start_frame(double ox) {
     for (std::size_t x = 0; x < x0_.size(); ++x) {
-      const double gx = (step * static_cast<int>(x) + ox) / cell_;
+      const double gx = (step_ * static_cast<int>(x) + ox) / cell_;
       x0_[x] = static_cast<int>(std::floor(gx));
       const double fx = gx - x0_[x];
       sx_[x] = fx * fx * (3.0 - 2.0 * fx);
     }
     // gx grows with x, so the cells span [x0_.front(), x0_.back() + 1].
-    if (!x0_.empty()) {
-      const auto cells = static_cast<std::size_t>(x0_.back() - x0_.front()) + 2;
-      top_.resize(cells);
-      bottom_.resize(cells);
+    cells_ = x0_.empty()
+                 ? 0
+                 : static_cast<std::size_t>(x0_.back() - x0_.front()) + 2;
+    if (cells_ > top_.size()) {  // only if rounding beat the margin
+      top_.resize(cells_);
+      bottom_.resize(cells_);
     }
+    primed_ = false;
   }
 
   /// Position on the raster row at world y `wy`.
@@ -55,18 +72,15 @@ class NoiseOctave {
     const double fy = gy - y0;
     sy_ = fy * fy * (3.0 - 2.0 * fy);
     if (primed_ && y0 == y0_) return;
+    if (primed_ && y0 == y0_ + 1) {
+      std::swap(top_, bottom_);
+      std::swap(a_, b_);
+    } else {
+      fill_row(y0, top_, a_);
+    }
     primed_ = true;
     y0_ = y0;
-    const int base = x0_.empty() ? 0 : x0_.front();
-    for (std::size_t i = 0; i < top_.size(); ++i) {
-      top_[i] = lattice_value(seed_, base + static_cast<int>(i), y0);
-      bottom_[i] = lattice_value(seed_, base + static_cast<int>(i), y0 + 1);
-    }
-    for (std::size_t x = 0; x < x0_.size(); ++x) {
-      const auto i = static_cast<std::size_t>(x0_[x] - base);
-      a_[x] = common::lerp(top_[i], top_[i + 1], sx_[x]);
-      b_[x] = common::lerp(bottom_[i], bottom_[i + 1], sx_[x]);
-    }
+    fill_row(y0 + 1, bottom_, b_);
   }
 
   /// Noise value in [0, 1) at column `x` of the current row.
@@ -75,13 +89,27 @@ class NoiseOctave {
   }
 
  private:
+  // Lattice row `yi` into `lattice`, interpolated along x into `row`.
+  void fill_row(int yi, std::vector<double>& lattice, std::vector<double>& row) {
+    const int base = x0_.empty() ? 0 : x0_.front();
+    for (std::size_t i = 0; i < cells_; ++i) {
+      lattice[i] = lattice_value(seed_, base + static_cast<int>(i), yi);
+    }
+    for (std::size_t x = 0; x < x0_.size(); ++x) {
+      const auto i = static_cast<std::size_t>(x0_[x] - base);
+      row[x] = common::lerp(lattice[i], lattice[i + 1], sx_[x]);
+    }
+  }
+
   std::uint64_t seed_;
   double cell_;
+  double step_;
   std::vector<int> x0_;        // cell index per column
   std::vector<double> sx_;     // smoothstep weight per column
+  std::vector<double> a_, b_;  // top_/bottom_ interpolated per column
   std::vector<double> top_;    // lattice values of cell row y0_
   std::vector<double> bottom_; // lattice values of cell row y0_ + 1
-  std::vector<double> a_, b_;  // top_/bottom_ interpolated per column
+  std::size_t cells_ = 0;      // entries of top_/bottom_ in use
   double sy_ = 0.0;
   int y0_ = 0;
   bool primed_ = false;
@@ -180,82 +208,125 @@ SceneParams scene_flat(std::uint64_t seed) {
   return p;
 }
 
-void SyntheticVideo::render_luma(const SceneParams& scene, int frame_index,
-                                 Plane& luma) {
-  const int width = luma.width();
-  const int height = luma.height();
+namespace {
+
+// An object placed for one frame: the rows it covers are tested per row,
+// its columns once per frame as the span [begin, end).
+struct PlacedObject {
+  double top;
+  int h;
+  int begin, end;
+  double luma_delta;
+};
+
+// First column x in [0, width] whose offset x - left satisfies `past`. The
+// offset never decreases as x grows, and `past` is false up to some
+// offset and true after it, so a binary search over the exact test finds
+// the boundary.
+template <typename Past>
+int first_column(int width, double left, Past past) {
+  int lo = 0, hi = width;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (past(mid - left)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
+struct LumaRenderer::State {
+  State(const SceneParams& scene, int width, int height)
+      : scene(scene), width(width), height(height),
+        objects(make_objects(scene, width, height)),
+        coarse(scene.seed, 24.0, width, 1.0),
+        fine(scene.seed + 1, 5.0, width, 1.0),
+        v(static_cast<std::size_t>(width)) {
+    placed.reserve(objects.size());
+  }
+
+  SceneParams scene;
+  int width, height;
+  std::vector<ObjectSpec> objects;
+  std::vector<PlacedObject> placed;
+  NoiseOctave coarse, fine;
+  std::vector<double> v;  // one row before sensor noise
+};
+
+LumaRenderer::LumaRenderer(const SceneParams& scene, int width, int height)
+    : state_(std::make_unique<State>(scene, width, height)) {}
+
+LumaRenderer::~LumaRenderer() = default;
+LumaRenderer::LumaRenderer(LumaRenderer&&) noexcept = default;
+LumaRenderer& LumaRenderer::operator=(LumaRenderer&&) noexcept = default;
+
+void LumaRenderer::render(int frame_index, Plane& luma) {
+  State& st = *state_;
+  const SceneParams& scene = st.scene;
+  const int width = st.width;
+  const int height = st.height;
+  if (luma.width() != width || luma.height() != height) {
+    throw std::invalid_argument("LumaRenderer: plane size differs from the renderer's");
+  }
   const double ox = scene.pan_x * frame_index;
   const double oy = scene.pan_y * frame_index;
   const std::uint64_t noise_key = common::mix64(
       scene.seed ^ (0xABCDull + static_cast<std::uint64_t>(frame_index) * 0x10001ull));
 
   // Objects move independently of the background pan; their wrapped
-  // positions are resolved once per frame.
-  struct Placed {
-    double left, top;
-    const ObjectSpec* spec;
-  };
-  const auto objects = make_objects(scene, width, height);
-  std::vector<Placed> placed;
-  placed.reserve(objects.size());
-  for (const auto& o : objects) {
+  // positions and column spans are resolved once per frame. A column x
+  // is covered when dx = x - left satisfies dx >= 0 && dx < w.
+  st.placed.clear();
+  for (const auto& o : st.objects) {
     const double px = std::fmod(o.x0 + o.vx * frame_index, static_cast<double>(width));
     const double py = std::fmod(o.y0 + o.vy * frame_index, static_cast<double>(height));
-    placed.push_back({px < 0 ? px + width : px, py < 0 ? py + height : py, &o});
+    const double left = px < 0 ? px + width : px;
+    const int begin = first_column(width, left, [](double dx) { return dx >= 0; });
+    const int end = first_column(width, left, [w = o.w](double dx) { return !(dx < w); });
+    st.placed.push_back({py < 0 ? py + height : py, o.h, begin,
+                         std::max(begin, end), o.luma_delta});
   }
 
   // Two noise octaves panned by (ox, oy) give the texture both bulk
   // structure (for ME to latch onto) and fine detail (for the DCT to
-  // code); then objects, then sensor noise in raster order.
-  NoiseOctave coarse(scene.seed, 24.0, width, 1.0, ox);
-  NoiseOctave fine(scene.seed + 1, 5.0, width, 1.0, ox);
-  std::vector<double> v(static_cast<std::size_t>(width));
+  // code); then objects, then sensor noise one row at a time.
+  st.coarse.start_frame(ox);
+  st.fine.start_frame(ox);
+  std::vector<double>& v = st.v;
+  const dsp::KernelTable& k = dsp::kernels();
+  const double* table = sensor_noise_table().data();
   for (int y = 0; y < height; ++y) {
     const double wy = y + oy;
-    coarse.seek_row(wy);
-    fine.seek_row(wy);
+    st.coarse.seek_row(wy);
+    st.fine.seek_row(wy);
     for (std::size_t x = 0; x < v.size(); ++x) {
       v[x] = scene.brightness +
-             scene.detail * (90.0 * (coarse.at(x) - 0.5) + 40.0 * (fine.at(x) - 0.5));
+             scene.detail * (90.0 * (st.coarse.at(x) - 0.5) + 40.0 * (st.fine.at(x) - 0.5));
     }
-    for (const auto& p : placed) {
+    for (const auto& p : st.placed) {
       const double dy = y - p.top;
-      if (!(dy >= 0 && dy < p.spec->h)) continue;
-      for (int x = 0; x < width; ++x) {
-        const double dx = x - p.left;
-        if (dx >= 0 && dx < p.spec->w) v[x] += p.spec->luma_delta;
-      }
+      if (!(dy >= 0 && dy < p.h)) continue;
+      for (int x = p.begin; x < p.end; ++x) v[x] += p.luma_delta;
     }
-    add_sensor_noise(v, scene.noise_sigma,
-                     noise_key + static_cast<std::uint64_t>(y) * v.size(),
-                     luma.row(y));
+    k.sensor_noise_row(v.data(), v.size(), scene.noise_sigma,
+                       noise_key + static_cast<std::uint64_t>(y) * v.size(),
+                       table, luma.row(y));
   }
+}
+
+void SyntheticVideo::render_luma(const SceneParams& scene, int frame_index,
+                                 Plane& luma) {
+  LumaRenderer(scene, luma.width(), luma.height()).render(frame_index, luma);
 }
 
 std::span<const double, kSensorNoiseTableSize> sensor_noise_table() {
   static const std::array<double, kSensorNoiseTableSize> table =
       build_sensor_noise_table();
   return table;
-}
-
-void add_sensor_noise(std::span<const double> v, double sigma,
-                      std::uint64_t counter, std::uint8_t* out) {
-  // The table lookups stay scalar (the baseline ISA has neither a 64-bit
-  // multiply nor a gather), and the rounding store runs over a block of
-  // them so it vectorizes (truncate, saturate, pack).
-  constexpr std::size_t kBlock = 64;
-  const double* table = sensor_noise_table().data();
-  double g[kBlock];
-  for (std::size_t x0 = 0; x0 < v.size(); x0 += kBlock) {
-    const std::size_t n = std::min(kBlock, v.size() - x0);
-    for (std::size_t x = 0; x < n; ++x)
-      g[x] = table[common::mix64(counter + x0 + x) >> 52];
-    for (std::size_t x = 0; x < n; ++x) {
-      const double t = (v[x0 + x] + sigma * g[x]) + 0.5;
-      const int i = static_cast<int>(t);
-      out[x0 + x] = static_cast<std::uint8_t>(i < 0 ? 0 : (i > 255 ? 255 : i));
-    }
-  }
 }
 
 Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
@@ -267,8 +338,10 @@ Frame SyntheticVideo::render(int width, int height, const SceneParams& scene,
   const double ox = scene.pan_x * frame_index;
   const double oy = scene.pan_y * frame_index;
   const int cw = width / 2, ch = height / 2;
-  NoiseOctave cb_noise(scene.seed + 2, 40.0, cw, 2.0, ox);
-  NoiseOctave cr_noise(scene.seed + 3, 40.0, cw, 2.0, ox);
+  NoiseOctave cb_noise(scene.seed + 2, 40.0, cw, 2.0);
+  NoiseOctave cr_noise(scene.seed + 3, 40.0, cw, 2.0);
+  cb_noise.start_frame(ox);
+  cr_noise.start_frame(ox);
   for (int y = 0; y < ch; ++y) {
     const double wy = 2.0 * y + oy;
     cb_noise.seek_row(wy);

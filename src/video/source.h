@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -70,13 +71,17 @@ class SyntheticVideo {
   /// has no use for chroma reuse one plane across frames.
   ///
   /// Rendering is bit-exact: noise lattices are tabulated per frame and
-  /// per cell row, but every pixel keeps the arithmetic and evaluation
-  /// order of the per-pixel definition, so output bytes depend only on
-  /// (size, scene, frame_index). The sensor noise is stateless: frame f
-  /// has the key common::mix64(seed ^ (0xABCD + f * 0x10001)), and pixel
-  /// (x, y) of a W-wide plane adds sigma times the sensor_noise_table()
-  /// entry indexed by the top 12 bits of mix64(key + y * W + x) (see
-  /// add_sensor_noise). No pixel depends on another's draw.
+  /// per cell row, object columns are resolved once per frame as spans,
+  /// but every pixel keeps the arithmetic and evaluation order of the
+  /// per-pixel definition, so output bytes depend only on (size, scene,
+  /// frame_index), at every SIMD level. The sensor noise is stateless:
+  /// frame f has the key common::mix64(seed ^ (0xABCD + f * 0x10001)),
+  /// and pixel (x, y) of a W-wide plane becomes clamp_u8(int((v + sigma *
+  /// g) + 0.5)), g the sensor_noise_table() entry indexed by the top 12
+  /// bits of mix64(key + y * W + x) (the dispatched kernel
+  /// dsp::KernelTable::sensor_noise_row, one call per row). No pixel
+  /// depends on another's draw. Builds a LumaRenderer per call; a caller
+  /// that renders many frames of one scene keeps its own.
   static void render_luma(const SceneParams& scene, int frame_index,
                           Plane& luma);
 
@@ -101,10 +106,26 @@ inline constexpr std::size_t kSensorNoiseTableSize = 4096;
 /// mean is exactly 0. Built once, on first use.
 std::span<const double, kSensorNoiseTableSize> sensor_noise_table();
 
-/// One row of sensor-noised luma whose first pixel has noise counter
-/// `counter`: out[x] = clamp_u8(int(v[x] + sigma * g + 0.5)) with
-/// g = sensor_noise_table()[mix64(counter + x) >> 52].
-void add_sensor_noise(std::span<const double> v, double sigma,
-                      std::uint64_t counter, std::uint8_t* out);
+/// Renders the luma of one scene at one plane size, frame after frame.
+/// What every frame needs is built once, here: the object layout, the
+/// noise octaves' per-column tables and lattice rows, and the row buffer.
+/// render() then allocates nothing, which is what a capture stage that
+/// renders every frame of a session wants. SyntheticVideo::render_luma is
+/// one renderer used once, so both give the same bytes.
+class LumaRenderer {
+ public:
+  LumaRenderer(const SceneParams& scene, int width, int height);
+  ~LumaRenderer();
+  LumaRenderer(LumaRenderer&&) noexcept;
+  LumaRenderer& operator=(LumaRenderer&&) noexcept;
+
+  /// Render frame `frame_index` into `luma`, which must have the
+  /// renderer's size (std::invalid_argument otherwise).
+  void render(int frame_index, Plane& luma);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 }  // namespace mmsoc::video

@@ -217,13 +217,15 @@ TEST(DataPlane, Fig1BodiesAllocateNoPlanePerFrame) {
 }
 
 // No body allocates per block or per symbol: the VLC writes its bits into
-// the out-edge's recycled buffer. What is left per frame is capture's
-// render_luma scratch (15 vectors) and 3 MotionField vectors: the
-// estimator's, and the copies the MC predictor and the VLC rebuild from
-// its payload. One allocation per CIF block would add 1584.
+// the out-edge's recycled buffer, and capture's LumaRenderer builds its
+// objects, noise tables and row buffer once per session. What is left
+// per frame is 3 MotionField vectors on each P frame (2.75 per frame over
+// a 12-frame GOP): the estimator's, and the copies the MC predictor and
+// the VLC rebuild from its payload. One allocation per CIF block would
+// add 1584.
 TEST(DataPlane, Fig1FramesAllocateOnlyCaptureAndMotionScratch) {
   const double per_frame = fig1_allocations_per_frame().all;
-  EXPECT_LE(per_frame, 24.0) << per_frame << " allocations per frame";
+  EXPECT_LE(per_frame, 4.0) << per_frame << " allocations per frame";
 }
 
 // Back-to-back sessions on one running engine: Fig.1 encodes, then disk

@@ -1,5 +1,5 @@
-// Unit and property tests for the common substrate: bitstream, CRC,
-// PRNG, fixed-point, math utilities, status types.
+// Unit and property tests for the common substrate: bitstream, PRNG,
+// fixed-point, math utilities, status types.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/bitstream.h"
-#include "common/crc32.h"
 #include "common/fixed.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
@@ -240,73 +239,6 @@ TEST(BitReader, AlignToByteSkipsToBoundary) {
   r.align_to_byte();
   EXPECT_EQ(r.bit_position(), 8u);
   EXPECT_EQ(r.get_bits(8), 0x01u);
-}
-
-// -------------------------------------------------------------------- crc32
-
-TEST(Crc32, KnownVector) {
-  // The canonical CRC-32 check value of "123456789".
-  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32({data, 9}), 0xCBF43926u);
-}
-
-TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0x00000000u); }
-
-TEST(Crc32, IncrementalMatchesOneShot) {
-  Rng rng(3);
-  std::vector<std::uint8_t> data(1024);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  Crc32 inc;
-  inc.update({data.data(), 100});
-  inc.update({data.data() + 100, 924});
-  EXPECT_EQ(inc.value(), crc32(data));
-}
-
-TEST(Crc32, DetectsSingleBitFlip) {
-  std::vector<std::uint8_t> data(64, 0xA5);
-  const auto before = crc32(data);
-  data[17] ^= 0x04;
-  EXPECT_NE(crc32(data), before);
-}
-
-// Bytewise reflected CRC-32 state update, straight from the polynomial.
-std::uint32_t reference_crc_state(std::uint32_t state, const std::uint8_t* p,
-                                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    state ^= p[i];
-    for (int k = 0; k < 8; ++k) {
-      state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : (state >> 1);
-    }
-  }
-  return state;
-}
-
-TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
-  Rng rng(5);
-  std::vector<std::uint8_t> buf(64 + 8);
-  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 64; ++len) {
-      const std::uint8_t* p = buf.data() + offset;
-      EXPECT_EQ(crc32({p, len}),
-                reference_crc_state(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu)
-          << "offset " << offset << " length " << len;
-    }
-  }
-}
-
-TEST(Crc32, IncrementalSplitAtEveryOffsetMatchesReference) {
-  Rng rng(6);
-  std::vector<std::uint8_t> data(77);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  const std::uint32_t want =
-      reference_crc_state(0xFFFFFFFFu, data.data(), data.size()) ^ 0xFFFFFFFFu;
-  for (std::size_t split = 0; split <= data.size(); ++split) {
-    Crc32 inc;
-    inc.update({data.data(), split});
-    inc.update({data.data() + split, data.size() - split});
-    EXPECT_EQ(inc.value(), want) << "split at " << split;
-  }
 }
 
 // ---------------------------------------------------------------------- rng

@@ -9,9 +9,9 @@
 #include <cstring>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
+#include "dsp/crc32.h"
 #include "dsp/dct.h"
 #include "dsp/dispatch.h"
 #include "dsp/fft.h"
@@ -31,6 +31,73 @@ Block random_block(Rng& rng, float lo = -128.0f, float hi = 127.0f) {
   for (auto& v : b)
     v = static_cast<float>(rng.next_double_in(lo, hi));
   return b;
+}
+
+// -------------------------------------------------------------------- crc32
+
+TEST(Crc32, KnownVector) {
+  // The canonical CRC-32 check value of "123456789".
+  const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32({data, 9}), 0xCBF43926u);
+}
+
+TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0x00000000u); }
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  Rng rng(3);
+  std::vector<std::uint8_t> data(1024);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  Crc32 inc;
+  inc.update({data.data(), 100});
+  inc.update({data.data() + 100, 924});
+  EXPECT_EQ(inc.value(), crc32(data));
+}
+
+TEST(Crc32, DetectsSingleBitFlip) {
+  std::vector<std::uint8_t> data(64, 0xA5);
+  const auto before = crc32(data);
+  data[17] ^= 0x04;
+  EXPECT_NE(crc32(data), before);
+}
+
+// Bytewise reflected CRC-32 state update, straight from the polynomial.
+std::uint32_t reference_crc_state(std::uint32_t state, const std::uint8_t* p,
+                                  std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(5);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      EXPECT_EQ(crc32({p, len}),
+                reference_crc_state(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalSplitAtEveryOffsetMatchesReference) {
+  Rng rng(6);
+  std::vector<std::uint8_t> data(77);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint32_t want =
+      reference_crc_state(0xFFFFFFFFu, data.data(), data.size()) ^ 0xFFFFFFFFu;
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 inc;
+    inc.update({data.data(), split});
+    inc.update({data.data() + split, data.size() - split});
+    EXPECT_EQ(inc.value(), want) << "split at " << split;
+  }
 }
 
 // ---------------------------------------------------------------------- DCT
@@ -722,6 +789,102 @@ TEST(SimdDispatch, FilterbankMacsBitExact) {
   }
 }
 
+TEST(SimdDispatch, SensorNoiseRowMatchesScalar) {
+  // clamp_u8(int((v + sigma * g) + 0.5)) at every level: every row length
+  // up to 67 (the vector body and every tail), v on exact k - 0.5 ties
+  // and their neighbours (t lands on an integer or one ulp either side),
+  // sums below 0 and above 255, rows whose counters wrap past 2^64, and
+  // misaligned operands. No level may write past n.
+  const auto scalar = kernel_table(SimdLevel::kScalar);
+  const double* table = video::sensor_noise_table().data();
+  Rng rng(0x5e75);
+  constexpr std::size_t kMaxN = 67;
+  constexpr std::uint8_t kGuard = 0xA5;
+  std::vector<double> v_buf(kMaxN + 1);
+  std::vector<std::uint8_t> want(kMaxN + 2), got(kMaxN + 2);
+  for (int iter = 0; iter < 4 * 68; ++iter) {
+    const std::size_t n = static_cast<std::size_t>(iter % 68);
+    const double sigma = std::array{0.0, 1.0, 0.3, 37.5}[iter / 68];
+    const std::uint64_t counter =
+        iter % 3 == 0 ? ~std::uint64_t{0} - rng.next_below(n + 1)  // wraps
+                      : rng.next();
+    double* v = v_buf.data() + (iter % 2);
+    for (std::size_t x = 0; x < n; ++x) {
+      const double g = table[common::mix64(counter + x) >> 52];
+      const double tie = static_cast<double>(rng.next_in(-3, 260)) - 0.5;
+      switch (rng.next_below(6)) {
+        case 0:  // the sum lands on k - 0.5 up to rounding of v - sigma * g
+          v[x] = tie - sigma * g;
+          break;
+        case 1:
+          v[x] = tie;
+          break;
+        case 2:
+          v[x] = std::nextafter(tie, 1e9);
+          break;
+        case 3:
+          v[x] = std::nextafter(tie, -1e9);
+          break;
+        case 4:  // far outside [0, 255], inside the kernel's int range
+          v[x] = rng.next_double_in(-1e6, 1e6);
+          break;
+        default:
+          v[x] = rng.next_double_in(-40.0, 300.0);
+          break;
+      }
+    }
+    const std::size_t out_off = static_cast<std::size_t>(iter % 2);
+    std::fill(want.begin(), want.end(), kGuard);
+    scalar->sensor_noise_row(v, n, sigma, counter, table, want.data() + out_off);
+    for (std::size_t x = 0; x < n; ++x) {  // scalar against the definition
+      const double t =
+          (v[x] + sigma * table[common::mix64(counter + x) >> 52]) + 0.5;
+      ASSERT_EQ(want[out_off + x], common::clamp_u8(static_cast<int>(t)))
+          << "n " << n << " x " << x;
+    }
+    for (const auto* t : runnable_tables()) {
+      std::fill(got.begin(), got.end(), kGuard);
+      t->sensor_noise_row(v, n, sigma, counter, table, got.data() + out_off);
+      ASSERT_EQ(got, want) << simd_level_name(t->level) << " n " << n
+                           << " sigma " << sigma << " counter " << counter;
+    }
+  }
+}
+
+TEST(SimdDispatch, Crc32MatchesScalar) {
+  // Every level's crc32_update equals the bytewise polynomial reference:
+  // every length 0..300 (the table path under 64 bytes, the fold above,
+  // tails of every residue mod 16) at misaligned starts, two chained
+  // updates split at every offset, a CIF plane, and the check value.
+  Rng rng(0xc4c32);
+  std::vector<std::uint8_t> buf(300 + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  std::vector<std::uint8_t> plane(352 * 288);
+  for (auto& b : plane) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint32_t plane_want =
+      reference_crc_state(0xFFFFFFFFu, plane.data(), plane.size());
+  for (const auto* t : runnable_tables()) {
+    SCOPED_TRACE(simd_level_name(t->level));
+    EXPECT_EQ(t->crc32_update(0xFFFFFFFFu, check, 9) ^ 0xFFFFFFFFu, 0xCBF43926u);
+    for (std::size_t offset = 0; offset < 16; offset += 5) {
+      const std::uint8_t* p = buf.data() + offset;
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const std::uint32_t init = static_cast<std::uint32_t>(len * 0x9E3779B9u);
+        ASSERT_EQ(t->crc32_update(init, p, len), reference_crc_state(init, p, len))
+            << "offset " << offset << " length " << len;
+      }
+    }
+    const std::uint32_t whole = reference_crc_state(0xFFFFFFFFu, buf.data() + 1, 300);
+    for (std::size_t split = 0; split <= 300; ++split) {
+      const std::uint32_t head = t->crc32_update(0xFFFFFFFFu, buf.data() + 1, split);
+      ASSERT_EQ(t->crc32_update(head, buf.data() + 1 + split, 300 - split), whole)
+          << "split at " << split;
+    }
+    EXPECT_EQ(t->crc32_update(0xFFFFFFFFu, plane.data(), plane.size()), plane_want);
+  }
+}
+
 // FATE-style stream check: the full Fig.1 encoder (motion estimation, DCT,
 // quantizer, entropy coder, rate control) must emit a byte-identical
 // bitstream at every SIMD level — the strongest end-to-end witness that
@@ -738,7 +901,7 @@ TEST(SimdDispatch, EncodedBitstreamCrcIdenticalAcrossLevels) {
     cfg.rate_control = true;
     cfg.me_algo = video::SearchAlgorithm::kDiamond;
     video::VideoEncoder enc(cfg);
-    common::Crc32 crc;
+    dsp::Crc32 crc;
     for (int i = 0; i < kFrames; ++i) {
       const auto frame =
           video::SyntheticVideo::render(kWidth, kHeight, scene, i);

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/crc32.h"
+#include "dsp/crc32.h"
 #include "runtime/engine.h"
 #include "runtime/fault.h"
 #include "runtime/io.h"
@@ -255,7 +255,7 @@ struct BoundaryRig {
   }
 
   std::uint32_t crc() const {
-    common::Crc32 c;
+    dsp::Crc32 c;
     for (const auto& p : got) c.update(p);
     return c.value();
   }
@@ -284,7 +284,7 @@ TEST(FaultRecovery, TransientErrorsRetryToCompletionWithExactAccounting) {
   // Reference: what a clean run delivers.
   std::uint32_t clean_crc = 0;
   {
-    common::Crc32 c;
+    dsp::Crc32 c;
     for (std::uint64_t i = 0; i < kUnits; ++i) c.update(unit_payload(i));
     clean_crc = c.value();
   }
@@ -393,7 +393,7 @@ TEST(FaultRecovery, RetryExhaustionFailsSessionButCoResidentCompletes) {
   EXPECT_EQ(grep_.outcome, SessionOutcome::kCompleted)
       << "the co-resident session must be untouched by its neighbour's fault";
   EXPECT_EQ(grep_.io_errors.errors, 0u);
-  common::Crc32 clean;
+  dsp::Crc32 clean;
   for (std::uint64_t i = 0; i < kUnits; ++i) clean.update(unit_payload(i));
   EXPECT_EQ(good_rig.crc(), clean.value())
       << "co-resident output must stay byte-identical to a clean run";
@@ -520,7 +520,7 @@ TEST(FailFast, StuckDeviceFailsSessionWhileNeighbourCompletes) {
   const auto& frep = engine.report(fine.value());
   EXPECT_EQ(frep.outcome, SessionOutcome::kCompleted)
       << "the engine must keep serving sessions next to the failed one";
-  common::Crc32 clean;
+  dsp::Crc32 clean;
   for (std::uint64_t i = 0; i < kUnits; ++i) clean.update(unit_payload(i));
   EXPECT_EQ(good_rig.crc(), clean.value());
 }

@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/rng.h"
+#include "dsp/crc32.h"
 #include "fs/block_device.h"
 #include "fs/fat.h"
 #include "fs/import.h"
@@ -375,7 +375,7 @@ TEST(ForeignImport, ManifestMatchesVolumeContents) {
     auto data = vol.read_file(f.path);
     ASSERT_TRUE(data.is_ok()) << f.path;
     EXPECT_EQ(data.value().size(), f.size);
-    EXPECT_EQ(common::crc32(data.value()), f.crc32);
+    EXPECT_EQ(dsp::crc32(data.value()), f.crc32);
   }
 }
 

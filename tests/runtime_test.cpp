@@ -17,9 +17,9 @@
 
 #include "audio/metrics.h"
 #include "audio/subband_codec.h"
-#include "common/crc32.h"
 #include "core/appgraphs.h"
 #include "core/profiles.h"
+#include "dsp/crc32.h"
 #include "dsp/dispatch.h"
 #include "mpsoc/mapping.h"
 #include "runtime/engine.h"
@@ -1038,7 +1038,7 @@ TEST(VideoPipeline, BitIdenticalAcrossWorkerCounts) {
         ASSERT_TRUE(report.is_ok()) << report.status().to_text();
         EXPECT_EQ(pipe.sink->frames_coded, kFrames);
         EXPECT_EQ(pipe.sink->frames_reconstructed, kFrames);
-        common::Crc32 crc;
+        dsp::Crc32 crc;
         std::uint64_t total = 0;
         for (const auto& frame : bytes) {
           crc.update(frame);
@@ -1210,7 +1210,7 @@ TEST(AudioPipeline, BitIdenticalAcrossWorkerCounts) {
 
     audio::SubbandEncoder enc({});
     audio::SubbandDecoder dec;
-    common::Crc32 crc;
+    dsp::Crc32 crc;
     std::uint64_t bytes = 0;
     std::vector<double> decoded;
     for (std::uint64_t g = 0; g < kGranules; ++g) {

@@ -12,9 +12,10 @@
 #include <vector>
 
 #include "common/bitstream.h"
-#include "common/crc32.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
+#include "dsp/crc32.h"
+#include "dsp/dispatch.h"
 #include "entropy/rle.h"
 #include "entropy/zigzag.h"
 #include "video/codec.h"
@@ -171,12 +172,29 @@ SceneParams golden_scene(int kind) {
   }
 }
 
+// Every SIMD level compiled in and runnable here, and a guard that puts
+// the process's active level back.
+std::vector<dsp::SimdLevel> runnable_levels() {
+  std::vector<dsp::SimdLevel> out;
+  for (const auto level : dsp::compiled_levels()) {
+    if (dsp::cpu_supports(level)) out.push_back(level);
+  }
+  return out;
+}
+
+struct RestoreSimdLevel {
+  dsp::SimdLevel saved = dsp::active_simd_level();
+  ~RestoreSimdLevel() { dsp::set_simd_level(saved); }
+};
+
 std::uint32_t plane_crc(const Plane& p) {
-  common::Crc32 crc;
+  dsp::Crc32 crc;
   for (int y = 0; y < p.height(); ++y) crc.update(p.row_span(y));
   return crc.value();
 }
 
+// Checked at every SIMD level: the render's sensor-noise row and the
+// digest's CRC-32 are both dispatched kernels.
 TEST(SyntheticVideo, RenderMatchesRecordedGoldenCrcs) {
   constexpr RenderGolden kGolden[] = {
     {0, 352, 288, 0, 0xA307C2D5u, 0x4DD6198Bu, 0x791CE77Du},
@@ -248,25 +266,35 @@ TEST(SyntheticVideo, RenderMatchesRecordedGoldenCrcs) {
     {4, 72, 40, 119, 0x07C5AB47u, 0x146AB8E3u, 0x9A918DA8u},
     {4, 72, 40, 500, 0x84E85FB6u, 0x31FE70C9u, 0x5C349644u},
   };
-  for (const auto& g : kGolden) {
-    const Frame f = SyntheticVideo::render(g.width, g.height,
-                                           golden_scene(g.kind), g.frame);
-    SCOPED_TRACE(testing::Message() << "kind " << g.kind << " " << g.width
-                                    << "x" << g.height << " frame " << g.frame);
-    EXPECT_EQ(plane_crc(f.y()), g.y);
-    EXPECT_EQ(plane_crc(f.cb()), g.cb);
-    EXPECT_EQ(plane_crc(f.cr()), g.cr);
+  const RestoreSimdLevel restore;
+  for (const dsp::SimdLevel level : runnable_levels()) {
+    ASSERT_TRUE(dsp::set_simd_level(level));
+    for (const auto& g : kGolden) {
+      const Frame f = SyntheticVideo::render(g.width, g.height,
+                                             golden_scene(g.kind), g.frame);
+      SCOPED_TRACE(testing::Message()
+                   << dsp::simd_level_name(level) << " kind " << g.kind << " "
+                   << g.width << "x" << g.height << " frame " << g.frame);
+      EXPECT_EQ(plane_crc(f.y()), g.y);
+      EXPECT_EQ(plane_crc(f.cb()), g.cb);
+      EXPECT_EQ(plane_crc(f.cr()), g.cr);
+    }
   }
 }
 
 TEST(SyntheticVideo, RenderLumaIntoReusedPlaneMatchesRender) {
   const SceneParams scene = golden_scene(1);
-  Plane luma(72, 40, 200);
-  for (const int frame : {3, 0, 119}) {
+  Plane luma(72, 40, 200), reused(72, 40, 200);
+  LumaRenderer renderer(scene, 72, 40);
+  for (const int frame : {3, 0, 119, 118, 119}) {
+    const Plane want = SyntheticVideo::render(72, 40, scene, frame).y();
     SyntheticVideo::render_luma(scene, frame, luma);
-    EXPECT_EQ(luma, SyntheticVideo::render(72, 40, scene, frame).y())
-        << "frame " << frame;
+    EXPECT_EQ(luma, want) << "frame " << frame;
+    renderer.render(frame, reused);
+    EXPECT_EQ(reused, want) << "renderer reused for frame " << frame;
   }
+  Plane other(72, 41);
+  EXPECT_THROW(renderer.render(0, other), std::invalid_argument);
 }
 
 // The per-pixel definition of render_luma, as the renderer computed it
@@ -379,25 +407,39 @@ Plane oracle_render_luma(const SceneParams& scene, int frame, int width,
 TEST(SyntheticVideo, RenderMatchesPerPixelReference) {
   // High motion, high detail, flat (sensor noise sigma 0.3) and the
   // negative-pan golden scene, at CIF, QCIF, an odd width and a width
-  // short of its padded stride.
+  // short of its padded stride, at every SIMD level.
   struct Size {
     int width, height;
   };
   constexpr Size kSizes[] = {{352, 288}, {176, 144}, {33, 17}, {72, 40}};
+  // One renderer per scene, size and SIMD level renders every frame in
+  // turn, as a capture stage does.
   constexpr std::uint8_t kFill = 200;
+  const RestoreSimdLevel restore;
+  const auto levels = runnable_levels();
   for (const int kind : {1, 2, 3, 4}) {
     const SceneParams scene = golden_scene(kind);
     for (const auto size : kSizes) {
-      Plane luma(size.width, size.height, kFill);
-      for (int frame = 0; frame < 200; ++frame) {
-        SyntheticVideo::render_luma(scene, frame, luma);
-        const Plane expected = oracle_render_luma(scene, frame, size.width, size.height);
-        ASSERT_EQ(luma, expected) << "kind " << kind << " " << size.width << "x"
-                                  << size.height << " frame " << frame;
+      std::vector<LumaRenderer> renderers;
+      std::vector<Plane> lumas;
+      for (std::size_t i = 0; i < levels.size(); ++i) {
+        renderers.emplace_back(scene, size.width, size.height);
+        lumas.emplace_back(size.width, size.height, kFill);
       }
-      for (int y = 0; y < luma.height(); ++y)
-        for (int x = luma.width(); x < luma.stride(); ++x)
-          ASSERT_EQ(luma.row(y)[x], kFill) << "padding written at " << x << "," << y;
+      for (int frame = 0; frame < 200; ++frame) {
+        const Plane expected = oracle_render_luma(scene, frame, size.width, size.height);
+        for (std::size_t i = 0; i < levels.size(); ++i) {
+          ASSERT_TRUE(dsp::set_simd_level(levels[i]));
+          renderers[i].render(frame, lumas[i]);
+          ASSERT_EQ(lumas[i], expected)
+              << dsp::simd_level_name(levels[i]) << " kind " << kind << " "
+              << size.width << "x" << size.height << " frame " << frame;
+        }
+      }
+      for (const Plane& luma : lumas)
+        for (int y = 0; y < luma.height(); ++y)
+          for (int x = luma.width(); x < luma.stride(); ++x)
+            ASSERT_EQ(luma.row(y)[x], kFill) << "padding written at " << x << "," << y;
     }
   }
 }
