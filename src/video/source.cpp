@@ -32,19 +32,22 @@ double lattice_value(std::uint64_t seed, int xi, int yi) noexcept {
 // row enters a new cell row; entering the next one reuses the old bottom
 // row as the new top. Every sample keeps the expressions and evaluation
 // order of a direct per-pixel evaluation, so it is bit-exact. The
-// buffers are sized once, for any ox, so a frame allocates nothing.
+// buffers are reserved once, for any ox, so a frame allocates nothing.
 class NoiseOctave {
  public:
   NoiseOctave(std::uint64_t seed, double cell, int width, double step)
       : seed_(seed), cell_(cell), step_(step),
         x0_(static_cast<std::size_t>(width)), sx_(x0_.size()),
-        a_(x0_.size()), b_(x0_.size()),
-        // The cell span of a raster row: floor(gx) grows by at most
-        // step * (width - 1) / cell + 1 across it, plus the right
-        // neighbour's cell and a margin for rounding in gx.
-        top_(width > 0 ? static_cast<std::size_t>(step * (width - 1) / cell) + 4
-                       : 0),
-        bottom_(top_.size()) {}
+        a_(x0_.size()), b_(x0_.size()) {
+    // The cell span of a raster row: floor(gx) grows by at most
+    // step * (width - 1) / cell + 1 across it, plus the right
+    // neighbour's cell and a margin for rounding in gx. Reserving it
+    // here keeps start_frame's resize from allocating.
+    const std::size_t span =
+        width > 0 ? static_cast<std::size_t>(step * (width - 1) / cell) + 4 : 0;
+    top_.reserve(span);
+    bottom_.reserve(span);
+  }
 
   /// Pans the raster to world x offset `ox` for a new frame.
   void start_frame(double ox) {
@@ -55,13 +58,11 @@ class NoiseOctave {
       sx_[x] = fx * fx * (3.0 - 2.0 * fx);
     }
     // gx grows with x, so the cells span [x0_.front(), x0_.back() + 1].
-    cells_ = x0_.empty()
-                 ? 0
-                 : static_cast<std::size_t>(x0_.back() - x0_.front()) + 2;
-    if (cells_ > top_.size()) {  // only if rounding beat the margin
-      top_.resize(cells_);
-      bottom_.resize(cells_);
-    }
+    const std::size_t cells =
+        x0_.empty() ? 0
+                    : static_cast<std::size_t>(x0_.back() - x0_.front()) + 2;
+    top_.resize(cells);
+    bottom_.resize(cells);
     primed_ = false;
   }
 
@@ -92,7 +93,7 @@ class NoiseOctave {
   // Lattice row `yi` into `lattice`, interpolated along x into `row`.
   void fill_row(int yi, std::vector<double>& lattice, std::vector<double>& row) {
     const int base = x0_.empty() ? 0 : x0_.front();
-    for (std::size_t i = 0; i < cells_; ++i) {
+    for (std::size_t i = 0; i < lattice.size(); ++i) {
       lattice[i] = lattice_value(seed_, base + static_cast<int>(i), yi);
     }
     for (std::size_t x = 0; x < x0_.size(); ++x) {
@@ -109,7 +110,6 @@ class NoiseOctave {
   std::vector<double> a_, b_;  // top_/bottom_ interpolated per column
   std::vector<double> top_;    // lattice values of cell row y0_
   std::vector<double> bottom_; // lattice values of cell row y0_ + 1
-  std::size_t cells_ = 0;      // entries of top_/bottom_ in use
   double sy_ = 0.0;
   int y0_ = 0;
   bool primed_ = false;
