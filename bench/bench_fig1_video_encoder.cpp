@@ -6,12 +6,14 @@
 #include "bench_util.h"
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bitstream.h"
 #include "core/appgraphs.h"
 #include "dsp/crc32.h"
+#include "dsp/dispatch.h"
 #include "video/codec.h"
 #include "video/metrics.h"
 #include "video/source.h"
@@ -77,10 +79,38 @@ void print_tables() {
               "I frames. The VLC/quantizer are comparatively cheap.\n");
 }
 
+// The kernel benches below run once per SIMD level this binary and CPU
+// can run: the argument is the dsp::SimdLevel, active for the run.
+void PerSimdLevel(benchmark::internal::Benchmark* b) {
+  b->ArgName("simd");
+  for (const dsp::SimdLevel level : dsp::compiled_levels()) {
+    if (dsp::cpu_supports(level)) b->Arg(static_cast<int>(level));
+  }
+}
+
+// Activates the run's level, labels the run with its name, and restores
+// the startup level afterwards.
+class BenchSimdLevel {
+ public:
+  explicit BenchSimdLevel(benchmark::State& state)
+      : saved_(dsp::active_simd_level()) {
+    const auto level = static_cast<dsp::SimdLevel>(state.range(0));
+    dsp::set_simd_level(level);
+    state.SetLabel(std::string(dsp::simd_level_name(level)));
+  }
+  ~BenchSimdLevel() { dsp::set_simd_level(saved_); }
+  BenchSimdLevel(const BenchSimdLevel&) = delete;
+  BenchSimdLevel& operator=(const BenchSimdLevel&) = delete;
+
+ private:
+  dsp::SimdLevel saved_;
+};
+
 // Capture, the graph's first box: one CIF luma render of a high-motion
 // scene by one reused renderer into one reused plane, as the Fig. 1
 // capture stage does per frame.
 void BM_RenderLuma(benchmark::State& state) {
+  const BenchSimdLevel level(state);
   video::LumaRenderer renderer(video::scene_high_motion(1), 352, 288);
   video::Plane luma(352, 288);
   int frame = 0;
@@ -91,7 +121,56 @@ void BM_RenderLuma(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RenderLuma);
+BENCHMARK(BM_RenderLuma)->Apply(PerSimdLevel);
+
+// The Fig. 1 dct and inverse-dct stages on one CIF luma plane of a
+// high-motion P frame: 1584 blocks through video::forward_dct, and the
+// quantized levels back through video::inverse_dct.
+struct DctPlane {
+  static constexpr int kWidth = 352, kHeight = 288;
+  static constexpr std::size_t kSize = static_cast<std::size_t>(kWidth) * kHeight;
+
+  DctPlane() : residual(kSize), levels(kSize), coeffs(kSize) {
+    const auto scene = video::scene_high_motion(1);
+    const auto ref = video::SyntheticVideo::render(kWidth, kHeight, scene, 0).y();
+    const auto cur = video::SyntheticVideo::render(kWidth, kHeight, scene, 1).y();
+    const auto field =
+        video::estimate_frame(cur, ref, 8, video::SearchAlgorithm::kThreeStep);
+    video::Plane pred(kWidth, kHeight);
+    video::predict(header, cur, ref, field, /*chroma=*/false, pred, residual);
+    video::forward_dct(residual, coeffs);
+    video::quantize(header, coeffs, levels);
+  }
+
+  const video::FrameHeader header{video::FrameType::kPredicted, 8, kWidth,
+                                  kHeight, false};
+  std::vector<std::int16_t> residual, levels;
+  std::vector<float> coeffs;
+};
+
+void BM_ForwardDctPlane(benchmark::State& state) {
+  const BenchSimdLevel level(state);
+  DctPlane plane;
+  for (auto _ : state) {
+    video::forward_dct(plane.residual, plane.coeffs);
+    benchmark::DoNotOptimize(plane.coeffs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ForwardDctPlane)->Apply(PerSimdLevel);
+
+void BM_InverseDctPlane(benchmark::State& state) {
+  const BenchSimdLevel level(state);
+  DctPlane plane;
+  for (auto _ : state) {
+    video::inverse_dct(plane.header, plane.levels, plane.coeffs);
+    benchmark::DoNotOptimize(plane.coeffs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InverseDctPlane)->Apply(PerSimdLevel);
 
 // The digest the Fig. 1 reconstruct stage chains over every frame: the
 // dispatched CRC-32 of one packed CIF luma plane.

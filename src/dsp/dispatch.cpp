@@ -26,6 +26,16 @@ DctTables make_dct_tables() noexcept {
   }
   for (int u = 0; u < kDct; ++u)
     for (int x = 0; x < kDct; ++x) t.c_t[x][u] = t.c[u][x];
+  for (int j = 0; j < kDct / 2; ++j) {
+    for (int k = 0; k < kDct; ++k) {
+      for (int i = 0; i < kDct; ++i) {
+        t.c_pair[j][k][i] = t.c[j][k];
+        t.c_pair[j][k][kDct + i] = t.c[j + kDct / 2][k];
+        t.c_t_pair[j][k][i] = t.c_t[j][k];
+        t.c_t_pair[j][k][kDct + i] = t.c_t[j + kDct / 2][k];
+      }
+    }
+  }
   for (int u = 0; u < kDct; ++u)
     for (int x = 0; x < kDct; ++x)
       t.q15[u][x] = static_cast<std::int32_t>(
@@ -80,6 +90,7 @@ constexpr KernelTable kKernelsScalar = {
     .quantize64 = &quantize64_scalar,
     .dequantize64 = &dequantize64_scalar,
     .reconstruct8x8 = &reconstruct8x8_scalar,
+    .octave_blend_row = &octave_blend_row_scalar,
     .sensor_noise_row = &sensor_noise_row_scalar,
     .crc32_update = &crc32_update_scalar,
     .fb_analyze = &fb_analyze_scalar,
@@ -90,6 +101,9 @@ constexpr KernelTable kKernelsScalar = {
 
 namespace {
 
+constexpr SimdLevel kAllLevels[] = {SimdLevel::kScalar, SimdLevel::kSse2,
+                                    SimdLevel::kAvx2, SimdLevel::kAvx512};
+
 const KernelTable* registered_table(SimdLevel level) noexcept {
   switch (level) {
     case SimdLevel::kScalar:
@@ -99,6 +113,8 @@ const KernelTable* registered_table(SimdLevel level) noexcept {
       return &detail::kKernelsSse2;
     case SimdLevel::kAvx2:
       return &detail::kKernelsAvx2;
+    case SimdLevel::kAvx512:
+      return &detail::kKernelsAvx512;
 #endif
     default:
       return nullptr;
@@ -115,6 +131,12 @@ bool cpu_supports_impl(SimdLevel level) noexcept {
     case SimdLevel::kAvx2:  // its CRC-32 folds with PCLMULQDQ
       return __builtin_cpu_supports("avx2") != 0 &&
              __builtin_cpu_supports("pclmul") != 0;
+    case SimdLevel::kAvx512:  // x86-64-v4, and the AVX2 bodies it reuses
+      return cpu_supports_impl(SimdLevel::kAvx2) &&
+             __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512dq") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0;
 #endif
     default:
       return false;
@@ -130,7 +152,8 @@ const KernelTable* select_initial() noexcept {
       if (const KernelTable* t = registered_table(lv)) return t;
     }
   }
-  for (const SimdLevel lv : {SimdLevel::kAvx2, SimdLevel::kSse2}) {
+  for (const SimdLevel lv :
+       {SimdLevel::kAvx512, SimdLevel::kAvx2, SimdLevel::kSse2}) {
     if (!cpu_supports_impl(lv)) continue;
     if (const KernelTable* t = registered_table(lv)) return t;
   }
@@ -152,13 +175,14 @@ std::string_view simd_level_name(SimdLevel level) noexcept {
       return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
 
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
-  for (const SimdLevel lv :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  for (const SimdLevel lv : kAllLevels) {
     if (name == simd_level_name(lv)) {
       out = lv;
       return true;
@@ -177,8 +201,7 @@ const KernelTable* kernel_table(SimdLevel level) noexcept {
 
 std::vector<SimdLevel> compiled_levels() {
   std::vector<SimdLevel> out;
-  for (const SimdLevel lv :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  for (const SimdLevel lv : kAllLevels) {
     if (registered_table(lv) != nullptr) out.push_back(lv);
   }
   return out;

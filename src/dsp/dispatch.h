@@ -6,12 +6,16 @@
 // 16x16 SAD (one window, or one search step's batch of candidates), 8x8
 // float and Q15 DCT/IDCT, the 64-coefficient quantizer loops, the 8x8
 // reconstruction adder, the 32-band filterbank MACs, the capture's
-// sensor-noise row and the CRC-32 update — is a slot in a per-ISA
-// function-pointer table. The table is chosen once at startup from CPUID
-// (best available of scalar/SSE2/AVX2; non-x86 hosts run scalar), can be
-// forced via the MMSOC_SIMD environment variable (scalar|sse2|avx2), and
-// can be switched at runtime with set_simd_level() so tests and benches
-// compare levels inside one process.
+// octave blend and sensor-noise rows and the CRC-32 update — is a slot in
+// a per-ISA function-pointer table. The table is chosen once at startup
+// from CPUID (best available of scalar/SSE2/AVX2/AVX-512; non-x86 hosts
+// run scalar), can be forced via the MMSOC_SIMD environment variable
+// (scalar|sse2|avx2|avx512), and can be switched at runtime with
+// set_simd_level() so tests and benches compare levels inside one
+// process. The AVX-512 level (avx512f/dq/bw/vl, the x86-64-v4 set, plus
+// the AVX2 level's avx2 and pclmul) has its own bodies for the float DCT
+// pair, the octave blend and the sensor-noise row; its other slots point
+// at the AVX2 functions.
 //
 // Bit-exactness contract: every variant of every kernel produces output
 // byte-identical to the scalar reference for in-contract inputs.
@@ -32,6 +36,9 @@
 //    saturates to [0, 255]. In contract |t| < 2^31, where truncation is
 //    defined; the index mix64(counter + x) >> 52 is integer and wraps
 //    modulo 2^64 like the scalar code.
+//  - octave_blend_row evaluates v = b + d * (90 * (lerp(ca, cb, csy) -
+//    0.5) + 40 * (lerp(fa, fb, fsy) - 0.5)) in double, with lerp(a, b, t)
+//    = a + (b - a) * t, in that order and never fused (no FMA).
 //  - crc32_update is integer: the PCLMULQDQ fold and Barrett reduction
 //    compute the same polynomial remainder as the table, so every
 //    variant returns the same state for every input and any split of it.
@@ -44,7 +51,12 @@
 
 namespace mmsoc::dsp {
 
-enum class SimdLevel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdLevel : std::uint8_t {
+  kScalar = 0,
+  kSse2 = 1,
+  kAvx2 = 2,
+  kAvx512 = 3
+};
 
 [[nodiscard]] std::string_view simd_level_name(SimdLevel level) noexcept;
 
@@ -89,6 +101,15 @@ struct KernelTable {
                          std::ptrdiff_t pred_stride, std::uint8_t* out,
                          std::ptrdiff_t out_stride);
 
+  /// One row of capture's two-octave texture: v[x] = brightness + detail *
+  /// (90 * (lerp(ca[x], cb[x], csy) - 0.5) + 40 * (lerp(fa[x], fb[x], fsy) -
+  /// 0.5)) for x < n, each octave's lerp blending its two interpolated
+  /// lattice rows by the row weight.
+  void (*octave_blend_row)(const double* ca, const double* cb, double csy,
+                           const double* fa, const double* fb, double fsy,
+                           double brightness, double detail, std::size_t n,
+                           double* v);
+
   /// One row of sensor-noised pixels: out[x] = clamp_u8(int((v[x] +
   /// sigma * table[mix64(counter + x) >> 52]) + 0.5)) for x < n, with
   /// common::mix64 and a 4096-entry noise table.
@@ -128,7 +149,8 @@ struct KernelTable {
 /// the level is not compiled in or the CPU lacks it.
 bool set_simd_level(SimdLevel level) noexcept;
 
-/// Parse "scalar" | "sse2" | "avx2"; returns false on anything else.
+/// Parse "scalar" | "sse2" | "avx2" | "avx512"; returns false on anything
+/// else.
 bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept;
 
 }  // namespace mmsoc::dsp

@@ -1,7 +1,8 @@
 // AVX2 kernel variants. Built with -mavx2 -mpclmul -ffp-contract=off;
 // compiles away unless x86 SIMD dispatch is enabled. No code in this TU runs before
 // dispatch.cpp has checked CPUID: the exported table is constant-
-// initialized from function addresses only.
+// initialized from function addresses only. The functions outside the
+// anonymous namespaces also fill the AVX-512 table's unported slots.
 //
 // Same bit-exactness scheme as the SSE2 TU (see that file and dispatch.h);
 // AVX2 just gives full-width lanes: one 256-bit vector covers all 8
@@ -10,7 +11,8 @@
 // reconstruct8x8 rounds with the quantizer's lround8_avx2, exact for every
 // float inside int range. sensor_noise_row hashes four counters per
 // vector (a 64-bit multiply from three 32x32->64 partial products) and
-// gathers their table entries; crc32_update folds 64 bytes per step with
+// gathers their table entries; octave_blend_row blends four pixels per
+// vector; crc32_update folds 64 bytes per step with
 // PCLMULQDQ, which the AVX2 level's CPU check also requires.
 #if defined(MMSOC_SIMD_X86) && defined(__AVX2__)
 
@@ -19,7 +21,6 @@
 #include "dsp/kernels.h"
 
 namespace mmsoc::dsp::detail {
-namespace {
 
 // The current window stays in 8 registers, two rows each, for the whole
 // batch; two accumulators halve each candidate's add chain.
@@ -59,6 +60,8 @@ std::uint32_t sad16_avx2(const std::uint8_t* a, std::ptrdiff_t a_stride,
   sad16_candidates_avx2(a, a_stride, &b, b_stride, 1, &sad);
   return sad;
 }
+
+namespace {
 
 // One float 1-D pass: all 8 outputs in one vector; per-lane op sequence
 // identical to scalar (broadcast input x, multiply by its basis column,
@@ -137,6 +140,8 @@ void q15_2d_avx2(const std::int64_t (*cols)[8], const std::int16_t* in,
   }
 }
 
+}  // namespace
+
 void fdct8x8_q15_avx2(const std::int16_t* in, std::int16_t* out) {
   q15_2d_avx2(dct_tables().q15_fwd, in, out);
 }
@@ -144,6 +149,8 @@ void fdct8x8_q15_avx2(const std::int16_t* in, std::int16_t* out) {
 void idct8x8_q15_avx2(const std::int16_t* in, std::int16_t* out) {
   q15_2d_avx2(dct_tables().q15_inv, in, out);
 }
+
+namespace {
 
 // lroundf emulation for 8 floats (see the SSE2 TU for the derivation).
 inline __m256i lround8_avx2(__m256 v) {
@@ -155,6 +162,8 @@ inline __m256i lround8_avx2(__m256 v) {
       _mm256_cmp_ps(frac, _mm256_set1_ps(-0.5f), _CMP_LE_OQ));
   return _mm256_add_epi32(_mm256_sub_epi32(trunc, up), down);
 }
+
+}  // namespace
 
 void quantize64_avx2(const float* coeffs, const float* steps,
                      std::int16_t* levels) {
@@ -250,6 +259,8 @@ void fb_synth_avx2(const double* bands32, double* y64) {
     }
   }
 }
+
+namespace {
 
 // Low 64 bits of a * b in each lane, b a constant split into 32-bit
 // halves: lo(a)lo(b) + (hi(a)lo(b) + lo(a)hi(b)) << 32. The hi * hi
@@ -365,6 +376,34 @@ std::uint32_t crc32_fold_pclmul(std::uint32_t state, const std::uint8_t* p,
   return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
 }
 
+// Four pixels per step, each lane in the scalar order; the last n % 4 run
+// the scalar row.
+void octave_blend_row_avx2(const double* ca, const double* cb, double csy,
+                           const double* fa, const double* fb, double fsy,
+                           double brightness, double detail, std::size_t n,
+                           double* v) {
+  const __m256d half = _mm256_set1_pd(0.5);
+  const auto lerp = [](__m256d a, __m256d b, __m256d t) {
+    return _mm256_add_pd(a, _mm256_mul_pd(_mm256_sub_pd(b, a), t));
+  };
+  const __m256d cs = _mm256_set1_pd(csy), fs = _mm256_set1_pd(fsy);
+  const __m256d k90 = _mm256_set1_pd(90.0), k40 = _mm256_set1_pd(40.0);
+  const __m256d b = _mm256_set1_pd(brightness), d = _mm256_set1_pd(detail);
+  std::size_t x = 0;
+  for (; x + 4 <= n; x += 4) {
+    const __m256d c = lerp(_mm256_loadu_pd(ca + x), _mm256_loadu_pd(cb + x), cs);
+    const __m256d f = lerp(_mm256_loadu_pd(fa + x), _mm256_loadu_pd(fb + x), fs);
+    const __m256d tex =
+        _mm256_add_pd(_mm256_mul_pd(k90, _mm256_sub_pd(c, half)),
+                      _mm256_mul_pd(k40, _mm256_sub_pd(f, half)));
+    _mm256_storeu_pd(v + x, _mm256_add_pd(b, _mm256_mul_pd(d, tex)));
+  }
+  octave_blend_row_scalar(ca + x, cb + x, csy, fa + x, fb + x, fsy, brightness,
+                          detail, n - x, v + x);
+}
+
+}  // namespace
+
 // Inputs under 64 bytes and the last n % 16 bytes take the table path.
 std::uint32_t crc32_update_avx2(std::uint32_t state, const std::uint8_t* p,
                                 std::size_t n) {
@@ -373,8 +412,6 @@ std::uint32_t crc32_update_avx2(std::uint32_t state, const std::uint8_t* p,
   state = crc32_fold_pclmul(state, p, folded);
   return crc32_update_scalar(state, p + folded, n - folded);
 }
-
-}  // namespace
 
 const KernelTable kKernelsAvx2 = {
     .level = SimdLevel::kAvx2,
@@ -387,6 +424,7 @@ const KernelTable kKernelsAvx2 = {
     .quantize64 = &quantize64_avx2,
     .dequantize64 = &dequantize64_avx2,
     .reconstruct8x8 = &reconstruct8x8_avx2,
+    .octave_blend_row = &octave_blend_row_avx2,
     .sensor_noise_row = &sensor_noise_row_avx2,
     .crc32_update = &crc32_update_avx2,
     .fb_analyze = &fb_analyze_avx2,

@@ -1,10 +1,10 @@
 // Scalar reference kernels — the bit-exactness oracle for every SIMD
 // variant. The loop bodies reproduce the pre-dispatch implementations in
 // dct.cpp, quantizer.cpp, filterbank.cpp, motion.cpp, codec.cpp,
-// video/source.cpp (the sensor-noise row) and common/crc32.cpp exactly;
-// this TU
-// builds with -ffp-contract=off so the float summation orders here are
-// the contract, not whatever the optimizer fuses.
+// video/source.cpp (the octave blend and sensor-noise rows) and
+// common/crc32.cpp exactly; this TU builds with -ffp-contract=off so the
+// float summation orders here are the contract, not whatever the
+// optimizer fuses.
 #include <array>
 #include <cmath>
 #include <cstdlib>
@@ -221,6 +221,16 @@ void fb_synth_scalar(const double* bands32, double* y64) {
     double acc = 0.0;
     for (int k = 0; k < kFbBands; ++k) acc += bands32[k] * t.basis[k][n];
     y64[n] = t.synth_scale[n] * acc;
+  }
+}
+
+void octave_blend_row_scalar(const double* ca, const double* cb, double csy,
+                             const double* fa, const double* fb, double fsy,
+                             double brightness, double detail, std::size_t n,
+                             double* v) {
+  for (std::size_t x = 0; x < n; ++x) {
+    v[x] = brightness + detail * (90.0 * (common::lerp(ca[x], cb[x], csy) - 0.5) +
+                                  40.0 * (common::lerp(fa[x], fb[x], fsy) - 0.5));
   }
 }
 

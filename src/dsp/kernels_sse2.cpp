@@ -13,6 +13,8 @@
 //  - reconstruct8x8: the same rounding on r + p, whose fraction is exact
 //    for every float inside int range; the two saturating packs clamp to
 //    [0, 255] exactly as the scalar clamp does.
+//  - octave_blend_row: two pixels per vector, each lane in the scalar
+//    order (the scalar row would cost the SSE2 level's render about 15%).
 #if defined(MMSOC_SIMD_X86) && defined(__SSE2__)
 
 #include <emmintrin.h>
@@ -284,6 +286,31 @@ void fb_synth_sse2(const double* bands32, double* y64) {
   }
 }
 
+// Two pixels per step, each lane in the scalar order; an odd last pixel
+// runs the scalar row.
+void octave_blend_row_sse2(const double* ca, const double* cb, double csy,
+                           const double* fa, const double* fb, double fsy,
+                           double brightness, double detail, std::size_t n,
+                           double* v) {
+  const __m128d half = _mm_set1_pd(0.5);
+  const auto lerp = [](__m128d a, __m128d b, __m128d t) {
+    return _mm_add_pd(a, _mm_mul_pd(_mm_sub_pd(b, a), t));
+  };
+  const __m128d cs = _mm_set1_pd(csy), fs = _mm_set1_pd(fsy);
+  const __m128d k90 = _mm_set1_pd(90.0), k40 = _mm_set1_pd(40.0);
+  const __m128d b = _mm_set1_pd(brightness), d = _mm_set1_pd(detail);
+  std::size_t x = 0;
+  for (; x + 2 <= n; x += 2) {
+    const __m128d c = lerp(_mm_loadu_pd(ca + x), _mm_loadu_pd(cb + x), cs);
+    const __m128d f = lerp(_mm_loadu_pd(fa + x), _mm_loadu_pd(fb + x), fs);
+    const __m128d tex = _mm_add_pd(_mm_mul_pd(k90, _mm_sub_pd(c, half)),
+                                   _mm_mul_pd(k40, _mm_sub_pd(f, half)));
+    _mm_storeu_pd(v + x, _mm_add_pd(b, _mm_mul_pd(d, tex)));
+  }
+  octave_blend_row_scalar(ca + x, cb + x, csy, fa + x, fb + x, fsy, brightness,
+                          detail, n - x, v + x);
+}
+
 }  // namespace
 
 const KernelTable kKernelsSse2 = {
@@ -297,6 +324,7 @@ const KernelTable kKernelsSse2 = {
     .quantize64 = &quantize64_sse2,
     .dequantize64 = &dequantize64_sse2,
     .reconstruct8x8 = &reconstruct8x8_sse2,
+    .octave_blend_row = &octave_blend_row_sse2,
     // SSE2 has neither a 64-bit multiply nor a gather; a vector index with
     // scalar table loads was no faster than the scalar row.
     .sensor_noise_row = &sensor_noise_row_scalar,

@@ -141,11 +141,11 @@ void predict(const FrameHeader& h, const Plane& cur, const Plane& ref,
 
 void forward_dct(std::span<const std::int16_t> residual,
                  std::span<float> coeffs) {
-  alignas(32) dsp::Block in, out;
+  const auto fdct = dsp::kernels().fdct8x8_f32;
+  alignas(32) dsp::Block in;
   for (std::size_t b = 0; b < residual.size(); b += kCoeffs) {
     std::copy_n(residual.begin() + b, kCoeffs, in.begin());
-    dsp::dct2d(in, out);
-    std::copy(out.begin(), out.end(), coeffs.begin() + b);
+    fdct(in.data(), &coeffs[b]);
   }
 }
 
@@ -184,11 +184,11 @@ std::uint64_t entropy_code(
 void inverse_dct(const FrameHeader& h, std::span<const std::int16_t> levels,
                  std::span<float> residual) {
   const Quantizer q = h.quantizer();
-  alignas(32) dsp::Block coeffs, out;
+  const auto idct = dsp::kernels().idct8x8_f32;
+  alignas(32) dsp::Block coeffs;
   for (std::size_t b = 0; b < levels.size(); b += kCoeffs) {
     q.dequantize(levels.subspan(b).first<kCoeffs>(), coeffs);
-    dsp::idct2d(coeffs, out);
-    std::copy(out.begin(), out.end(), residual.begin() + b);
+    idct(coeffs.data(), &residual[b]);
   }
 }
 

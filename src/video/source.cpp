@@ -84,6 +84,13 @@ class NoiseOctave {
     fill_row(y0 + 1, bottom_, b_);
   }
 
+  /// The current row's two lattice rows, interpolated along x, and the
+  /// weight between them: the noise value in [0, 1) at column x is
+  /// lerp(upper()[x], lower()[x], row_weight()).
+  [[nodiscard]] const double* upper() const noexcept { return a_.data(); }
+  [[nodiscard]] const double* lower() const noexcept { return b_.data(); }
+  [[nodiscard]] double row_weight() const noexcept { return sy_; }
+
   /// Noise value in [0, 1) at column `x` of the current row.
   [[nodiscard]] double at(std::size_t x) const noexcept {
     return common::lerp(a_[x], b_[x], sy_);
@@ -293,7 +300,8 @@ void LumaRenderer::render(int frame_index, Plane& luma) {
 
   // Two noise octaves panned by (ox, oy) give the texture both bulk
   // structure (for ME to latch onto) and fine detail (for the DCT to
-  // code); then objects, then sensor noise one row at a time.
+  // code); then objects, then sensor noise, one row at a time, the blend
+  // and the noise each one dispatched kernel call per row.
   st.coarse.start_frame(ox);
   st.fine.start_frame(ox);
   std::vector<double>& v = st.v;
@@ -303,10 +311,9 @@ void LumaRenderer::render(int frame_index, Plane& luma) {
     const double wy = y + oy;
     st.coarse.seek_row(wy);
     st.fine.seek_row(wy);
-    for (std::size_t x = 0; x < v.size(); ++x) {
-      v[x] = scene.brightness +
-             scene.detail * (90.0 * (st.coarse.at(x) - 0.5) + 40.0 * (st.fine.at(x) - 0.5));
-    }
+    k.octave_blend_row(st.coarse.upper(), st.coarse.lower(), st.coarse.row_weight(),
+                       st.fine.upper(), st.fine.lower(), st.fine.row_weight(),
+                       scene.brightness, scene.detail, v.size(), v.data());
     for (const auto& p : st.placed) {
       const double dy = y - p.top;
       if (!(dy >= 0 && dy < p.h)) continue;

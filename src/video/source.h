@@ -74,8 +74,11 @@ class SyntheticVideo {
   /// per cell row, object columns are resolved once per frame as spans,
   /// but every pixel keeps the arithmetic and evaluation order of the
   /// per-pixel definition, so output bytes depend only on (size, scene,
-  /// frame_index), at every SIMD level. The sensor noise is stateless:
-  /// frame f has the key common::mix64(seed ^ (0xABCD + f * 0x10001)),
+  /// frame_index), at every SIMD level. A row's texture is v = brightness
+  /// + detail * (90 * (coarse - 0.5) + 40 * (fine - 0.5)), each octave
+  /// the lerp of its two interpolated lattice rows by its row weight, never
+  /// fused (the dispatched kernel dsp::KernelTable::octave_blend_row, one
+  /// call per row). The sensor noise is stateless: frame f has the key common::mix64(seed ^ (0xABCD + f * 0x10001)),
   /// and pixel (x, y) of a W-wide plane becomes clamp_u8(int((v + sigma *
   /// g) + 0.5)), g the sensor_noise_table() entry indexed by the top 12
   /// bits of mix64(key + y * W + x) (the dispatched kernel

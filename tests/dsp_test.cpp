@@ -6,7 +6,9 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/mathutil.h"
@@ -495,6 +497,29 @@ std::vector<const KernelTable*> runnable_tables() {
   return out;
 }
 
+// Names the levels the equivalence tests below compare against scalar, so
+// a CI log shows which ISAs its runner exercised.
+class RunnableLevelsReport : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    std::string names;
+    for (const auto* t : runnable_tables()) {
+      names += (names.empty() ? "" : " ") + std::string(simd_level_name(t->level));
+    }
+    std::printf("dsp_test: SIMD levels run: %s\n", names.c_str());
+    ::testing::Test::RecordProperty("simd_levels_run", names);
+  }
+};
+[[maybe_unused]] ::testing::Environment* const kRunnableLevelsReport =
+    ::testing::AddGlobalTestEnvironment(new RunnableLevelsReport);
+
+bool every_slot_set(const KernelTable& t) {
+  return t.sad16 && t.sad16_candidates && t.fdct8x8_f32 && t.idct8x8_f32 &&
+         t.fdct8x8_q15 && t.idct8x8_q15 && t.quantize64 && t.dequantize64 &&
+         t.reconstruct8x8 && t.octave_blend_row && t.sensor_noise_row &&
+         t.crc32_update && t.fb_analyze && t.fb_synth;
+}
+
 TEST(SimdDispatch, ScalarAlwaysRegisteredAndSwitchable) {
   ScopedSimdLevel restore;
   ASSERT_NE(kernel_table(SimdLevel::kScalar), nullptr);
@@ -510,6 +535,28 @@ TEST(SimdDispatch, ScalarAlwaysRegisteredAndSwitchable) {
   }
   SimdLevel parsed;
   EXPECT_FALSE(parse_simd_level("mmx", parsed));
+}
+
+TEST(SimdDispatch, Avx512LevelIsConsistent) {
+  ScopedSimdLevel restore;
+  SimdLevel parsed = SimdLevel::kScalar;
+  ASSERT_TRUE(parse_simd_level("avx512", parsed));
+  EXPECT_EQ(parsed, SimdLevel::kAvx512);
+  EXPECT_EQ(simd_level_name(SimdLevel::kAvx512), "avx512");
+  // The AVX-512 table reuses AVX2 bodies, so it needs everything AVX2 does.
+  if (cpu_supports(SimdLevel::kAvx512)) {
+    EXPECT_TRUE(cpu_supports(SimdLevel::kAvx2));
+  }
+  for (const auto level : compiled_levels()) {
+    ASSERT_NE(kernel_table(level), nullptr);
+    EXPECT_TRUE(every_slot_set(*kernel_table(level))) << simd_level_name(level);
+  }
+  const bool runnable = cpu_supports(SimdLevel::kAvx512) &&
+                        kernel_table(SimdLevel::kAvx512) != nullptr;
+  EXPECT_EQ(set_simd_level(SimdLevel::kAvx512), runnable);
+  if (runnable) {
+    EXPECT_EQ(active_simd_level(), SimdLevel::kAvx512);
+  }
 }
 
 TEST(SimdDispatch, Sad16MatchesScalarOnRandomStridesAndOffsets) {
@@ -668,12 +715,14 @@ TEST(SimdDispatch, FloatDctVariantsBitExact) {
         EXPECT_EQ(std::memcmp(got, want, sizeof(want)), 0)
             << simd_level_name(table->level) << (inverse ? " idct" : " fdct")
             << " iter " << iter << (misalign ? " misaligned" : " aligned");
-        // The contract allows in-place operation.
-        alignas(32) float inplace[64];
-        std::memcpy(inplace, in, sizeof(inplace));
+        // The contract allows in-place operation, at any alignment.
+        alignas(32) float inplace_buf[65];
+        float* inplace = inplace_buf + (misalign ? 1 : 0);
+        std::memcpy(inplace, in, sizeof(want));
         fn(table)(inplace, inplace);
         EXPECT_EQ(std::memcmp(inplace, want, sizeof(want)), 0)
-            << simd_level_name(table->level) << " in-place iter " << iter;
+            << simd_level_name(table->level) << (inverse ? " idct" : " fdct")
+            << " in-place iter " << iter;
       }
     }
   }
@@ -785,6 +834,56 @@ TEST(SimdDispatch, FilterbankMacsBitExact) {
       table->fb_synth(bands, got64);
       EXPECT_EQ(std::memcmp(got64, want64, sizeof(want64)), 0)
           << simd_level_name(table->level) << " synth iter " << iter;
+    }
+  }
+}
+
+TEST(SimdDispatch, OctaveBlendRowMatchesScalar) {
+  // v = b + d * (90 * (lerp(ca, cb, csy) - 0.5) + 40 * (lerp(fa, fb, fsy)
+  // - 0.5)) at every level: every row length up to 67 (the vector bodies
+  // and every tail), lattice values in [0, 1), row weights 0, 1 and
+  // random, every scene's brightness and detail, and misaligned operands.
+  // No level may write past n.
+  const auto scalar = kernel_table(SimdLevel::kScalar);
+  const std::array scenes = {video::scene_low_motion(1), video::scene_high_motion(1),
+                             video::scene_high_detail(1), video::scene_flat(1)};
+  Rng rng(0xb1e4d);
+  constexpr std::size_t kMaxN = 67;
+  constexpr double kGuard = -1234.5;
+  std::vector<std::vector<double>> rows(4, std::vector<double>(kMaxN + 1));
+  std::vector<double> want(kMaxN + 2), got(kMaxN + 2);
+  for (const auto& scene : scenes) {
+    for (std::size_t n = 0; n <= kMaxN; ++n) {
+      const std::size_t off = n % 2;
+      for (auto& row : rows) {
+        for (auto& x : row) x = rng.next_double_in(0.0, 1.0);
+      }
+      const double* ca = rows[0].data() + off;
+      const double* cb = rows[1].data() + off;
+      const double* fa = rows[2].data() + off;
+      const double* fb = rows[3].data() + off;
+      const double weights[] = {0.0, 1.0, rng.next_double_in(0.0, 1.0)};
+      const double csy = weights[n % 3];
+      const double fsy = weights[(n / 3) % 3];
+      std::fill(want.begin(), want.end(), kGuard);
+      scalar->octave_blend_row(ca, cb, csy, fa, fb, fsy, scene.brightness,
+                               scene.detail, n, want.data() + off);
+      for (std::size_t x = 0; x < n; ++x) {  // scalar against the definition
+        const double v =
+            scene.brightness +
+            scene.detail * (90.0 * (common::lerp(ca[x], cb[x], csy) - 0.5) +
+                            40.0 * (common::lerp(fa[x], fb[x], fsy) - 0.5));
+        ASSERT_EQ(std::memcmp(&want[off + x], &v, sizeof(v)), 0)
+            << "n " << n << " x " << x;
+      }
+      for (const auto* t : runnable_tables()) {
+        std::fill(got.begin(), got.end(), kGuard);
+        t->octave_blend_row(ca, cb, csy, fa, fb, fsy, scene.brightness,
+                            scene.detail, n, got.data() + off);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+            << simd_level_name(t->level) << " n " << n << " detail "
+            << scene.detail;
+      }
     }
   }
 }
